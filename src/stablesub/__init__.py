@@ -28,6 +28,7 @@ from .experiments import (
     run_ibp_consistency,
     run_laplace_check,
     run_moment_check,
+    run_moment_checks,
     run_scaling_check,
 )
 from .integrals import (

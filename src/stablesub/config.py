@@ -7,8 +7,10 @@ constraint violation names the offending key so the CLI can fail actionably.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
+from .integrals import LOG_SPACE_THRESHOLD
 from .subordinator import TimeGrid
 
 __all__ = [
@@ -247,6 +249,16 @@ def validate_config(config: ExperimentConfig) -> None:
         if not theta < 1.0 / alpha:
             raise ConfigError("theta must be < 1/alpha")
         _check_order(config, alpha)
+        # The batched kernel epsilon^(-theta) has no log-space form.
+        try:
+            log_scale = theta * abs(math.log(config.grid.build(config.T).epsilon))
+        except ValueError as exc:
+            raise ConfigError(f"grid: {exc}") from exc
+        if log_scale > LOG_SPACE_THRESHOLD:
+            raise ConfigError(
+                f"theta * |ln(grid epsilon)| must be <= {LOG_SPACE_THRESHOLD:g} "
+                f"(epsilon^-theta leaves double range); got {log_scale:.6g}"
+            )
     elif exp == "moment_bound_exp":
         alpha = _require(config, "alpha").scalar_alpha()
         _check_alpha_value(alpha)

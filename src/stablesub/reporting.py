@@ -24,6 +24,7 @@ from .experiments import (
     run_ibp_consistency,
     run_laplace_check,
     run_moment_check,
+    run_moment_checks,
     run_scaling_check,
 )
 from .integrals import ExpKernel, SingularKernel
@@ -456,71 +457,42 @@ def _build_verify_all(config: ExperimentConfig):
     )
     absorb("scaling", _scaling_triple(scaling))
 
-    # 5. Power-kernel moment bound over the acceptance grid.
-    theta_cells = []
-    theta_ok = True
-    n_bound = min(100_000, cap)
-    for alpha in (0.3, 0.5, 0.7):
-        for frac in (0.5, 0.8):
-            theta = frac / alpha
-            for p in (alpha / 4.0, alpha / 2.0):
-                check = run_moment_check(
-                    StableParams(alpha),
-                    SingularKernel(theta=theta, T=1.0),
-                    p=p,
-                    n_replicates=n_bound,
-                    master_seed=seed,
-                    workers=workers,
-                )
-                theta_ok &= check.passed
-                theta_cells.append(
-                    [alpha, theta, p, check.bound_value, check.estimate.mean,
-                     check.estimate.std_error, check.margin]
-                )
-    absorb(
-        "bound_theta_grid",
-        (
-            _verdict("all_cells_pass", theta_ok),
-            {"n_cells": len(theta_cells)},
-            {
-                "cells": {
-                    "columns": ["alpha", "theta", "p", "bound", "upper_mean", "std_error", "margin"],
-                    "rows": theta_cells,
-                }
-            },
-        ),
-    )
-
-    # 6. Exponential-kernel moment bound over lambda x T.
-    exp_cells = []
-    exp_ok = True
-    for lam in (0.5, 1.0, 2.0):
-        for T in (1.0, 5.0):
-            check = run_moment_check(
-                StableParams(0.5),
-                ExpKernel(lam=lam, T=T),
-                p=0.25,
-                n_replicates=n_bound,
-                master_seed=seed,
-                workers=workers,
-            )
-            exp_ok &= check.passed
-            exp_cells.append(
-                [lam, T, check.bound_value, check.estimate.mean, check.estimate.std_error, check.margin]
-            )
-    absorb(
-        "bound_exp_grid",
-        (
-            _verdict("all_cells_pass", exp_ok),
-            {"n_cells": len(exp_cells)},
-            {
-                "cells": {
-                    "columns": ["lambda", "T", "bound", "upper_mean", "std_error", "margin"],
-                    "rows": exp_cells,
-                }
-            },
-        ),
-    )
+    # 5-6. Power-kernel moment bound over the (alpha, theta, p) acceptance
+    #      grid and exponential-kernel bound over lambda x T, in one driver
+    #      call so that cells sharing sample paths draw them once.
+    theta_keys = [
+        (alpha, frac / alpha, p)
+        for alpha in (0.3, 0.5, 0.7)
+        for frac in (0.5, 0.8)
+        for p in (alpha / 4.0, alpha / 2.0)
+    ]
+    exp_keys = [(lam, T) for lam in (0.5, 1.0, 2.0) for T in (1.0, 5.0)]
+    cells = [
+        (StableParams(alpha), SingularKernel(theta=theta, T=1.0), p, None)
+        for alpha, theta, p in theta_keys
+    ] + [(StableParams(0.5), ExpKernel(lam=lam, T=T), 0.25, None) for lam, T in exp_keys]
+    checks = run_moment_checks(cells, min(100_000, cap), seed, workers)
+    for prefix, keys, key_columns, section in (
+        ("bound_theta_grid", theta_keys, ["alpha", "theta", "p"], checks[: len(theta_keys)]),
+        ("bound_exp_grid", exp_keys, ["lambda", "T"], checks[len(theta_keys):]),
+    ):
+        rows = [
+            [*key, c.bound_value, c.estimate.mean, c.estimate.std_error, c.margin]
+            for key, c in zip(keys, section)
+        ]
+        absorb(
+            prefix,
+            (
+                _verdict("all_cells_pass", all(c.passed for c in section)),
+                {"n_cells": len(rows)},
+                {
+                    "cells": {
+                        "columns": key_columns + ["bound", "upper_mean", "std_error", "margin"],
+                        "rows": rows,
+                    }
+                },
+            ),
+        )
 
     # 7. Blow-up slope law at three supercritical exponents.
     slope_ok = True

@@ -1,6 +1,7 @@
 """Config parsing/validation contracts and the CLI surface."""
 
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -103,6 +104,33 @@ class TestCli:
         result = runner.invoke(main, ["bound-theta", "--alpha", "0.5", "--theta", "2.5"])
         assert result.exit_code == 2
         assert "theta must be < 1/alpha" in result.output
+
+    def test_bound_theta_overflow_regime_is_config_error(self):
+        # theta * |ln 2^-40| = 831 > 700: the batched kernel leaves double range.
+        runner = CliRunner()
+        result = runner.invoke(
+            main, ["bound-theta", "--alpha", "0.03", "--theta", "30", "--p", "0.01"]
+        )
+        assert result.exit_code == 2
+        assert "theta * |ln(grid epsilon)| must be <= 700" in result.output
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_ibp_nan_abel_discrepancy_fails(self, tmp_path):
+        # On 300 dyadic levels 11 of the 50 Abel probes overflow to NaN.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"grid": {"levels": 300}}))
+        runner = CliRunner()
+        result = runner.invoke(
+            main,
+            ["ibp", "--alpha", "0.5", "--theta", "1", "--replicates", "50", "--seed", "12345",
+             "--config", str(config_path), "--out", str(tmp_path / "ibp")],
+        )
+        assert result.exit_code == 1
+        assert "[FAIL] abel_identity" in result.output
+        record = json.loads((tmp_path / "ibp.json").read_text())
+        assert record["verdicts"]["abel_identity"] == "fail"
+        assert math.isnan(record["results"]["max_abel_discrepancy"])
 
     def test_config_file_with_flag_override(self, tmp_path):
         config_path = tmp_path / "config.json"

@@ -5,11 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from click.testing import CliRunner
+
+import stablesub.experiments as experiments
+import stablesub.reporting as reporting
 from stablesub import (
     ExpKernel,
     MomentEstimate,
+    SeedSpec,
     SingularKernel,
     StableParams,
+    TimeGrid,
     classify_power_kernel,
     exp_kernel_moment_bound,
     power_kernel_moment_bound,
@@ -18,9 +24,13 @@ from stablesub import (
     run_ibp_consistency,
     run_laplace_check,
     run_moment_check,
+    run_moment_checks,
     run_scaling_check,
+    sample_path_values,
 )
-from stablesub.experiments import power_integral_diverges
+from stablesub.cli import main
+from stablesub.experiments import BATCH_SIZE, default_grid, power_integral_diverges
+from stablesub.integrals import power_bracket_sums
 
 # Frozen with mpmath from E S_1^0.25 = Gamma(0.5)/Gamma(0.75) at alpha = 1/2.
 BOUND_THETA_REF = 11.811069891303610336  # (alpha, theta, p, T) = (0.5, 1, 0.25, 1)
@@ -155,6 +165,101 @@ class TestMomentChecks:
             run_moment_check(StableParams(0.5), SingularKernel(theta=1.0), 0.7, n_replicates=100)
 
 
+class TestGroupedMomentChecks:
+    # Mixed kernels: two alphas, a repeated power kernel at two orders, and
+    # exponential kernels on two horizons; 5000 replicates span two batches.
+    CELLS = [
+        (StableParams(0.5), SingularKernel(theta=1.0), 0.25, None),
+        (StableParams(0.5), ExpKernel(lam=1.0, T=1.0), 0.25, None),
+        (StableParams(0.3), SingularKernel(theta=0.5 / 0.3), 0.075, None),
+        (StableParams(0.5), SingularKernel(theta=1.0), 0.125, None),
+        (StableParams(0.5), ExpKernel(lam=2.0, T=5.0), 0.25, None),
+        (StableParams(0.5), SingularKernel(theta=1.6), 0.25, None),
+        (StableParams(0.5), ExpKernel(lam=0.5, T=1.0), 0.1, None),
+    ]
+    N = 5000
+    SEED = 504
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grouped_reports_equal_per_cell_reports(self, workers):
+        grouped = run_moment_checks(self.CELLS, self.N, self.SEED, workers)
+        assert len(grouped) == len(self.CELLS)
+        for (params, kernel, p, grid), report in zip(self.CELLS, grouped):
+            single = run_moment_check(
+                params, kernel, p, n_replicates=self.N, master_seed=self.SEED, grid=grid
+            )
+            assert report.estimate.mean == single.estimate.mean
+            assert report.estimate.std_error == single.estimate.std_error
+            assert report.lower_estimate.mean == single.lower_estimate.mean
+            assert report.margin == single.margin
+            assert report.bound_value == single.bound_value
+
+    def test_matches_direct_per_batch_evaluation(self):
+        # Independent of the driver: sample each batch stream, bracket, reduce.
+        params, kernel, p, _ = self.CELLS[0]
+        grid = default_grid(kernel)
+        lower, upper = [], []
+        for batch, start in enumerate(range(0, self.N, BATCH_SIZE)):
+            count = min(BATCH_SIZE, self.N - start)
+            values = sample_path_values(params, grid, SeedSpec(self.SEED, batch), count)
+            lo, up = power_bracket_sums(grid.points, values, kernel.theta)
+            lower.append(lo)
+            upper.append(up)
+        report = run_moment_checks(self.CELLS, self.N, self.SEED)[0]
+        expected = MomentEstimate.from_samples(np.concatenate(upper) ** p, "upper")
+        assert report.estimate == expected
+        assert report.lower_estimate.mean == np.mean(np.concatenate(lower) ** p)
+
+    def test_grid_argument_joins_default_group(self):
+        explicit = TimeGrid.geometric(1.0, levels=40, q=0.5)
+        cells = [self.CELLS[0], (StableParams(0.5), SingularKernel(theta=1.0), 0.25, explicit)]
+        first, second = run_moment_checks(cells, n_replicates=200, master_seed=self.SEED)
+        assert first == second
+
+    def test_validates_every_cell_before_sampling(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("sampled before validation")
+
+        monkeypatch.setattr(experiments, "sample_path_values", never)
+        cells = [self.CELLS[0], (StableParams(0.5), SingularKernel(theta=1.0), 0.7, None)]
+        with pytest.raises(ValueError):
+            run_moment_checks(cells, n_replicates=200)
+
+    def test_verify_all_samples_each_group_once_per_batch(self, monkeypatch):
+        # 18 moment-bound cells share 5 (alpha, grid) path streams.
+        calls = []
+        inside = []
+        real_sample = experiments.sample_path_values
+        real_checks = reporting.run_moment_checks
+
+        def counting_sample(params, grid, seed, n_paths):
+            if inside:
+                calls.append((params.alpha, grid.kind, grid.T, seed.replicate_index))
+            return real_sample(params, grid, seed, n_paths)
+
+        def moment_section(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_checks(*args, **kwargs)
+            finally:
+                inside.clear()
+
+        monkeypatch.setattr(experiments, "sample_path_values", counting_sample)
+        monkeypatch.setattr(reporting, "run_moment_checks", moment_section)
+        result = CliRunner().invoke(main, ["verify-all", "--replicates", "5000", "--seed", "12345"])
+        assert result.exit_code == 0, result.output
+        groups = {
+            (0.3, "geometric", 1.0),
+            (0.5, "geometric", 1.0),
+            (0.7, "geometric", 1.0),
+            (0.5, "uniform", 1.0),
+            (0.5, "uniform", 5.0),
+        }
+        assert len(calls) == 5 * 2
+        for batch in (0, 1):
+            assert {call[:3] for call in calls if call[3] == batch} == groups
+
+
 class TestBlowupDiagnostic:
     def test_supercritical_slope(self):
         report = run_blowup_diagnostic(
@@ -228,3 +333,14 @@ class TestIbpConsistency:
         assert lower <= report.det_exp_target <= upper
         gaps = [row[3] for row in report.convergence_rows]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+    def test_nan_abel_discrepancy_fails(self):
+        # On 300 dyadic levels t^-theta overflows for probe exponents above
+        # about 3.4, so some Abel discrepancies are NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_ibp_consistency(
+                StableParams(0.5), theta=1.0, n_paths=50, master_seed=12345,
+                grid=TimeGrid.geometric(1.0, levels=300, q=0.5),
+            )
+        assert math.isnan(report.max_abel_discrepancy)
+        assert not report.passed
