@@ -7,11 +7,10 @@ constraint violation names the offending key so the CLI can fail actionably.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 
-from .integrals import LOG_SPACE_THRESHOLD
-from .subordinator import TimeGrid
+from .integrals import ExpKernel, SingularKernel
+from .subordinator import StableParams, TimeGrid
 
 __all__ = [
     "ConfigError",
@@ -40,6 +39,8 @@ DEFAULT_REPLICATES = 100_000
 _TWO64 = 1 << 64
 
 _GRID_KEYS = ("kind", "levels", "q", "epsilon")
+# Experiments that sample on a grid built from the config's grid section.
+_GRID_EXPERIMENTS = ("moment_bound_theta", "moment_bound_exp", "blowup", "ibp_consistency")
 _TOP_KEYS = (
     "experiment",
     "alpha",
@@ -227,6 +228,13 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("grid.epsilon must lie in (0, T)")
 
     exp = config.experiment
+    if exp in _GRID_EXPERIMENTS:
+        # blowup reads only the depth: its grid halves down to T * 2^-levels.
+        shape = GridConfig(levels=grid.levels) if exp == "blowup" else grid
+        try:
+            built_grid = shape.build(config.T)
+        except ValueError as exc:
+            raise ConfigError(f"grid: {exc}") from exc
     if exp in ("laplace_check",):
         for a in config.alphas():
             _check_alpha_value(a)
@@ -249,22 +257,15 @@ def validate_config(config: ExperimentConfig) -> None:
         if not theta < 1.0 / alpha:
             raise ConfigError("theta must be < 1/alpha")
         _check_order(config, alpha)
-        # The batched kernel epsilon^(-theta) has no log-space form.
-        try:
-            log_scale = theta * abs(math.log(config.grid.build(config.T).epsilon))
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from exc
-        if log_scale > LOG_SPACE_THRESHOLD:
-            raise ConfigError(
-                f"theta * |ln(grid epsilon)| must be <= {LOG_SPACE_THRESHOLD:g} "
-                f"(epsilon^-theta leaves double range); got {log_scale:.6g}"
-            )
+        _check_moment_cell(alpha, SingularKernel(theta=theta, T=config.T), config.p, built_grid)
     elif exp == "moment_bound_exp":
         alpha = _require(config, "alpha").scalar_alpha()
         _check_alpha_value(alpha)
-        if not _required_value(config.lam, "lambda") > 0.0:
+        lam = _required_value(config.lam, "lambda")
+        if not lam > 0.0:
             raise ConfigError("lambda must be > 0")
         _check_order(config, alpha)
+        _check_moment_cell(alpha, ExpKernel(lam=lam, T=config.T), config.p, built_grid)
     elif exp == "blowup":
         alpha = _require(config, "alpha").scalar_alpha()
         _check_alpha_value(alpha)
@@ -285,6 +286,19 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigError("alpha must lie in (0, 1]")
         if not _required_value(config.theta, "theta") > 0.0:
             raise ConfigError("theta must be > 0")
+
+
+def _check_moment_cell(alpha: float, kernel, p: float, grid: TimeGrid) -> None:
+    """The library's own cell validation, e.g. the log-space rule for theta."""
+    # Imported here, not at the top: loading experiments (and scipy.integrate)
+    # ahead of integrals changed scipy's import order and slowed
+    # `import stablesub.cli` by about 50 ms (2-core Xeon, Python 3.11).
+    from .experiments import _moment_cell
+
+    try:
+        _moment_cell(StableParams(alpha), kernel, p, grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _check_alpha_value(alpha: float) -> None:

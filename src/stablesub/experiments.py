@@ -21,12 +21,17 @@ import numpy as np
 from scipy import integrate
 
 from .integrals import (
+    LOG_SPACE_THRESHOLD,
     ExpKernel,
+    IntegralBracket,
     SingularKernel,
-    abel_identity_check,
+    _abel_discrepancies,
+    _brackets_meet,
+    _log_power_sums,
+    _needs_log_space,
     exp_bracket_sums,
     exp_kernel_integral,
-    ibp_estimate,
+    ibp_bracket_sums,
     power_bracket_sums,
     stieltjes_bracket,
 )
@@ -526,9 +531,20 @@ def _moment_cell(params: StableParams, kernel, p: float, grid: TimeGrid | None):
         raise TypeError(f"unsupported kernel type: {type(kernel).__name__}")
     if grid is None:
         grid = default_grid(kernel)
+    _check_grid_horizon(grid, kernel)
+    if isinstance(kernel, SingularKernel) and _needs_log_space(grid.epsilon, kernel.theta):
+        # The batched sums have no log-space form; refuse before sampling.
+        raise ValueError(
+            f"theta * |ln(grid epsilon)| must be <= {LOG_SPACE_THRESHOLD:g} "
+            f"(epsilon^-theta leaves double range); "
+            f"got {kernel.theta * abs(math.log(grid.epsilon)):.6g}"
+        )
+    return params.alpha, grid, kernel, p, bound
+
+
+def _check_grid_horizon(grid: TimeGrid, kernel) -> None:
     if not math.isclose(grid.T, kernel.T, rel_tol=1e-12):
         raise ValueError(f"grid horizon {grid.T} does not match kernel horizon {kernel.T}")
-    return params.alpha, grid, kernel, p, bound
 
 
 def _bound_report(lower: np.ndarray, upper: np.ndarray, p: float, bound: float) -> BoundCheckReport:
@@ -627,17 +643,27 @@ def _ols_slope(x: np.ndarray, y: np.ndarray):
 
 @dataclass(frozen=True)
 class IbpConsistencyReport:
-    """Cross-validation of the two integral routes plus classical-calculus anchors."""
+    """Cross-validation of the two integral routes plus classical-calculus anchors.
+
+    The three verdicts are all_brackets_intersect, abel_identity (the largest
+    discrepancy within tolerance, a NaN failing) and classical_integrals (both
+    deterministic targets inside their brackets).
+    """
 
     n_paths: int
     all_brackets_intersect: bool
     max_abel_discrepancy: float
+    abel_identity: bool
     det_power_bracket: tuple[float, float]
     det_power_target: float
     det_exp_bracket: tuple[float, float]
     det_exp_target: float
+    classical_integrals: bool
     convergence_rows: tuple[tuple[int, float, float, float], ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.all_brackets_intersect and self.abel_identity and self.classical_integrals
 
 
 def run_ibp_consistency(
@@ -652,9 +678,11 @@ def run_ibp_consistency(
     """Check that both bracket routes enclose the same truncated integral.
 
     On every sampled path the endpoint-sum bracket and the
-    boundary-plus-time-integral bracket must intersect, and the discrete
-    summation-by-parts identity must hold to rounding accuracy, each with an
-    independently drawn exponent.  Deterministic-path anchors pin the
+    boundary-plus-time-integral bracket must intersect (up to abel_tolerance
+    of their magnitude, which absorbs rounding where theta = 0 shrinks both
+    to a point), and the discrete summation-by-parts identity must hold to
+    rounding accuracy, each with an independently drawn exponent.  Paths are
+    checked in row chunks of BATCH_SIZE.  Deterministic-path anchors pin the
     estimators to classical integrals, and a midpoint-refinement sweep
     records how the deterministic bracket tightens.
     """
@@ -663,19 +691,29 @@ def run_ibp_consistency(
     if grid is None:
         grid = TimeGrid.geometric(T, levels=40, q=0.5)
     kernel = SingularKernel(theta=theta, T=T)
+    _check_grid_horizon(grid, kernel)
     values = sample_path_values(params, grid, _stream(master_seed, 0, 0), n_paths)
     theta_rng = _stream(master_seed, 1, 0).generator()
     random_thetas = 0.05 + theta_rng.random(n_paths) * 4.0
+    log_space = _needs_log_space(grid.epsilon, theta)
+    pts = grid.points
     all_intersect = True
     abel = []
-    for row, random_theta in zip(values, random_thetas):
-        path = SubordinatorPath(grid=grid, values=row)
-        if not stieltjes_bracket(path, kernel).intersects(ibp_estimate(path, kernel)):
-            all_intersect = False
-        probe = SingularKernel(theta=float(random_theta), T=T)
-        abel.append(abel_identity_check(path, probe))
+    for start in range(0, n_paths, BATCH_SIZE):
+        chunk = values[start : start + BATCH_SIZE]
+        SubordinatorPath.check_rows(chunk)
+        if log_space:
+            # Both routes reduce to the same log-space sums (see ibp_estimate).
+            direct = via_parts = _log_power_sums(pts, chunk, theta)
+        else:
+            direct = power_bracket_sums(pts, chunk, theta)
+            via_parts = ibp_bracket_sums(pts, chunk, theta)
+        IntegralBracket.check_rows(*direct)
+        IntegralBracket.check_rows(*via_parts)
+        all_intersect &= bool(np.all(_brackets_meet(*direct, *via_parts, abel_tolerance)))
+        abel.append(_abel_discrepancies(pts, chunk, random_thetas[start : start + BATCH_SIZE]))
     # np.max passes a NaN discrepancy through, so it fails the tolerance test.
-    max_abel = float(np.max(abel))
+    max_abel = float(np.max(np.concatenate(abel)))
 
     det = deterministic_path(grid)
     power_bracket = stieltjes_bracket(det, SingularKernel(theta=0.5, T=T))
@@ -691,22 +729,19 @@ def run_ibp_consistency(
         bracket = stieltjes_bracket(deterministic_path(fine), SingularKernel(theta=0.5, T=T))
         rows.append((len(fine), bracket.lower, bracket.upper, bracket.gap))
 
-    passed = (
-        all_intersect
-        and max_abel <= abel_tolerance
-        and power_bracket.contains(power_target)
-        and exp_bracket.contains(exp_target)
-    )
     return IbpConsistencyReport(
         n_paths=int(n_paths),
         all_brackets_intersect=all_intersect,
         max_abel_discrepancy=max_abel,
+        abel_identity=max_abel <= abel_tolerance,
         det_power_bracket=(power_bracket.lower, power_bracket.upper),
         det_power_target=power_target,
         det_exp_bracket=(exp_bracket.lower, exp_bracket.upper),
         det_exp_target=exp_target,
+        classical_integrals=bool(
+            power_bracket.contains(power_target) and exp_bracket.contains(exp_target)
+        ),
         convergence_rows=tuple(rows),
-        passed=passed,
     )
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "dyadic_block_estimate",
     "exp_bracket_sums",
     "exp_kernel_integral",
+    "ibp_bracket_sums",
     "ibp_estimate",
     "power_bracket_sums",
     "stieltjes_bracket",
@@ -83,8 +84,7 @@ class IntegralBracket:
     log_scale: bool = False
 
     def __post_init__(self) -> None:
-        if not self.lower <= self.upper:
-            raise ValueError(f"invalid bracket: lower={self.lower} > upper={self.upper}")
+        self.check_rows(self.lower, self.upper)
 
     @property
     def gap(self) -> float:
@@ -96,7 +96,32 @@ class IntegralBracket:
     def intersects(self, other: "IntegralBracket") -> bool:
         if self.log_scale != other.log_scale:
             raise ValueError("cannot intersect brackets on different scales")
-        return max(self.lower, other.lower) <= min(self.upper, other.upper)
+        return bool(_brackets_meet(self.lower, self.upper, other.lower, other.upper))
+
+    @staticmethod
+    def check_rows(lower, upper) -> None:
+        """Raise the invalid-bracket error for the first row where not lower <= upper."""
+        lower, upper = np.ravel(lower), np.ravel(upper)
+        bad = ~(lower <= upper)
+        if np.any(bad):
+            row = int(np.argmax(bad))
+            raise ValueError(f"invalid bracket: lower={lower[row]} > upper={upper[row]}")
+
+
+def _brackets_meet(lower_a, upper_a, lower_b, upper_b, rel_tol: float = 0.0):
+    """Row-wise intersection test of [lower_a, upper_a] and [lower_b, upper_b].
+
+    The slack rel_tol * (largest magnitude) absorbs rounding where both
+    brackets shrink to one point (theta = 0); a NaN never meets anything.
+    """
+    lo = np.maximum(lower_a, lower_b)
+    hi = np.minimum(upper_a, upper_b)
+    magnitude = np.maximum(
+        np.maximum(np.abs(lower_a), np.abs(upper_a)), np.maximum(np.abs(lower_b), np.abs(upper_b))
+    )
+    # The exact test comes first so that equal infinite ends still meet.
+    with np.errstate(invalid="ignore"):
+        return (lo <= hi) | (lo - hi <= rel_tol * magnitude)
 
 
 def _check_horizon(path: SubordinatorPath, T: float) -> None:
@@ -139,8 +164,8 @@ def stieltjes_bracket(path: SubordinatorPath, kernel: SingularKernel) -> Integra
     """
     _check_horizon(path, kernel.T)
     if _needs_log_space(path.grid.epsilon, kernel.theta):
-        lower, upper = _log_power_sums(path, kernel.theta)
-        return IntegralBracket(lower, upper, log_scale=True)
+        lower, upper = _log_power_sums(path.grid.points, path.values, kernel.theta)
+        return IntegralBracket(float(lower), float(upper), log_scale=True)
     lower, upper = power_bracket_sums(path.grid.points, path.values, kernel.theta)
     return IntegralBracket(float(lower), float(upper))
 
@@ -156,6 +181,31 @@ def exp_kernel_integral(path: SubordinatorPath, kernel: ExpKernel) -> IntegralBr
     return IntegralBracket(float(lower), float(upper))
 
 
+def _time_integral_sums(points: np.ndarray, values: np.ndarray, theta: float):
+    """Lower/upper sums of int t^(-theta-1) S_t dt over rows of `values`.
+
+    Row-wise dot products (np.vecdot) round exactly as the one-row case does.
+    """
+    if theta == 0.0:
+        cell = np.log(points[1:] / points[:-1])
+    else:
+        kernel = points**-theta
+        cell = (kernel[:-1] - kernel[1:]) / theta
+    return np.vecdot(values[..., :-1], cell), np.vecdot(values[..., 1:], cell)
+
+
+def ibp_bracket_sums(points: np.ndarray, values: np.ndarray, theta: float):
+    """Vectorized lower/upper sums of the boundary-plus-time-integral route.
+
+    T^(-theta) S_T - epsilon^(-theta) S_epsilon + theta * (sums of
+    int t^(-theta-1) S_t dt), over rows of `values`; linear scale only.
+    """
+    lower, upper = _time_integral_sums(points, values, theta)
+    eps, T = float(points[0]), float(points[-1])
+    boundary = T**-theta * values[..., -1] - eps**-theta * values[..., 0]
+    return boundary + theta * lower, boundary + theta * upper
+
+
 def time_integral_bracket(path: SubordinatorPath, kernel: SingularKernel) -> IntegralBracket:
     """Bracket of int_epsilon^T t^(-theta-1) S_t dt.
 
@@ -164,15 +214,8 @@ def time_integral_bracket(path: SubordinatorPath, kernel: SingularKernel) -> Int
     upper, which brackets by monotonicity of the path.
     """
     _check_horizon(path, kernel.T)
-    pts = path.grid.points
-    if kernel.theta == 0.0:
-        cell = np.log(pts[1:] / pts[:-1])
-    else:
-        kernel_vals = pts**-kernel.theta
-        cell = (kernel_vals[:-1] - kernel_vals[1:]) / kernel.theta
-    lower = float(path.values[:-1] @ cell)
-    upper = float(path.values[1:] @ cell)
-    return IntegralBracket(lower, upper)
+    lower, upper = _time_integral_sums(path.grid.points, path.values, kernel.theta)
+    return IntegralBracket(float(lower), float(upper))
 
 
 def ibp_estimate(path: SubordinatorPath, kernel: SingularKernel) -> IntegralBracket:
@@ -188,15 +231,22 @@ def ibp_estimate(path: SubordinatorPath, kernel: SingularKernel) -> IntegralBrac
         # In the overflow regime the signed boundary term cancels
         # catastrophically in log space, so fall back on the exact
         # summation-by-parts rearrangement of the same quantity.
-        lower, upper = _log_power_sums(path, kernel.theta)
-        return IntegralBracket(lower, upper, log_scale=True)
-    time_part = time_integral_bracket(path, kernel)
-    eps, T = path.grid.epsilon, path.grid.T
-    boundary = T**-kernel.theta * path.values[-1] - eps**-kernel.theta * path.values[0]
-    return IntegralBracket(
-        boundary + kernel.theta * time_part.lower,
-        boundary + kernel.theta * time_part.upper,
-    )
+        lower, upper = _log_power_sums(path.grid.points, path.values, kernel.theta)
+        return IntegralBracket(float(lower), float(upper), log_scale=True)
+    lower, upper = ibp_bracket_sums(path.grid.points, path.values, kernel.theta)
+    return IntegralBracket(float(lower), float(upper))
+
+
+def _abel_discrepancies(points: np.ndarray, values: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Abel-identity discrepancy of each row of `values`, row i probed with thetas[i]."""
+    f = points ** -thetas[:, None]
+    left_sum = np.vecdot(f[:, :-1], np.diff(values, axis=1))
+    right_sum = np.vecdot(values[:, 1:], np.diff(f, axis=1))
+    boundary = f[:, -1] * values[:, -1] - f[:, 0] * values[:, 0]
+    scale = np.abs(left_sum) + np.abs(right_sum) + np.abs(boundary)
+    defect = np.abs(left_sum + right_sum - boundary)
+    # A zero scale means every term vanished: no discrepancy.
+    return np.divide(defect, scale, out=np.zeros_like(scale), where=scale != 0.0)
 
 
 def abel_identity_check(path: SubordinatorPath, kernel: SingularKernel) -> float:
@@ -206,15 +256,8 @@ def abel_identity_check(path: SubordinatorPath, kernel: SingularKernel) -> float
     f(epsilon) S_epsilon exactly; anything beyond rounding noise indicates an
     indexing bug.  Returns |defect| / (sum of term magnitudes).
     """
-    pts, vals = path.grid.points, path.values
-    f = pts**-kernel.theta
-    left_sum = float(f[:-1] @ np.diff(vals))
-    right_sum = float(vals[1:] @ np.diff(f))
-    boundary = f[-1] * vals[-1] - f[0] * vals[0]
-    scale = abs(left_sum) + abs(right_sum) + abs(boundary)
-    if scale == 0.0:
-        return 0.0
-    return abs(left_sum + right_sum - boundary) / scale
+    rows = _abel_discrepancies(path.grid.points, path.values[None, :], np.array([kernel.theta]))
+    return float(rows[0])
 
 
 def dyadic_block_estimate(path: SubordinatorPath, kernel: SingularKernel, p: float) -> float:
@@ -239,14 +282,15 @@ def _needs_log_space(epsilon: float, theta: float) -> bool:
     return theta * abs(math.log(epsilon)) > LOG_SPACE_THRESHOLD
 
 
-def _log_power_sums(path: SubordinatorPath, theta: float):
-    """Log of the lower/upper power-kernel sums, zero increments dropped."""
-    log_t = np.log(path.grid.points)
-    inc = path.increments()
-    pos = inc > 0.0
-    if not np.any(pos):
-        return -math.inf, -math.inf
-    log_inc = np.log(inc[pos])
-    lower = float(logsumexp(-theta * log_t[1:][pos] + log_inc))
-    upper = float(logsumexp(-theta * log_t[:-1][pos] + log_inc))
+def _log_power_sums(points: np.ndarray, values: np.ndarray, theta: float):
+    """Log of the lower/upper power-kernel sums over rows of `values`.
+
+    A zero increment enters as log 0 = -inf and so adds nothing; a row
+    without a positive increment gives -inf.
+    """
+    log_t = np.log(points)
+    with np.errstate(divide="ignore"):
+        log_inc = np.log(np.diff(values, axis=-1))
+    lower = logsumexp(-theta * log_t[1:] + log_inc, axis=-1)
+    upper = logsumexp(-theta * log_t[:-1] + log_inc, axis=-1)
     return lower, upper

@@ -159,12 +159,22 @@ class SubordinatorPath:
         vals = np.array(self.values, dtype=float)
         if vals.shape != self.grid.points.shape:
             raise ValueError("values must have one entry per grid point")
-        if vals.size and not vals[0] >= 0.0:
-            raise ValueError("process values must be nonnegative")
-        if vals.size > 1 and not np.all(np.diff(vals) >= 0.0):
-            raise ValueError("process values must be nondecreasing")
+        self.check_rows(vals[None, :])
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @staticmethod
+    def check_rows(values: np.ndarray) -> None:
+        """Raise the path-invariant error for the first row of a value matrix
+        that starts below 0 or decreases somewhere."""
+        negative = ~(values[:, 0] >= 0.0)
+        decreasing = ~np.all(np.diff(values, axis=1) >= 0.0, axis=1)
+        bad = negative | decreasing
+        if np.any(bad):
+            row = int(np.argmax(bad))
+            if negative[row]:
+                raise ValueError("process values must be nonnegative")
+            raise ValueError("process values must be nondecreasing")
 
     def increments(self) -> np.ndarray:
         """Increment over each grid cell (excludes the initial jump from 0)."""

@@ -9,7 +9,11 @@ from click.testing import CliRunner
 from stablesub import ConfigError, parse_config, render_config
 from stablesub.cli import main
 from stablesub.config import config_from_mapping
-from stablesub.reporting import comparable_record_json, strip_timing
+from stablesub.reporting import ResultRecord, comparable_record_json, record_to_json, strip_timing
+
+
+def _reject_constant(token):
+    raise AssertionError(f"record holds the non-JSON token {token}")
 
 
 class TestParseConfig:
@@ -90,6 +94,28 @@ class TestParseConfig:
             config_from_mapping({"experiment": "cdf_check", "workers": 0})
 
 
+class TestRecordJson:
+    def test_nonfinite_floats_are_strings(self):
+        record = ResultRecord(
+            experiment="ibp_consistency",
+            config={},
+            results={"a": math.nan, "b": [math.inf, 1.5, (-math.inf, 2.0)]},
+            series={"s": {"columns": ["x"], "rows": [[math.nan]]}},
+        )
+        payload = json.loads(record_to_json(record), parse_constant=_reject_constant)
+        assert payload["results"] == {"a": "NaN", "b": ["Infinity", 1.5, ["-Infinity", 2.0]]}
+        assert payload["series"]["s"]["rows"] == [["NaN"]]
+
+    def test_finite_record_text_unchanged(self):
+        results = {"x": 0.1 + 0.2, "rows": [(1, 2.5e-300), [True, None, "s"]]}
+        record = ResultRecord(experiment="e", config={"k": 1.0}, results=results)
+        text = record_to_json(record)
+        # Same bytes as the default (NaN-permitting) dump of the same payload.
+        assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
+        expected = {"x": 0.1 + 0.2, "rows": [[1, 2.5e-300], [True, None, "s"]]}
+        assert json.loads(text)["results"] == expected
+
+
 class TestCli:
     def test_classify_stdout_record(self):
         runner = CliRunner()
@@ -128,9 +154,27 @@ class TestCli:
         )
         assert result.exit_code == 1
         assert "[FAIL] abel_identity" in result.output
-        record = json.loads((tmp_path / "ibp.json").read_text())
+        # The record is strict JSON: a bare NaN token would reach parse_constant.
+        record = json.loads((tmp_path / "ibp.json").read_text(), parse_constant=_reject_constant)
         assert record["verdicts"]["abel_identity"] == "fail"
-        assert math.isnan(record["results"]["max_abel_discrepancy"])
+        assert record["results"]["max_abel_discrepancy"] == "NaN"
+        assert math.isnan(float(record["results"]["max_abel_discrepancy"]))
+
+    @pytest.mark.parametrize(
+        "args, document",
+        [
+            (["ibp"], {"alpha": 0.5, "grid": {"levels": 2000}}),
+            (["bound-exp"], {"alpha": 0.5, "grid": {"kind": "geometric", "levels": 2000}}),
+            (["blowup", "--levels", "2000"], {"alpha": 0.5, "theta": 3.0}),
+        ],
+    )
+    def test_deep_grid_is_config_error(self, tmp_path, args, document):
+        # 2000 halvings underflow epsilon = 2^-2000 to 0.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(document))
+        result = CliRunner().invoke(main, args + ["--config", str(config_path)])
+        assert result.exit_code == 2, result.output
+        assert "grid: grid points must be positive" in result.output
 
     def test_config_file_with_flag_override(self, tmp_path):
         config_path = tmp_path / "config.json"

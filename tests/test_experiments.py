@@ -1,5 +1,6 @@
 """Monte Carlo experiment drivers: bounds, diagnostics, classification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,9 +16,12 @@ from stablesub import (
     SeedSpec,
     SingularKernel,
     StableParams,
+    SubordinatorPath,
     TimeGrid,
+    abel_identity_check,
     classify_power_kernel,
     exp_kernel_moment_bound,
+    ibp_estimate,
     power_kernel_moment_bound,
     run_blowup_diagnostic,
     run_cdf_check,
@@ -27,10 +31,11 @@ from stablesub import (
     run_moment_checks,
     run_scaling_check,
     sample_path_values,
+    stieltjes_bracket,
 )
 from stablesub.cli import main
 from stablesub.experiments import BATCH_SIZE, default_grid, power_integral_diverges
-from stablesub.integrals import power_bracket_sums
+from stablesub.integrals import _brackets_meet, ibp_bracket_sums, power_bracket_sums
 
 # Frozen with mpmath from E S_1^0.25 = Gamma(0.5)/Gamma(0.75) at alpha = 1/2.
 BOUND_THETA_REF = 11.811069891303610336  # (alpha, theta, p, T) = (0.5, 1, 0.25, 1)
@@ -344,3 +349,81 @@ class TestIbpConsistency:
             )
         assert math.isnan(report.max_abel_discrepancy)
         assert not report.passed
+
+    @pytest.mark.parametrize("n_paths", [1, 4095, 4097, 9000])
+    def test_chunked_driver_matches_per_path_reference(self, n_paths):
+        seed, theta, tolerance = 4242, 1.0, 1e-10
+        report = run_ibp_consistency(
+            StableParams(0.5), theta=theta, n_paths=n_paths, master_seed=seed
+        )
+        # The per-path loop the chunked driver replaces, on the same streams.
+        grid = TimeGrid.geometric(1.0, levels=40, q=0.5)
+        kernel = SingularKernel(theta=theta, T=1.0)
+        values = sample_path_values(StableParams(0.5), grid, SeedSpec(seed, 0), n_paths)
+        probes = 0.05 + SeedSpec(seed, 1 << 32).generator().random(n_paths) * 4.0
+        intersect, abel = True, []
+        for row, probe in zip(values, probes):
+            path = SubordinatorPath(grid=grid, values=row)
+            direct, via_parts = stieltjes_bracket(path, kernel), ibp_estimate(path, kernel)
+            meet = _brackets_meet(
+                direct.lower, direct.upper, via_parts.lower, via_parts.upper, tolerance
+            )
+            intersect &= bool(meet)
+            abel.append(abel_identity_check(path, SingularKernel(theta=float(probe), T=1.0)))
+        max_abel = float(np.max(abel))
+        expected = dataclasses.replace(
+            report,
+            all_brackets_intersect=intersect,
+            max_abel_discrepancy=max_abel,
+            abel_identity=max_abel <= tolerance,
+        )
+        assert report == expected
+        assert report.n_paths == n_paths and report.passed
+
+    def test_theta_zero_passes(self):
+        # Both brackets shrink to the point S_T - S_eps, rounded two ways, so
+        # an exact intersection test misses on some paths; the slack absorbs it.
+        report = run_ibp_consistency(StableParams(0.5), theta=0.0, n_paths=3000, master_seed=3)
+        assert report.all_brackets_intersect
+        assert report.passed
+        grid = TimeGrid.geometric(1.0, levels=40, q=0.5)
+        values = sample_path_values(StableParams(0.5), grid, SeedSpec(3, 0), 3000)
+        direct = power_bracket_sums(grid.points, values, 0.0)
+        via_parts = ibp_bracket_sums(grid.points, values, 0.0)
+        assert not np.all(_brackets_meet(*direct, *via_parts))
+
+    @pytest.mark.parametrize(
+        "row, column, value, message",
+        [
+            (5999, 7, -1.0, "nondecreasing"),  # last row of the last chunk
+            (4100, 0, -1.0, "nonnegative"),
+            (3, 20, math.nan, "nondecreasing"),
+        ],
+    )
+    def test_invalid_path_values_raise(self, monkeypatch, row, column, value, message):
+        def corrupted(*args):
+            values = sample_path_values(*args)
+            values[row, column] = value
+            return values
+
+        monkeypatch.setattr(experiments, "sample_path_values", corrupted)
+        with pytest.raises(ValueError, match=f"process values must be {message}"):
+            run_ibp_consistency(StableParams(0.5), theta=1.0, n_paths=6000, master_seed=1)
+
+    def test_horizon_mismatch_raises(self):
+        with pytest.raises(ValueError, match="horizon"):
+            run_ibp_consistency(
+                StableParams(0.5), theta=1.0, T=1.0, n_paths=10,
+                grid=TimeGrid.geometric(2.0, levels=40, q=0.5),
+            )
+
+
+class TestOverflowRegime:
+    def test_moment_check_rejects_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled a cell that cannot be evaluated")
+
+        monkeypatch.setattr(experiments, "sample_path_values", no_sampling)
+        # theta * |ln 2^-40| = 831.8 > 700: epsilon^-theta leaves double range.
+        with pytest.raises(ValueError, match=r"theta \* \|ln\(grid epsilon\)\| must be <= 700"):
+            run_moment_check(StableParams(0.03), SingularKernel(theta=30.0), 0.01, n_replicates=100)

@@ -24,6 +24,14 @@ from stablesub import (
     stieltjes_bracket,
     time_integral_bracket,
 )
+from stablesub.integrals import (
+    IntegralBracket,
+    _abel_discrepancies,
+    _brackets_meet,
+    _log_power_sums,
+    _time_integral_sums,
+    ibp_bracket_sums,
+)
 
 GRID = TimeGrid.geometric(1.0, levels=40, q=0.5)
 PARAMS = StableParams(0.5)
@@ -194,6 +202,108 @@ class TestDualRoute:
         for path in random_paths(200, master=1007):
             kernel = SingularKernel(theta=0.05 + 4.0 * rng.random(), T=1.0)
             assert stieltjes_bracket(path, kernel).intersects(ibp_estimate(path, kernel))
+
+
+def one_row_time_integral(pts, vals, theta):
+    """Time-integral sums with 1-D dot products, as the per-path estimator computed them."""
+    if theta == 0.0:
+        cell = np.log(pts[1:] / pts[:-1])
+    else:
+        kernel_vals = pts**-theta
+        cell = (kernel_vals[:-1] - kernel_vals[1:]) / theta
+    return float(vals[:-1] @ cell), float(vals[1:] @ cell)
+
+
+def one_row_abel(pts, vals, theta):
+    """Abel discrepancy with 1-D dot products, as the per-path check computed it."""
+    f = pts**-theta
+    left_sum = float(f[:-1] @ np.diff(vals))
+    right_sum = float(vals[1:] @ np.diff(f))
+    boundary = f[-1] * vals[-1] - f[0] * vals[0]
+    scale = abs(left_sum) + abs(right_sum) + abs(boundary)
+    return 0.0 if scale == 0.0 else abs(left_sum + right_sum - boundary) / scale
+
+
+class TestRowWiseCores:
+    """Each row-wise core equals its per-path estimator bit for bit, and the
+    per-path estimators equal the 1-D arithmetic they used before the cores."""
+
+    VALUES = sample_path_values(PARAMS, GRID, SeedSpec(1017, 0), 500)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 2.5])
+    def test_ibp_and_time_integral_rows(self, theta):
+        kernel = SingularKernel(theta=theta, T=1.0)
+        pts = GRID.points
+        ibp_lower, ibp_upper = ibp_bracket_sums(pts, self.VALUES, theta)
+        time_lower, time_upper = _time_integral_sums(pts, self.VALUES, theta)
+        for i, row in enumerate(self.VALUES):
+            path = SubordinatorPath(grid=GRID, values=row)
+            one_lower, one_upper = one_row_time_integral(pts, row, theta)
+            time_part = time_integral_bracket(path, kernel)
+            assert (time_part.lower, time_part.upper) == (time_lower[i], time_upper[i])
+            assert (time_part.lower, time_part.upper) == (one_lower, one_upper)
+            ibp = ibp_estimate(path, kernel)
+            assert (ibp.lower, ibp.upper) == (ibp_lower[i], ibp_upper[i])
+            boundary = 1.0**-theta * row[-1] - GRID.epsilon**-theta * row[0]
+            expected = (boundary + theta * one_lower, boundary + theta * one_upper)
+            assert (ibp.lower, ibp.upper) == expected
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 2.5])
+    def test_abel_rows(self, theta):
+        # One probe exponent per row: the fixed theta on even rows, random ones on odd rows.
+        n = len(self.VALUES)
+        random = 0.05 + 4.0 * np.random.default_rng(19).random(n)
+        thetas = np.where(np.arange(n) % 2 == 0, theta, random)
+        rows = _abel_discrepancies(GRID.points, self.VALUES, thetas)
+        for row, probe, discrepancy in zip(self.VALUES, thetas, rows):
+            path = SubordinatorPath(grid=GRID, values=row)
+            assert abel_identity_check(path, SingularKernel(theta=probe, T=1.0)) == discrepancy
+            assert one_row_abel(GRID.points, row, probe) == discrepancy
+
+    def test_log_space_rows(self):
+        kernel = SingularKernel(theta=30.0, T=1.0)  # theta |ln eps| ~ 832 > 700
+        lower, upper = _log_power_sums(GRID.points, self.VALUES, kernel.theta)
+        for i, row in enumerate(self.VALUES):
+            path = SubordinatorPath(grid=GRID, values=row)
+            for bracket in (stieltjes_bracket(path, kernel), ibp_estimate(path, kernel)):
+                assert bracket.log_scale
+                assert (bracket.lower, bracket.upper) == (lower[i], upper[i])
+
+    def test_log_space_zero_increments_add_nothing(self):
+        values = np.array([[0.0, 0.0, 1.0, 1.0, 3.0], [2.0, 2.0, 2.0, 2.0, 2.0]])
+        points = np.array([0.125, 0.25, 0.5, 0.75, 1.0])
+        lower, upper = _log_power_sums(points, values, 2.0)
+        assert lower[0] == pytest.approx(math.log(0.5**-2 * 1.0 + 1.0 * 2.0), rel=1e-15)
+        assert upper[0] == pytest.approx(math.log(0.25**-2 * 1.0 + 0.75**-2 * 2.0), rel=1e-15)
+        assert lower[1] == upper[1] == -math.inf
+
+
+class TestIntersectionSlack:
+    def test_rounding_level_miss_meets_with_slack(self):
+        one, next_up = np.array([1.0]), np.array([1.0 + 2.0**-52])
+        assert not IntegralBracket(1.0, 1.0).intersects(IntegralBracket(next_up[0], next_up[0]))
+        assert not _brackets_meet(one, one, next_up, next_up)[0]
+        assert _brackets_meet(one, one, next_up, next_up, 1e-10)[0]
+
+    def test_relative_gap_above_tolerance_still_fails(self):
+        shifted = 5.0 * (1.0 + 1e-9)
+        five = np.array([5.0, 5.0])
+        rows = _brackets_meet(five, five, np.array([shifted, 5.0]), np.array([shifted, 6.0]), 1e-10)
+        assert rows.tolist() == [False, True]
+        rows = _brackets_meet(np.array([shifted]), np.array([shifted]), five[:1], five[:1], 1e-10)
+        assert rows.tolist() == [False]
+
+    def test_nan_never_meets_and_equal_infinite_ends_do(self):
+        nan = np.array([math.nan])
+        assert not _brackets_meet(nan, nan, np.array([1.0]), np.array([2.0]), 1e-10)[0]
+        minus_inf = np.array([-math.inf])
+        assert _brackets_meet(minus_inf, minus_inf, minus_inf, minus_inf, 1e-10)[0]
+
+    def test_invalid_rows_raise(self):
+        with pytest.raises(ValueError, match="invalid bracket: lower=3.0 > upper=2.0"):
+            IntegralBracket.check_rows(np.array([1.0, 3.0]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="invalid bracket"):
+            IntegralBracket(math.nan, 1.0)
 
 
 class TestLogSpaceGuard:
