@@ -48,7 +48,6 @@ from .reporting import (
     emit_plot_data,
     record_to_json,
     run,
-    strip_timing,
 )
 from .special import (
     FracMomentQuery,
@@ -56,7 +55,6 @@ from .special import (
     frac_moment_closed_form,
     frac_moment_quadrature,
     gamma_fn,
-    levy_constant,
     levy_half_cdf,
 )
 from .subordinator import (

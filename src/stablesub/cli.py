@@ -166,10 +166,8 @@ def bound_exp(config_path, seed, replicates, workers, output_path,
 def blowup(config_path, seed, replicates, workers, output_path, alpha, theta, levels):
     """Blow-up diagnostic: log-log slope of scaled near-origin medians."""
     extra = {"alpha": alpha, "theta": theta}
-    if replicates is None:
-        replicates = 10_000
-    grid = {"levels": levels if levels is not None else 30}
-    _execute("blowup", config_path, _collect(seed, replicates, workers, output_path, **extra), grid)
+    _execute("blowup", config_path, _collect(seed, replicates, workers, output_path, **extra),
+             {"levels": levels})
 
 
 @main.command()
@@ -179,8 +177,6 @@ def blowup(config_path, seed, replicates, workers, output_path, alpha, theta, le
 def ibp(config_path, seed, replicates, workers, output_path, alpha, theta):
     """Dual-route bracket consistency and exact summation-by-parts identity."""
     extra = {"alpha": alpha, "theta": theta}
-    if replicates is None:
-        replicates = 1000
     _execute("ibp_consistency", config_path, _collect(seed, replicates, workers, output_path, **extra), {})
 
 

@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .integrals import ExpKernel, SingularKernel
-from .subordinator import StableParams, TimeGrid
+from .subordinator import DEFAULT_MASTER_SEED, StableParams, TimeGrid
 
 __all__ = [
     "ConfigError",
@@ -34,8 +34,11 @@ EXPERIMENTS = (
     "verify_all",
 )
 
-DEFAULT_MASTER_SEED = 12345
 DEFAULT_REPLICATES = 100_000
+# Experiments whose replicate count or grid depth defaults differ from the
+# global ones; flags and config documents both fall back to these.
+_EXPERIMENT_REPLICATES = {"blowup": 10_000, "ibp_consistency": 1000}
+_EXPERIMENT_LEVELS = {"blowup": 30}
 _TWO64 = 1 << 64
 
 _GRID_KEYS = ("kind", "levels", "q", "epsilon")
@@ -156,9 +159,10 @@ def config_from_mapping(payload: dict) -> ExperimentConfig:
     # The bounded exponential kernel has no singularity to resolve, so its
     # natural default is uniform cells; everything else refines toward 0.
     default_kind = "uniform" if experiment == "moment_bound_exp" else "geometric"
+    default_levels = _EXPERIMENT_LEVELS.get(experiment, 40)
     grid = GridConfig(
         kind=grid_payload.get("kind", default_kind),
-        levels=_req_int(grid_payload.get("levels", 40), "grid.levels"),
+        levels=_req_int(grid_payload.get("levels", default_levels), "grid.levels"),
         q=_req_float(grid_payload.get("q", 0.5), "grid.q"),
         epsilon=_opt_float(grid_payload.get("epsilon"), "grid.epsilon"),
     )
@@ -175,6 +179,7 @@ def config_from_mapping(payload: dict) -> ExperimentConfig:
             raise ConfigError("times must be a nonempty list of horizons")
         times = tuple(_req_float(t, "times") for t in times)
 
+    default_replicates = _EXPERIMENT_REPLICATES.get(experiment, DEFAULT_REPLICATES)
     config = ExperimentConfig(
         experiment=experiment,
         alpha=alpha,
@@ -184,7 +189,7 @@ def config_from_mapping(payload: dict) -> ExperimentConfig:
         T=_req_float(payload.get("T", 1.0), "T"),
         times=times,
         grid=grid,
-        n_replicates=_req_int(payload.get("n_replicates", DEFAULT_REPLICATES), "n_replicates"),
+        n_replicates=_req_int(payload.get("n_replicates", default_replicates), "n_replicates"),
         master_seed=_req_int(payload.get("master_seed", DEFAULT_MASTER_SEED), "master_seed"),
         workers=_req_int(payload.get("workers", 1), "workers"),
         output_path=payload.get("output_path"),
@@ -204,6 +209,8 @@ def _apply_experiment_defaults(config: ExperimentConfig) -> ExperimentConfig:
             config = replace(config, p=config.alpha / 2.0)
     if config.experiment == "moment_bound_exp" and config.lam is None:
         config = replace(config, lam=1.0)
+    if config.experiment == "ibp_consistency" and config.theta is None:
+        config = replace(config, theta=0.5)
     return config
 
 
@@ -278,7 +285,7 @@ def validate_config(config: ExperimentConfig) -> None:
     elif exp == "ibp_consistency":
         alpha = _require(config, "alpha").scalar_alpha()
         _check_alpha_value(alpha)
-        if config.theta is not None and not config.theta >= 0.0:
+        if not config.theta >= 0.0:
             raise ConfigError("theta must be >= 0")
     elif exp == "kernel_classify":
         alpha = _require(config, "alpha").scalar_alpha()

@@ -37,6 +37,7 @@ from .integrals import (
 )
 from .special import FracMomentQuery, frac_moment_closed_form, levy_half_cdf
 from .subordinator import (
+    DEFAULT_MASTER_SEED,
     SeedSpec,
     StableParams,
     SubordinatorPath,
@@ -78,8 +79,6 @@ BATCH_SIZE = 4096
 # Batch streams are keyed by replicate_index = (cell << 32) | batch.
 _CELL_SHIFT = 32
 
-DEFAULT_MASTER_SEED = 12345
-
 
 # --------------------------------------------------------------------------
 # closed-form bounds and the analytic kernel classifier
@@ -93,13 +92,12 @@ def power_kernel_moment_bound(alpha: float, theta: float, p: float, T: float = 1
 
     with E S_1^p from the validated closed form.
     """
-    _check_alpha(alpha)
-    _check_order(p, alpha)
+    query = FracMomentQuery(alpha, p, 1.0)  # validates alpha and p before 1/alpha
     if not 0.0 < theta < 1.0 / alpha:
         raise ValueError(f"theta must lie in (0, 1/alpha): got theta={theta}, alpha={alpha}")
     if not T > 0.0:
         raise ValueError(f"T must be > 0, got {T}")
-    moment = frac_moment_closed_form(FracMomentQuery(alpha, p, 1.0))
+    moment = frac_moment_closed_form(query)
     numerator = 2.0 ** (p / alpha + p * theta) * moment
     denominator = 2.0 ** (p / alpha) - 2.0 ** (p * theta)
     return (numerator / denominator + 1.0) * T ** ((1.0 / alpha - theta) * p)
@@ -111,11 +109,10 @@ def exp_kernel_moment_bound(alpha: float, p: float, lam: float) -> float:
     Equals e^(p*lam) / (e^(p*lam) - 1) * E S_1^p, evaluated in the
     overflow-safe form E S_1^p / (1 - e^(-p*lam)).
     """
-    _check_alpha(alpha)
-    _check_order(p, alpha)
+    query = FracMomentQuery(alpha, p, 1.0)
     if not lam > 0.0:
         raise ValueError(f"lambda must be > 0, got {lam}")
-    moment = frac_moment_closed_form(FracMomentQuery(alpha, p, 1.0))
+    moment = frac_moment_closed_form(query)
     return moment / -math.expm1(-p * lam)
 
 
@@ -132,16 +129,6 @@ def classify_power_kernel(alpha: float, c: float) -> str:
     if not c > 0.0:
         raise ValueError(f"c must be > 0, got {c}")
     return "limsup_infinite" if c * alpha >= 1.0 else "ratio_vanishes"
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-
-
-def _check_order(p: float, alpha: float) -> None:
-    if not 0.0 < p < alpha:
-        raise ValueError(f"p must lie in (0, alpha): got p={p}, alpha={alpha}")
 
 
 # --------------------------------------------------------------------------
@@ -273,6 +260,11 @@ class SlopeReport:
     boundary_inconclusive: bool
     n_replicates: int
 
+    @property
+    def slope_matches(self) -> bool:
+        """The slope law: fitted and expected slopes agree within 0.1."""
+        return abs(self.fitted_slope - self.expected_slope) <= 0.1
+
 
 # --------------------------------------------------------------------------
 # batched replication machinery
@@ -322,7 +314,7 @@ def draw_standard_samples(
     workers: int = 1,
 ) -> np.ndarray:
     """Batched i.i.d. S_1 draws; `cell` separates streams of one experiment."""
-    _check_alpha(alpha)
+    StableParams(alpha)  # validates alpha before any batch is scheduled
     return _draw_cell(alpha, master_seed, cell, int(n_replicates), workers)
 
 
@@ -376,7 +368,7 @@ def run_laplace_check(
     cells = []
     cell_index = 0
     for alpha in alphas:
-        _check_alpha(alpha)
+        StableParams(alpha)  # validates alpha
         for lam in lams:
             draws = _draw_cell(alpha, master_seed, cell_index, n_replicates, workers)
             transformed = np.exp(-lam * draws)
@@ -439,7 +431,8 @@ def run_scaling_check(
     workers: int = 1,
 ) -> ScalingCheckReport:
     """Self-similarity collapse: E S_t^p / t^(p/alpha) constant across horizons."""
-    _check_order(p, params.alpha)
+    # Computed first, so that the query rejects a bad order before any draw.
+    reference = frac_moment_closed_form(FracMomentQuery(params.alpha, p, 1.0))
     if not times:
         raise ValueError("times must be nonempty")
     normalized, errors = [], []
@@ -458,7 +451,6 @@ def run_scaling_check(
             combined = math.hypot(errors[i], errors[j])
             if combined > 0.0:
                 max_sigmas = max(max_sigmas, abs(normalized[i] - normalized[j]) / combined)
-    reference = frac_moment_closed_form(FracMomentQuery(params.alpha, p, 1.0))
     return ScalingCheckReport(
         times=tuple(float(t) for t in times),
         normalized_means=tuple(normalized),
@@ -522,7 +514,6 @@ def run_moment_checks(
 
 def _moment_cell(params: StableParams, kernel, p: float, grid: TimeGrid | None):
     """Validate one moment-bound cell: (alpha, grid, kernel, p, bound)."""
-    _check_order(p, params.alpha)
     if isinstance(kernel, SingularKernel):
         bound = power_kernel_moment_bound(params.alpha, kernel.theta, p, kernel.T)
     elif isinstance(kernel, ExpKernel):
@@ -746,7 +737,7 @@ def run_ibp_consistency(
 
 
 # --------------------------------------------------------------------------
-# numeric companion to the analytic classifier (used by tests and verify-all)
+# numeric companion to the analytic classifier (the tests check one against the other)
 
 
 def power_integral_diverges(alpha: float, c: float, shells: int = 12, shell_factor: float = 2.0**-8) -> bool:

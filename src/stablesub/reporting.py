@@ -38,7 +38,6 @@ __all__ = [
     "emit_plot_data",
     "record_to_json",
     "run",
-    "strip_timing",
     "write_record",
 ]
 
@@ -68,15 +67,13 @@ def run(config: ExperimentConfig) -> ResultRecord:
     config.output_path is set; exit-status policy is left to the CLI.
     """
     started = time.perf_counter()
-    builder = _BUILDERS[config.experiment]
-    verdicts, results, series = builder(config)
+    verdicts, results, series = _BUILDERS[config.experiment](config)
     record = ResultRecord(
         experiment=config.experiment,
         config=json.loads(render_config(config)),
         verdicts=verdicts,
         results=results,
         series=series,
-        library_version=__version__,
         master_seed=config.master_seed,
         wall_clock_seconds=time.perf_counter() - started,
     )
@@ -117,13 +114,6 @@ def _strict_json(value):
     if isinstance(value, (list, tuple)):
         return [_strict_json(item) for item in value]
     return value
-
-
-def strip_timing(record_json: str) -> str:
-    """Canonical record text with the volatile timing section removed."""
-    payload = json.loads(record_json)
-    payload.pop("timing", None)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def comparable_record_json(record_json: str) -> str:
@@ -177,119 +167,101 @@ def _format_cell(cell) -> str:
 
 
 # --------------------------------------------------------------------------
+# renderers: each report kind becomes (verdicts, results, series) once, for
+# its single-experiment record and its verify-all section alike
+
+
+def _render_laplace(report):
+    columns = ["alpha", "lambda", "mc_mean", "std_error", "target", "within_3se"]
+    rows = [[c.alpha, c.lam, c.mc_mean, c.std_error, c.target, c.within_3se] for c in report.cells]
+    return (
+        _verdicts(laplace_transform=report.passed),
+        {"n_cells": len(report.cells), "n_within_3se": report.n_within},
+        {"laplace_cells": {"columns": columns, "rows": rows}},
+    )
+
+
+def _render_cdf(report):
+    results = {"ks_distance": report.ks_distance, "critical_value": report.critical_value,
+               "n_replicates": report.n_replicates}
+    return _verdicts(distribution_ks=report.passed), results, {}
+
+
+def _render_scaling(report):
+    columns = ["t", "normalized_moment", "std_error"]
+    return (
+        _verdicts(scaling_collapse=report.passed),
+        {"reference_moment": report.reference, "max_deviation_sigmas": report.max_deviation_sigmas},
+        {"scaling": _series(columns, report.times, report.normalized_means, report.std_errors)},
+    )
+
+
+def _render_ibp(report):
+    columns = ["grid_levels", "lower_sum", "upper_sum", "gap"]
+    verdicts = _verdicts(
+        brackets_intersect=report.all_brackets_intersect,
+        abel_identity=report.abel_identity,
+        classical_integrals=report.classical_integrals,
+    )
+    results = {
+        "n_paths": report.n_paths,
+        "max_abel_discrepancy": report.max_abel_discrepancy,
+        "det_power_target": report.det_power_target,
+        "det_exp_target": report.det_exp_target,
+    }
+    rows = [list(row) for row in report.convergence_rows]
+    return verdicts, results, {"bracket_convergence": {"columns": columns, "rows": rows}}
+
+
+def _verdicts(**checks: bool) -> dict:
+    return {name: "pass" if ok else "fail" for name, ok in checks.items()}
+
+
+def _series(columns: list[str], *values) -> dict:
+    """Series block: the columns, then one row per position of the value lists."""
+    return {"columns": columns, "rows": [list(row) for row in zip(*values)]}
+
+
+# --------------------------------------------------------------------------
 # per-experiment record builders
 
 
+def _sampling(config: ExperimentConfig) -> dict:
+    """Replicate count, seed and worker count: the keywords every sampling driver takes."""
+    return dict(n_replicates=config.n_replicates, master_seed=config.master_seed,
+                workers=config.workers)
+
+
 def _build_laplace(config: ExperimentConfig):
-    report = run_laplace_check(
-        alphas=config.alphas(),
-        n_replicates=config.n_replicates,
-        master_seed=config.master_seed,
-        workers=config.workers,
-    )
-    rows = [
-        [c.alpha, c.lam, c.mc_mean, c.std_error, c.target, c.within_3se]
-        for c in report.cells
-    ]
-    results = {
-        "n_cells": len(report.cells),
-        "n_within_3se": report.n_within,
-        "cells": [
-            {
-                "alpha": c.alpha,
-                "lambda": c.lam,
-                "mc_mean": c.mc_mean,
-                "std_error": c.std_error,
-                "target": c.target,
-                "within_3se": c.within_3se,
-            }
-            for c in report.cells
-        ],
-    }
-    series = {
-        "laplace_cells": {
-            "columns": ["alpha", "lambda", "mc_mean", "std_error", "target", "within_3se"],
-            "rows": rows,
-        }
-    }
-    return _verdict("laplace_transform", report.passed), results, series
+    report = run_laplace_check(alphas=config.alphas(), **_sampling(config))
+    verdicts, results, series = _render_laplace(report)
+    table = series["laplace_cells"]
+    results["cells"] = [dict(zip(table["columns"], row)) for row in table["rows"]]
+    return verdicts, results, series
 
 
 def _build_cdf(config: ExperimentConfig):
-    report = run_cdf_check(
-        n_replicates=config.n_replicates,
-        master_seed=config.master_seed,
-        workers=config.workers,
-    )
-    results = {
-        "ks_distance": report.ks_distance,
-        "critical_value": report.critical_value,
-        "n_replicates": report.n_replicates,
-    }
-    return _verdict("distribution_ks", report.passed), results, {}
+    return _render_cdf(run_cdf_check(**_sampling(config)))
 
 
 def _build_scaling(config: ExperimentConfig):
-    report = run_scaling_check(
-        StableParams(config.scalar_alpha()),
-        p=config.p,
-        times=config.times,
-        n_replicates=config.n_replicates,
-        master_seed=config.master_seed,
-        workers=config.workers,
-    )
-    results = {
-        "reference_moment": report.reference,
-        "max_deviation_sigmas": report.max_deviation_sigmas,
-        "normalized_means": list(report.normalized_means),
-        "std_errors": list(report.std_errors),
-        "times": list(report.times),
-    }
-    series = {
-        "scaling": {
-            "columns": ["t", "normalized_moment", "std_error"],
-            "rows": [
-                [t, m, s]
-                for t, m, s in zip(report.times, report.normalized_means, report.std_errors)
-            ],
-        }
-    }
-    return _verdict("scaling_collapse", report.passed), results, series
+    params = StableParams(config.scalar_alpha())
+    report = run_scaling_check(params, p=config.p, times=config.times, **_sampling(config))
+    verdicts, results, series = _render_scaling(report)
+    results.update(normalized_means=list(report.normalized_means),
+                   std_errors=list(report.std_errors), times=list(report.times))
+    return verdicts, results, series
 
 
-def _build_bound_theta(config: ExperimentConfig):
-    alpha = config.scalar_alpha()
-    kernel = SingularKernel(theta=config.theta, T=config.T)
-    report = run_moment_check(
-        StableParams(alpha),
-        kernel,
-        p=config.p,
-        n_replicates=config.n_replicates,
-        master_seed=config.master_seed,
-        grid=config.grid.build(config.T),
-        workers=config.workers,
-    )
-    return _verdict("moment_bound", report.passed), _bound_results(report), {}
-
-
-def _build_bound_exp(config: ExperimentConfig):
-    alpha = config.scalar_alpha()
-    kernel = ExpKernel(lam=config.lam, T=config.T)
+def _build_bound(config: ExperimentConfig):
+    if config.experiment == "moment_bound_theta":
+        kernel = SingularKernel(theta=config.theta, T=config.T)
+    else:
+        kernel = ExpKernel(lam=config.lam, T=config.T)
+    params = StableParams(config.scalar_alpha())
     grid = config.grid.build(config.T)
-    report = run_moment_check(
-        StableParams(alpha),
-        kernel,
-        p=config.p,
-        n_replicates=config.n_replicates,
-        master_seed=config.master_seed,
-        grid=grid,
-        workers=config.workers,
-    )
-    return _verdict("moment_bound", report.passed), _bound_results(report), {}
-
-
-def _bound_results(report):
-    return {
+    report = run_moment_check(params, kernel, p=config.p, grid=grid, **_sampling(config))
+    results = {
         "bound_value": report.bound_value,
         "margin": report.margin,
         "upper_mean": report.estimate.mean,
@@ -298,17 +270,13 @@ def _bound_results(report):
         "lower_std_error": report.lower_estimate.std_error,
         "n_replicates": report.estimate.n_replicates,
     }
+    return _verdicts(moment_bound=report.passed), results, {}
 
 
 def _build_blowup(config: ExperimentConfig):
     report = run_blowup_diagnostic(
-        StableParams(config.scalar_alpha()),
-        theta=config.theta,
-        T=config.T,
-        max_level=config.grid.levels,
-        n_replicates=config.n_replicates,
-        master_seed=config.master_seed,
-        workers=config.workers,
+        StableParams(config.scalar_alpha()), theta=config.theta, T=config.T,
+        max_level=config.grid.levels, **_sampling(config),
     )
     results = {
         "fitted_slope": report.fitted_slope,
@@ -318,312 +286,193 @@ def _build_blowup(config: ExperimentConfig):
         "boundary_inconclusive": report.boundary_inconclusive,
     }
     series = {
-        "scaled_endpoint": {
-            "columns": ["epsilon", "median_scaled", "lower_ci", "upper_ci"],
-            "rows": [
-                [e, m, lo, hi]
-                for e, m, lo, hi in zip(
-                    report.epsilons, report.medians, report.median_ci_lower, report.median_ci_upper
-                )
-            ],
-        },
-        "truncated_lower_sum": {
-            "columns": ["epsilon", "median", "lower_ci", "upper_ci"],
-            "rows": [
-                [e, m, lo, hi]
-                for e, m, lo, hi in zip(
-                    report.epsilons,
-                    report.lower_sum_medians,
-                    report.lower_sum_ci_lower,
-                    report.lower_sum_ci_upper,
-                )
-            ],
-        },
+        "scaled_endpoint": _series(
+            ["epsilon", "median_scaled", "lower_ci", "upper_ci"],
+            report.epsilons, report.medians, report.median_ci_lower, report.median_ci_upper,
+        ),
+        "truncated_lower_sum": _series(
+            ["epsilon", "median", "lower_ci", "upper_ci"],
+            report.epsilons, report.lower_sum_medians,
+            report.lower_sum_ci_lower, report.lower_sum_ci_upper,
+        ),
     }
     if report.boundary_inconclusive:
         # At the threshold the slope statistic carries no information; the
         # record labels the case instead of asserting divergence numerically.
-        verdicts = {"blowup_slope_inconclusive_boundary": "pass"}
-    else:
-        ok = abs(report.fitted_slope - report.expected_slope) <= 0.1
-        verdicts = _verdict("blowup_slope", ok)
-    return verdicts, results, series
+        return {"blowup_slope_inconclusive_boundary": "pass"}, results, series
+    return _verdicts(blowup_slope=report.slope_matches), results, series
 
 
 def _build_ibp(config: ExperimentConfig):
     report = run_ibp_consistency(
-        StableParams(config.scalar_alpha()),
-        theta=config.theta if config.theta is not None else 0.5,
-        T=config.T,
-        n_paths=config.n_replicates,
-        master_seed=config.master_seed,
+        StableParams(config.scalar_alpha()), theta=config.theta, T=config.T,
+        n_paths=config.n_replicates, master_seed=config.master_seed,
         grid=config.grid.build(config.T),
     )
-    verdicts, results, series = _ibp_triple(report)
-    results.update(
-        all_brackets_intersect=report.all_brackets_intersect,
-        det_power_bracket=list(report.det_power_bracket),
-        det_exp_bracket=list(report.det_exp_bracket),
-    )
+    verdicts, results, series = _render_ibp(report)
+    results.update(all_brackets_intersect=report.all_brackets_intersect,
+                   det_power_bracket=list(report.det_power_bracket),
+                   det_exp_bracket=list(report.det_exp_bracket))
     return verdicts, results, series
 
 
 def _build_classify(config: ExperimentConfig):
     label = classify_power_kernel(config.scalar_alpha(), config.theta)
     results = {"alpha": config.scalar_alpha(), "exponent": config.theta, "classification": label}
-    return _verdict("classified", True), results, {}
-
-
-def _verdict(name: str, ok: bool) -> dict:
-    return {name: "pass" if ok else "fail"}
+    return _verdicts(classified=True), results, {}
 
 
 # --------------------------------------------------------------------------
-# verify-all: the full acceptance grid in one run
+# verify-all: the full acceptance grid in one run, as a table of sections.
+# A section maps (replicate cap, seed, workers) to one triple per name.
 
 
-def _build_verify_all(config: ExperimentConfig):
-    cap = config.n_replicates
-    seed = config.master_seed
-    workers = config.workers
-    verdicts: dict = {}
-    results: dict = {}
-    series: dict = {}
+def _laplace_section(cap, seed, workers):
+    """Laplace transform fidelity, 9 cells."""
+    report = run_laplace_check(n_replicates=min(100_000, cap), master_seed=seed, workers=workers)
+    return [_render_laplace(report)]
 
-    def absorb(prefix: str, triple):
-        sub_verdicts, sub_results, sub_series = triple
-        for key, value in sub_verdicts.items():
-            verdicts[f"{prefix}.{key}"] = value
-        results[prefix] = sub_results
-        for key, value in sub_series.items():
-            series[f"{prefix}_{key}"] = value
 
-    # 1. Laplace transform fidelity, 9 cells.
-    laplace = run_laplace_check(n_replicates=min(100_000, cap), master_seed=seed, workers=workers)
-    absorb("laplace", _laplace_triple(laplace))
+def _cdf_section(cap, seed, workers):
+    """Distribution oracle at alpha = 1/2 (1% KS critical value)."""
+    report = run_cdf_check(n_replicates=min(100_000, cap), master_seed=seed, workers=workers)
+    return [_render_cdf(report)]
 
-    # 2. Distribution oracle at alpha = 1/2 (1% KS critical value).
-    cdf = run_cdf_check(n_replicates=min(100_000, cap), master_seed=seed, workers=workers)
-    absorb(
-        "cdf",
-        (
-            _verdict("distribution_ks", cdf.passed),
-            {
-                "ks_distance": cdf.ks_distance,
-                "critical_value": cdf.critical_value,
-                "n_replicates": cdf.n_replicates,
-            },
-            {},
-        ),
-    )
 
-    # 3. Fractional-moment oracle chain: quadrature vs closed form on the
-    #    36-cell grid, then a Monte Carlo check of E S_1^p at the pinned cell.
-    chain_max_rel = 0.0
+def _oracle_chain_section(cap, seed, workers):
+    """Quadrature vs closed form on the 36-cell grid, then a Monte Carlo
+    check of E S_1^p at the pinned cell."""
+    max_rel = 0.0
     for alpha in (0.3, 0.5, 0.7, 0.9):
         for p in (alpha / 4.0, alpha / 2.0, 3.0 * alpha / 4.0):
             for t in (0.25, 1.0, 4.0):
                 query = FracMomentQuery(alpha, p, t)
                 closed = frac_moment_closed_form(query)
-                quad = frac_moment_quadrature(query)
-                chain_max_rel = max(chain_max_rel, abs(quad - closed) / closed)
-    mc_draws = draw_standard_samples(0.5, min(1_000_000, cap * 10), seed, cell=90, workers=workers)
-    mc_est = MomentEstimate.from_samples(mc_draws**0.25, "upper")
+                max_rel = max(max_rel, abs(frac_moment_quadrature(query) - closed) / closed)
+    draws = draw_standard_samples(0.5, min(1_000_000, cap * 10), seed, cell=90, workers=workers)
+    estimate = MomentEstimate.from_samples(draws**0.25, "upper")
     oracle = frac_moment_closed_form(FracMomentQuery(0.5, 0.25, 1.0))
-    mc_ok = abs(mc_est.mean - oracle) <= 3.0 * mc_est.std_error
-    absorb(
-        "frac_moment_chain",
-        (
-            {
-                **_verdict("quadrature_agrees_closed_form", chain_max_rel <= 1e-6),
-                **_verdict("mc_matches_oracle", mc_ok),
-            },
-            {
-                "max_relative_difference": chain_max_rel,
-                "mc_mean": mc_est.mean,
-                "mc_std_error": mc_est.std_error,
-                "oracle": oracle,
-                "n_replicates": mc_est.n_replicates,
-            },
-            {},
-        ),
+    verdicts = _verdicts(
+        quadrature_agrees_closed_form=max_rel <= 1e-6,
+        mc_matches_oracle=abs(estimate.mean - oracle) <= 3.0 * estimate.std_error,
     )
+    results = {
+        "max_relative_difference": max_rel,
+        "mc_mean": estimate.mean,
+        "mc_std_error": estimate.std_error,
+        "oracle": oracle,
+        "n_replicates": estimate.n_replicates,
+    }
+    return [(verdicts, results, {})]
 
-    # 4. Scaling collapse across horizons.
-    scaling = run_scaling_check(
+
+def _scaling_section(cap, seed, workers):
+    """Scaling collapse across horizons."""
+    report = run_scaling_check(
         StableParams(0.5), p=0.25, n_replicates=min(100_000, cap), master_seed=seed, workers=workers
     )
-    absorb("scaling", _scaling_triple(scaling))
+    return [_render_scaling(report)]
 
-    # 5-6. Power-kernel moment bound over the (alpha, theta, p) acceptance
-    #      grid and exponential-kernel bound over lambda x T, in one driver
-    #      call so that cells sharing sample paths draw them once.
-    theta_keys = [
-        (alpha, frac / alpha, p)
-        for alpha in (0.3, 0.5, 0.7)
-        for frac in (0.5, 0.8)
-        for p in (alpha / 4.0, alpha / 2.0)
-    ]
-    exp_keys = [(lam, T) for lam in (0.5, 1.0, 2.0) for T in (1.0, 5.0)]
+
+_THETA_GRID = [
+    (alpha, frac / alpha, p)
+    for alpha in (0.3, 0.5, 0.7) for frac in (0.5, 0.8) for p in (alpha / 4.0, alpha / 2.0)
+]
+_EXP_GRID = [(lam, T) for lam in (0.5, 1.0, 2.0) for T in (1.0, 5.0)]
+
+
+def _bound_grid_sections(cap, seed, workers):
+    """Power-kernel bound over the (alpha, theta, p) grid and exponential-kernel
+    bound over lambda x T, in one driver call so that cells sharing sample
+    paths draw them once."""
     cells = [
         (StableParams(alpha), SingularKernel(theta=theta, T=1.0), p, None)
-        for alpha, theta, p in theta_keys
-    ] + [(StableParams(0.5), ExpKernel(lam=lam, T=T), 0.25, None) for lam, T in exp_keys]
+        for alpha, theta, p in _THETA_GRID
+    ] + [(StableParams(0.5), ExpKernel(lam=lam, T=T), 0.25, None) for lam, T in _EXP_GRID]
     checks = run_moment_checks(cells, min(100_000, cap), seed, workers)
-    for prefix, keys, key_columns, section in (
-        ("bound_theta_grid", theta_keys, ["alpha", "theta", "p"], checks[: len(theta_keys)]),
-        ("bound_exp_grid", exp_keys, ["lambda", "T"], checks[len(theta_keys):]),
+    triples = []
+    for keys, key_columns, section in (
+        (_THETA_GRID, ["alpha", "theta", "p"], checks[: len(_THETA_GRID)]),
+        (_EXP_GRID, ["lambda", "T"], checks[len(_THETA_GRID) :]),
     ):
         rows = [
             [*key, c.bound_value, c.estimate.mean, c.estimate.std_error, c.margin]
             for key, c in zip(keys, section)
         ]
-        absorb(
-            prefix,
-            (
-                _verdict("all_cells_pass", all(c.passed for c in section)),
-                {"n_cells": len(rows)},
-                {
-                    "cells": {
-                        "columns": key_columns + ["bound", "upper_mean", "std_error", "margin"],
-                        "rows": rows,
-                    }
-                },
-            ),
-        )
+        columns = key_columns + ["bound", "upper_mean", "std_error", "margin"]
+        verdicts = _verdicts(all_cells_pass=all(c.passed for c in section))
+        series = {"cells": {"columns": columns, "rows": rows}}
+        triples.append((verdicts, {"n_cells": len(rows)}, series))
+    return triples
 
-    # 7. Blow-up slope law at three supercritical exponents.
-    slope_ok = True
-    slope_rows = []
-    n_blow = max(100, min(10_000, cap))
-    for gap in (0.5, 1.0, 2.0):
-        theta = 2.0 + gap  # alpha = 0.5, threshold 1/alpha = 2
+
+def _blowup_slopes_section(cap, seed, workers):
+    """Blow-up slope law at three supercritical exponents (alpha = 1/2, threshold 2)."""
+    rows, matches = [], []
+    for theta in (2.5, 3.0, 4.0):
         report = run_blowup_diagnostic(
-            StableParams(0.5),
-            theta=theta,
-            n_replicates=n_blow,
-            master_seed=seed,
-            workers=workers,
+            StableParams(0.5), theta=theta, n_replicates=max(100, min(10_000, cap)),
+            master_seed=seed, workers=workers,
         )
-        slope_ok &= abs(report.fitted_slope - report.expected_slope) <= 0.1
-        slope_rows.append([theta, report.fitted_slope, report.expected_slope, report.residual])
-    absorb(
-        "blowup_slopes",
-        (
-            _verdict("slopes_match", slope_ok),
-            {"n_cases": len(slope_rows)},
-            {
-                "slopes": {
-                    "columns": ["theta", "fitted_slope", "expected_slope", "residual"],
-                    "rows": slope_rows,
-                }
-            },
-        ),
-    )
+        rows.append([theta, report.fitted_slope, report.expected_slope, report.residual])
+        matches.append(report.slope_matches)
+    columns = ["theta", "fitted_slope", "expected_slope", "residual"]
+    verdicts = _verdicts(slopes_match=all(matches))
+    return [(verdicts, {"n_cases": len(rows)}, {"slopes": {"columns": columns, "rows": rows}})]
 
-    # 8. Finiteness stabilization of the truncated lower sums (theta < 1/alpha).
-    stab = run_blowup_diagnostic(
-        StableParams(0.5),
-        theta=1.0,
-        min_level=10,
-        max_level=40,
-        n_replicates=n_blow,
-        master_seed=seed,
-        workers=workers,
-    )
-    idx35 = stab.epsilons.index(2.0**-35)
-    idx40 = stab.epsilons.index(2.0**-40)
-    stab_change = abs(stab.lower_sum_medians[idx40] - stab.lower_sum_medians[idx35]) / abs(
-        stab.lower_sum_medians[idx35]
-    )
-    absorb(
-        "finiteness_stabilization",
-        (
-            _verdict("median_change_below_1pct", stab_change < 0.01),
-            {
-                "median_at_2^-35": stab.lower_sum_medians[idx35],
-                "median_at_2^-40": stab.lower_sum_medians[idx40],
-                "relative_change": stab_change,
-            },
-            {
-                "lower_sum_medians": {
-                    "columns": ["epsilon", "median"],
-                    "rows": [[e, m] for e, m in zip(stab.epsilons, stab.lower_sum_medians)],
-                }
-            },
-        ),
-    )
 
-    # 9-10. Exact identities and the dual-route bracket consistency.
-    ibp = run_ibp_consistency(
+def _stabilization_section(cap, seed, workers):
+    """Finiteness stabilization of the truncated lower sums (theta < 1/alpha)."""
+    report = run_blowup_diagnostic(
+        StableParams(0.5), theta=1.0, min_level=10, max_level=40,
+        n_replicates=max(100, min(10_000, cap)), master_seed=seed, workers=workers,
+    )
+    medians = report.lower_sum_medians
+    at35 = medians[report.epsilons.index(2.0**-35)]
+    at40 = medians[report.epsilons.index(2.0**-40)]
+    change = abs(at40 - at35) / abs(at35)
+    results = {"median_at_2^-35": at35, "median_at_2^-40": at40, "relative_change": change}
+    series = {"lower_sum_medians": _series(["epsilon", "median"], report.epsilons, medians)}
+    return [(_verdicts(median_change_below_1pct=change < 0.01), results, series)]
+
+
+def _ibp_section(cap, seed, workers):
+    """Exact identities and the dual-route bracket consistency."""
+    report = run_ibp_consistency(
         StableParams(0.5), theta=1.0, n_paths=max(2, min(1000, cap)), master_seed=seed
     )
-    absorb("ibp", _ibp_triple(ibp))
+    return [_render_ibp(report)]
 
+
+_VERIFY_ALL_SECTIONS = (
+    (("laplace",), _laplace_section),
+    (("cdf",), _cdf_section),
+    (("frac_moment_chain",), _oracle_chain_section),
+    (("scaling",), _scaling_section),
+    (("bound_theta_grid", "bound_exp_grid"), _bound_grid_sections),
+    (("blowup_slopes",), _blowup_slopes_section),
+    (("finiteness_stabilization",), _stabilization_section),
+    (("ibp",), _ibp_section),
+)
+
+
+def _build_verify_all(config: ExperimentConfig):
+    verdicts, results, series = {}, {}, {}
+    for names, section in _VERIFY_ALL_SECTIONS:
+        triples = section(config.n_replicates, config.master_seed, config.workers)
+        for prefix, (sub_verdicts, sub_results, sub_series) in zip(names, triples, strict=True):
+            verdicts.update((f"{prefix}.{key}", value) for key, value in sub_verdicts.items())
+            results[prefix] = sub_results
+            series.update((f"{prefix}_{key}", value) for key, value in sub_series.items())
     return verdicts, results, series
-
-
-def _laplace_triple(report):
-    rows = [[c.alpha, c.lam, c.mc_mean, c.std_error, c.target, c.within_3se] for c in report.cells]
-    return (
-        _verdict("laplace_transform", report.passed),
-        {"n_cells": len(report.cells), "n_within_3se": report.n_within},
-        {
-            "laplace_cells": {
-                "columns": ["alpha", "lambda", "mc_mean", "std_error", "target", "within_3se"],
-                "rows": rows,
-            }
-        },
-    )
-
-
-def _scaling_triple(report):
-    return (
-        _verdict("scaling_collapse", report.passed),
-        {
-            "reference_moment": report.reference,
-            "max_deviation_sigmas": report.max_deviation_sigmas,
-        },
-        {
-            "scaling": {
-                "columns": ["t", "normalized_moment", "std_error"],
-                "rows": [
-                    [t, m, s]
-                    for t, m, s in zip(report.times, report.normalized_means, report.std_errors)
-                ],
-            }
-        },
-    )
-
-
-def _ibp_triple(report):
-    return (
-        {
-            **_verdict("brackets_intersect", report.all_brackets_intersect),
-            **_verdict("abel_identity", report.abel_identity),
-            **_verdict("classical_integrals", report.classical_integrals),
-        },
-        {
-            "n_paths": report.n_paths,
-            "max_abel_discrepancy": report.max_abel_discrepancy,
-            "det_power_target": report.det_power_target,
-            "det_exp_target": report.det_exp_target,
-        },
-        {
-            "bracket_convergence": {
-                "columns": ["grid_levels", "lower_sum", "upper_sum", "gap"],
-                "rows": [list(row) for row in report.convergence_rows],
-            }
-        },
-    )
 
 
 _BUILDERS = {
     "laplace_check": _build_laplace,
     "cdf_check": _build_cdf,
     "scaling": _build_scaling,
-    "moment_bound_theta": _build_bound_theta,
-    "moment_bound_exp": _build_bound_exp,
+    "moment_bound_theta": _build_bound,
+    "moment_bound_exp": _build_bound,
     "blowup": _build_blowup,
     "ibp_consistency": _build_ibp,
     "kernel_classify": _build_classify,

@@ -20,7 +20,6 @@ __all__ = [
     "frac_moment_closed_form",
     "frac_moment_quadrature",
     "gamma_fn",
-    "levy_constant",
     "levy_half_cdf",
 ]
 
@@ -58,13 +57,6 @@ def gamma_fn(x: float) -> float:
         acc += c / (z + i)
     t = z + _LANCZOS_G + 0.5
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
-def levy_constant(alpha: float) -> float:
-    """Jump-intensity constant alpha / Gamma(1 - alpha) of the subordinator."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return alpha / gamma_fn(1.0 - alpha)
 
 
 @dataclass(frozen=True)

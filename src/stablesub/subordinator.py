@@ -26,6 +26,7 @@ __all__ = [
     "sample_standard_stable_batch",
 ]
 
+DEFAULT_MASTER_SEED = 12345
 _TWO64 = 1 << 64
 # Angle clamp for the sine-ratio construction: the ratios overflow at the
 # endpoints of (0, pi).  The induced bias is far below statistical resolution.

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from stablesub import ConfigError, parse_config, render_config
 from stablesub.cli import main
 from stablesub.config import config_from_mapping
-from stablesub.reporting import ResultRecord, comparable_record_json, record_to_json, strip_timing
+from stablesub.reporting import ResultRecord, comparable_record_json, record_to_json
 
 
 def _reject_constant(token):
@@ -88,6 +88,12 @@ class TestParseConfig:
         grid = config.grid.build(config.T)
         assert grid.epsilon == pytest.approx(1e-6)
         assert len(grid) == 21
+
+    def test_per_experiment_defaults(self):
+        blowup = parse_config('{"experiment": "blowup", "alpha": 0.5, "theta": 3.0}')
+        assert (blowup.n_replicates, blowup.grid.levels) == (10_000, 30)
+        ibp = parse_config('{"experiment": "ibp_consistency", "alpha": 0.5}')
+        assert (ibp.n_replicates, ibp.grid.levels, ibp.theta) == (1000, 40, 0.5)
 
     def test_workers_floor(self):
         with pytest.raises(ConfigError, match="workers must be >= 1"):
@@ -176,6 +182,28 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert "grid: grid points must be positive" in result.output
 
+    def test_blowup_document_sets_replicates_and_levels(self, tmp_path):
+        # Unset flags leave the document's values alone.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            {"alpha": 0.5, "theta": 3, "n_replicates": 200, "grid": {"levels": 20}}
+        ))
+        result = CliRunner().invoke(main, ["blowup", "--config", str(config_path)])
+        assert result.exit_code == 0, result.output
+        record = json.loads(result.output)
+        assert record["config"]["n_replicates"] == 200
+        assert record["config"]["grid"]["levels"] == 20
+        assert len(record["series"]["scaled_endpoint"]["rows"]) == 11  # levels 10..20
+
+    def test_ibp_document_sets_path_count(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"alpha": 0.5, "n_replicates": 64}))
+        result = CliRunner().invoke(main, ["ibp", "--config", str(config_path)])
+        assert result.exit_code == 0, result.output
+        record = json.loads(result.output)
+        assert record["results"]["n_paths"] == 64
+        assert record["config"]["theta"] == 0.5
+
     def test_config_file_with_flag_override(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"alpha": 0.5, "theta": 1.9, "n_replicates": 64}))
@@ -242,11 +270,13 @@ class TestCli:
         # literally the same invocation twice: only the timing section may differ
         runner = CliRunner()
         args = ["cdf", "--replicates", "4000", "--seed", "99", "--out", str(tmp_path / "r")]
-        assert runner.invoke(main, args).exit_code == 0
-        first = (tmp_path / "r.json").read_text()
-        assert runner.invoke(main, args).exit_code == 0
-        second = (tmp_path / "r.json").read_text()
-        assert strip_timing(first) == strip_timing(second)
+        records = []
+        for _ in range(2):
+            assert runner.invoke(main, args).exit_code == 0
+            record = json.loads((tmp_path / "r.json").read_text())
+            record.pop("timing")
+            records.append(record)
+        assert records[0] == records[1]
 
     def test_laplace_default_grid_has_nine_cells(self, tmp_path):
         runner = CliRunner()

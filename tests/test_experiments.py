@@ -1,6 +1,7 @@
 """Monte Carlo experiment drivers: bounds, diagnostics, classification."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -71,6 +72,9 @@ class TestClosedFormBounds:
             power_kernel_moment_bound(0.5, 1.0, 0.5, 1.0)  # p == alpha
         with pytest.raises(ValueError):
             power_kernel_moment_bound(1.5, 1.0, 0.25, 1.0)
+        # alpha = 0 is rejected before theta is compared with 1/alpha.
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            power_kernel_moment_bound(0.0, 1.0, 0.25, 1.0)
 
     def test_exp_kernel_reference_cell(self):
         assert exp_kernel_moment_bound(0.5, 0.25, 1.0) == pytest.approx(BOUND_EXP_REF, rel=1e-12)
@@ -251,7 +255,8 @@ class TestGroupedMomentChecks:
 
         monkeypatch.setattr(experiments, "sample_path_values", counting_sample)
         monkeypatch.setattr(reporting, "run_moment_checks", moment_section)
-        result = CliRunner().invoke(main, ["verify-all", "--replicates", "5000", "--seed", "12345"])
+        common = ["--replicates", "5000", "--seed", "12345"]
+        result = CliRunner().invoke(main, ["verify-all", *common])
         assert result.exit_code == 0, result.output
         groups = {
             (0.3, "geometric", 1.0),
@@ -264,6 +269,29 @@ class TestGroupedMomentChecks:
         for batch in (0, 1):
             assert {call[:3] for call in calls if call[3] == batch} == groups
 
+        # The same renderers write these sections and the single records.
+        record = json.loads(result.output)
+        singles = {
+            "laplace": ["laplace", *common],
+            "cdf": ["cdf", *common],
+            "scaling": ["scaling", "--alpha", "0.5", "--p", "0.25", *common],
+            # verify-all checks min(1000, replicates) paths.
+            "ibp": ["ibp", "--alpha", "0.5", "--theta", "1", "--replicates", "1000",
+                    "--seed", "12345"],
+        }
+        for prefix, args in singles.items():
+            single = json.loads(CliRunner().invoke(main, args).output)
+            section = record["results"][prefix]
+            assert {key: single["results"][key] for key in section} == section
+            for key, verdict in single["verdicts"].items():
+                assert record["verdicts"][f"{prefix}.{key}"] == verdict
+            section_series = {
+                key[len(prefix) + 1 :]: block
+                for key, block in record["series"].items()
+                if key.startswith(f"{prefix}_")
+            }
+            assert section_series == single["series"]
+
 
 class TestBlowupDiagnostic:
     def test_supercritical_slope(self):
@@ -272,6 +300,9 @@ class TestBlowupDiagnostic:
         )
         assert report.expected_slope == pytest.approx(1.0)
         assert abs(report.fitted_slope - 1.0) <= 0.1
+        assert report.slope_matches
+        missed = dataclasses.replace(report, fitted_slope=report.expected_slope + 0.11)
+        assert not missed.slope_matches
         assert not report.boundary_inconclusive
         assert len(report.epsilons) == 21
         assert report.epsilons[0] == pytest.approx(2.0**-10)
@@ -322,6 +353,14 @@ class TestDistributionChecks:
         assert report.reference == pytest.approx(1.4464090846320771425, rel=1e-12)
         for mean in report.normalized_means:
             assert mean == pytest.approx(report.reference, rel=0.03)
+
+    def test_scaling_rejects_bad_order_before_sampling(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("sampled before validation")
+
+        monkeypatch.setattr(experiments, "_draw_cell", never)
+        with pytest.raises(ValueError, match="p must lie in"):
+            run_scaling_check(StableParams(0.5), 0.6, n_replicates=100)
 
 
 class TestIbpConsistency:

@@ -9,7 +9,6 @@ from stablesub import (
     frac_moment_closed_form,
     frac_moment_quadrature,
     gamma_fn,
-    levy_constant,
     levy_half_cdf,
 )
 
@@ -18,9 +17,6 @@ mp.mp.dps = 40
 # Frozen with mpmath at 40 digits.
 SQRT_PI = 1.7724538509055160273
 GAMMA_1_5 = 0.88622692545275801365
-LEVY_CONST_HALF = 0.28209479177387814347  # 0.5 / Gamma(0.5)
-LEVY_CONST_09 = 0.094602330550060002671  # 0.9 / Gamma(0.1)
-LEVY_CONST_01 = 0.093577872091287277318  # 0.1 / Gamma(0.9)
 MOMENT_HALF_QUARTER = 1.4464090846320771425  # Gamma(0.5)/Gamma(0.75)
 MOMENT_07_035 = 1.279939428087018775  # Gamma(0.5)/Gamma(0.65)
 ERFC_1 = 0.15729920705028513066
@@ -52,20 +48,6 @@ class TestGamma:
             gamma_fn(0.0)
         with pytest.raises(ValueError):
             gamma_fn(-1.5)
-
-
-class TestLevyConstant:
-    def test_half(self):
-        assert levy_constant(0.5) == pytest.approx(LEVY_CONST_HALF, rel=1e-12)
-
-    def test_against_high_precision_table(self):
-        assert levy_constant(0.9) == pytest.approx(LEVY_CONST_09, rel=1e-12)
-        assert levy_constant(0.1) == pytest.approx(LEVY_CONST_01, rel=1e-12)
-
-    def test_domain(self):
-        for bad in (0.0, 1.0, -0.2, 1.7):
-            with pytest.raises(ValueError):
-                levy_constant(bad)
 
 
 class TestFracMoment:
