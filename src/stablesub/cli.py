@@ -8,13 +8,12 @@ and a short verdict summary is printed instead.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
 import click
 
-from .config import ConfigError, config_from_mapping
+from .config import ConfigError, config_from_mapping, parse_document
 from .reporting import record_to_json, run
 
 
@@ -46,28 +45,19 @@ def _grid_options(fn):
 
 
 def _execute(experiment: str, config_path, overrides: dict, grid_overrides: dict) -> None:
-    payload: dict = {}
-    if config_path:
-        try:
-            payload = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            click.echo(f"error: config is not valid JSON: {exc}", err=True)
-            sys.exit(2)
-        if not isinstance(payload, dict):
-            click.echo("error: config must be a JSON object", err=True)
-            sys.exit(2)
-    payload["experiment"] = experiment
-    for key, value in overrides.items():
-        if value is not None:
-            payload[key] = value
-    grid = dict(payload.get("grid") or {})
-    for key, value in grid_overrides.items():
-        if value is not None:
-            grid[key] = value
-    if grid:
-        payload["grid"] = grid
-
     try:
+        text = Path(config_path).read_text(encoding="utf-8") if config_path else "{}"
+        payload = parse_document(text)
+        payload["experiment"] = experiment
+        for key, value in overrides.items():
+            if value is not None:
+                payload[key] = value
+        grid = dict(payload.get("grid") or {})
+        for key, value in grid_overrides.items():
+            if value is not None:
+                grid[key] = value
+        if grid:
+            payload["grid"] = grid
         config = config_from_mapping(payload)
         record = run(config)
     except ConfigError as exc:

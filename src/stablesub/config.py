@@ -1,16 +1,21 @@
 """Experiment configuration: parsing, validation, defaults, rendering.
 
-Configs are flat JSON documents with an optional nested "grid" object.  Every
-constraint violation names the offending key so the CLI can fail actionably.
+Configs are flat JSON documents with an optional nested "grid" object, parsed
+through one key table, with each experiment's defaults in one table.  The
+parameter rules (alpha in (0, 1), 0 < p < alpha, theta < 1/alpha, ...) are the
+library's own: validation builds the objects a run builds.  Every error names
+the offending key so the CLI can fail actionably.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .integrals import ExpKernel, SingularKernel
-from .subordinator import DEFAULT_MASTER_SEED, StableParams, TimeGrid
+from .subordinator import DEFAULT_GRID_LEVELS, DEFAULT_GRID_Q, DEFAULT_MASTER_SEED
+from .subordinator import SeedSpec, StableParams, TimeGrid
 
 __all__ = [
     "ConfigError",
@@ -19,45 +24,14 @@ __all__ = [
     "EXPERIMENTS",
     "config_from_mapping",
     "parse_config",
+    "parse_document",
     "render_config",
 ]
 
-EXPERIMENTS = (
-    "laplace_check",
-    "cdf_check",
-    "scaling",
-    "moment_bound_theta",
-    "moment_bound_exp",
-    "blowup",
-    "ibp_consistency",
-    "kernel_classify",
-    "verify_all",
-)
-
 DEFAULT_REPLICATES = 100_000
-# Experiments whose replicate count or grid depth defaults differ from the
-# global ones; flags and config documents both fall back to these.
-_EXPERIMENT_REPLICATES = {"blowup": 10_000, "ibp_consistency": 1000}
-_EXPERIMENT_LEVELS = {"blowup": 30}
-_TWO64 = 1 << 64
 
-_GRID_KEYS = ("kind", "levels", "q", "epsilon")
 # Experiments that sample on a grid built from the config's grid section.
 _GRID_EXPERIMENTS = ("moment_bound_theta", "moment_bound_exp", "blowup", "ibp_consistency")
-_TOP_KEYS = (
-    "experiment",
-    "alpha",
-    "theta",
-    "p",
-    "lambda",
-    "T",
-    "times",
-    "grid",
-    "n_replicates",
-    "master_seed",
-    "workers",
-    "output_path",
-)
 
 
 class ConfigError(ValueError):
@@ -74,8 +48,8 @@ class GridConfig:
     """
 
     kind: str = "geometric"
-    levels: int = 40
-    q: float = 0.5
+    levels: int = DEFAULT_GRID_LEVELS
+    q: float = DEFAULT_GRID_Q
     epsilon: float | None = None
 
     def build(self, T: float) -> TimeGrid:
@@ -108,12 +82,6 @@ class ExperimentConfig:
     workers: int = 1
     output_path: str | None = None
 
-    def __post_init__(self) -> None:
-        if isinstance(self.alpha, list):
-            object.__setattr__(self, "alpha", tuple(self.alpha))
-        if isinstance(self.times, list):
-            object.__setattr__(self, "times", tuple(self.times))
-
     def alphas(self) -> tuple[float, ...]:
         """Alpha grid: scalars become singletons, None the standard triple."""
         if self.alpha is None:
@@ -127,102 +95,161 @@ class ExperimentConfig:
             raise ConfigError(f"{self.experiment} requires a scalar alpha")
         return self.alpha
 
+    def kernel(self) -> SingularKernel | ExpKernel:
+        """The kernel the run integrates: t^(-theta), or e^(-lambda (T - t))."""
+        if self.experiment == "moment_bound_exp":
+            return ExpKernel(lam=self.lam, T=self.T)
+        return SingularKernel(theta=self.theta, T=self.T)
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON config document."""
+
+def _half_alpha(fields: dict) -> float | None:
+    alpha = fields.get("alpha")
+    return alpha / 2.0 if isinstance(alpha, float) else None
+
+
+_REQUIRED = object()  # a field the experiment cannot run without
+
+# Per-experiment defaults by field name, filling fields left unset (absent or
+# null); a callable computes its value from the fields parsed so far.  Other
+# fields take the ExperimentConfig and GridConfig defaults.
+_DEFAULTS = {
+    "laplace_check": {},
+    "cdf_check": {"alpha": 0.5},
+    "scaling": {"alpha": _REQUIRED, "p": _half_alpha, "times": (0.25, 1.0, 4.0)},
+    "moment_bound_theta": {"alpha": _REQUIRED, "theta": _REQUIRED, "p": _half_alpha},
+    # The bounded exponential kernel has no singularity to resolve.
+    "moment_bound_exp": {"alpha": _REQUIRED, "p": _half_alpha, "lam": 1.0,
+                         "grid": {"kind": "uniform"}},
+    "blowup": {"alpha": _REQUIRED, "theta": _REQUIRED, "n_replicates": 10_000,
+               "grid": {"levels": 30}},
+    "ibp_consistency": {"alpha": _REQUIRED, "n_replicates": 1000, "theta": 0.5},
+    "kernel_classify": {"alpha": _REQUIRED, "theta": _REQUIRED},
+    "verify_all": {},
+}
+EXPERIMENTS = tuple(_DEFAULTS)
+
+
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _optional_number(value, key: str) -> float | None:
+    return None if value is None else _number(value, key)
+
+
+def _numbers(value, key: str):
+    if isinstance(value, (list, tuple)):
+        return tuple(_number(v, key) for v in value)
+    return _optional_number(value, key)
+
+
+def _times(value, key: str):
+    if value is not None and not (isinstance(value, (list, tuple)) and value):
+        raise ConfigError(f"{key} must be a nonempty list of horizons")
+    return _numbers(value, key)
+
+
+def _object(value, key: str) -> dict:
+    value = value or {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object")
+    return value
+
+
+def _as_is(value, key: str):
+    return value
+
+
+# Config key -> (field name, parser(value, key)).
+_KEYS = {
+    "experiment": ("experiment", _as_is),
+    "alpha": ("alpha", _numbers),
+    "theta": ("theta", _optional_number),
+    "p": ("p", _optional_number),
+    "lambda": ("lam", _optional_number),
+    "T": ("T", _number),
+    "times": ("times", _times),
+    "grid": ("grid", _object),
+    "n_replicates": ("n_replicates", _integer),
+    "master_seed": ("master_seed", _integer),
+    "workers": ("workers", _integer),
+    "output_path": ("output_path", _as_is),
+}
+_GRID_KEYS = {
+    "kind": ("kind", _as_is),
+    "levels": ("levels", _integer),
+    "q": ("q", _number),
+    "epsilon": ("epsilon", _optional_number),
+}
+
+
+def parse_document(text: str) -> dict:
+    """The mapping held by a JSON config document, not yet validated."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config must be a JSON object")
-    return config_from_mapping(payload)
+    return payload
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and validate a JSON config document."""
+    return config_from_mapping(parse_document(text))
 
 
 def config_from_mapping(payload: dict) -> ExperimentConfig:
     """Build a validated config from a plain mapping (CLI flags or JSON)."""
-    for key in payload:
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"unknown key: {key!r}")
-    if "experiment" not in payload or payload["experiment"] is None:
+    experiment = payload.get("experiment")
+    if experiment is None:
         raise ConfigError("missing required field: experiment")
-    experiment = payload["experiment"]
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {', '.join(EXPERIMENTS)}; got {experiment!r}")
-
-    grid_payload = payload.get("grid") or {}
-    if not isinstance(grid_payload, dict):
-        raise ConfigError("grid must be an object")
-    for key in grid_payload:
-        if key not in _GRID_KEYS:
-            raise ConfigError(f"unknown key: grid.{key!r}")
-    # The bounded exponential kernel has no singularity to resolve, so its
-    # natural default is uniform cells; everything else refines toward 0.
-    default_kind = "uniform" if experiment == "moment_bound_exp" else "geometric"
-    default_levels = _EXPERIMENT_LEVELS.get(experiment, 40)
-    grid = GridConfig(
-        kind=grid_payload.get("kind", default_kind),
-        levels=_req_int(grid_payload.get("levels", default_levels), "grid.levels"),
-        q=_req_float(grid_payload.get("q", 0.5), "grid.q"),
-        epsilon=_opt_float(grid_payload.get("epsilon"), "grid.epsilon"),
-    )
-
-    alpha = payload.get("alpha")
-    if isinstance(alpha, (list, tuple)):
-        alpha = tuple(_req_float(a, "alpha") for a in alpha)
-    elif alpha is not None:
-        alpha = _req_float(alpha, "alpha")
-
-    times = payload.get("times")
-    if times is not None:
-        if not isinstance(times, (list, tuple)) or not times:
-            raise ConfigError("times must be a nonempty list of horizons")
-        times = tuple(_req_float(t, "times") for t in times)
-
-    default_replicates = _EXPERIMENT_REPLICATES.get(experiment, DEFAULT_REPLICATES)
-    config = ExperimentConfig(
-        experiment=experiment,
-        alpha=alpha,
-        theta=_opt_float(payload.get("theta"), "theta"),
-        p=_opt_float(payload.get("p"), "p"),
-        lam=_opt_float(payload.get("lambda"), "lambda"),
-        T=_req_float(payload.get("T", 1.0), "T"),
-        times=times,
-        grid=grid,
-        n_replicates=_req_int(payload.get("n_replicates", default_replicates), "n_replicates"),
-        master_seed=_req_int(payload.get("master_seed", DEFAULT_MASTER_SEED), "master_seed"),
-        workers=_req_int(payload.get("workers", 1), "workers"),
-        output_path=payload.get("output_path"),
-    )
-    config = _apply_experiment_defaults(config)
+    defaults = dict(_DEFAULTS[experiment])
+    grid_defaults = defaults.pop("grid", {})
+    fields = _fields(payload, _KEYS, defaults, "")
+    grid = _fields(fields.get("grid", {}), _GRID_KEYS, grid_defaults, "grid.")
+    fields["grid"] = GridConfig(**grid)
+    config = ExperimentConfig(**fields)
     validate_config(config)
     return config
 
 
-def _apply_experiment_defaults(config: ExperimentConfig) -> ExperimentConfig:
-    if config.experiment == "cdf_check" and config.alpha is None:
-        config = replace(config, alpha=0.5)
-    if config.experiment == "scaling" and config.times is None:
-        config = replace(config, times=(0.25, 1.0, 4.0))
-    if config.experiment in ("scaling", "moment_bound_theta", "moment_bound_exp"):
-        if config.p is None and isinstance(config.alpha, float):
-            config = replace(config, p=config.alpha / 2.0)
-    if config.experiment == "moment_bound_exp" and config.lam is None:
-        config = replace(config, lam=1.0)
-    if config.experiment == "ibp_consistency" and config.theta is None:
-        config = replace(config, theta=0.5)
-    return config
+def _fields(payload: dict, keys: dict, defaults: dict, prefix: str) -> dict:
+    """Field values parsed through a key table, unset ones filled from `defaults`."""
+    fields = {}
+    for key, value in payload.items():
+        if key not in keys:
+            raise ConfigError(f"unknown key: {prefix}{key!r}")
+        name, parse = keys[key]
+        fields[name] = parse(value, prefix + key)
+    for name, default in defaults.items():
+        if fields.get(name) is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required field: {name}")
+            fields[name] = default(fields) if callable(default) else default
+    return fields
 
 
 def validate_config(config: ExperimentConfig) -> None:
+    """Raise a ConfigError for a config that cannot run: first the checks a
+    config alone can make, then the library's rules, by building what the run
+    builds (each ValueError comes back as a ConfigError)."""
     if not config.T > 0.0:
         raise ConfigError("T must be > 0")
     if config.n_replicates < 2:
         raise ConfigError("n_replicates must be >= 2")
     if config.workers < 1:
         raise ConfigError("workers must be >= 1")
-    if not 0 <= config.master_seed < _TWO64:
-        raise ConfigError("master_seed must lie in [0, 2**64)")
 
     grid = config.grid
     if grid.kind not in ("geometric", "uniform"):
@@ -235,139 +262,48 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("grid.epsilon must lie in (0, T)")
 
     exp = config.experiment
+    if exp not in ("laplace_check", "verify_all"):
+        config.scalar_alpha()
+    if exp == "cdf_check" and config.alpha != 0.5:
+        raise ConfigError("alpha must be 0.5 for cdf_check (the closed-form comparison law)")
+    if exp == "blowup" and grid.levels < 15:
+        raise ConfigError("grid.levels must be >= 15 for blowup (epsilon levels start at 2^-10)")
     if exp in _GRID_EXPERIMENTS:
         # blowup reads only the depth: its grid halves down to T * 2^-levels.
         shape = GridConfig(levels=grid.levels) if exp == "blowup" else grid
         try:
-            built_grid = shape.build(config.T)
+            grid = shape.build(config.T)
         except ValueError as exc:
             raise ConfigError(f"grid: {exc}") from exc
-    if exp in ("laplace_check",):
-        for a in config.alphas():
-            _check_alpha_value(a)
-    elif exp == "cdf_check":
-        if config.scalar_alpha() != 0.5:
-            raise ConfigError("alpha must be 0.5 for cdf_check (the closed-form comparison law)")
-    elif exp == "scaling":
-        alpha = _require(config, "alpha").scalar_alpha()
-        _check_alpha_value(alpha)
-        _check_order(config, alpha)
-        for t in config.times or ():
-            if not t > 0.0:
-                raise ConfigError("times must be positive")
-    elif exp == "moment_bound_theta":
-        alpha = _require(config, "alpha").scalar_alpha()
-        _check_alpha_value(alpha)
-        theta = _required_value(config.theta, "theta")
-        if not theta > 0.0:
-            raise ConfigError("theta must be > 0")
-        if not theta < 1.0 / alpha:
-            raise ConfigError("theta must be < 1/alpha")
-        _check_order(config, alpha)
-        _check_moment_cell(alpha, SingularKernel(theta=theta, T=config.T), config.p, built_grid)
-    elif exp == "moment_bound_exp":
-        alpha = _require(config, "alpha").scalar_alpha()
-        _check_alpha_value(alpha)
-        lam = _required_value(config.lam, "lambda")
-        if not lam > 0.0:
-            raise ConfigError("lambda must be > 0")
-        _check_order(config, alpha)
-        _check_moment_cell(alpha, ExpKernel(lam=lam, T=config.T), config.p, built_grid)
-    elif exp == "blowup":
-        alpha = _require(config, "alpha").scalar_alpha()
-        _check_alpha_value(alpha)
-        if not _required_value(config.theta, "theta") > 0.0:
-            raise ConfigError("theta must be > 0")
-        if config.n_replicates < 100:
-            raise ConfigError("n_replicates must be >= 100 (stable medians)")
-        if config.grid.levels < 15:
-            raise ConfigError("grid.levels must be >= 15 for blowup (epsilon levels start at 2^-10)")
-    elif exp == "ibp_consistency":
-        alpha = _require(config, "alpha").scalar_alpha()
-        _check_alpha_value(alpha)
-        if not config.theta >= 0.0:
-            raise ConfigError("theta must be >= 0")
-    elif exp == "kernel_classify":
-        alpha = _require(config, "alpha").scalar_alpha()
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigError("alpha must lie in (0, 1]")
-        if not _required_value(config.theta, "theta") > 0.0:
-            raise ConfigError("theta must be > 0")
 
-
-def _check_moment_cell(alpha: float, kernel, p: float, grid: TimeGrid) -> None:
-    """The library's own cell validation, e.g. the log-space rule for theta."""
     # Imported here, not at the top: loading experiments (and scipy.integrate)
     # ahead of integrals changed scipy's import order and slowed
     # `import stablesub.cli` by about 50 ms (2-core Xeon, Python 3.11).
-    from .experiments import _moment_cell
+    from . import experiments
 
-    try:
-        _moment_cell(StableParams(alpha), kernel, p, grid)
+    try:  # build what the run builds, or run the argument checks of its experiment
+        SeedSpec(config.master_seed)
+        if exp == "laplace_check":
+            for alpha in config.alphas():
+                StableParams(alpha)
+        elif exp == "scaling":
+            experiments._check_scaling_args(config.alpha, config.p, config.times)
+        elif exp in ("moment_bound_theta", "moment_bound_exp"):
+            experiments._moment_cell(StableParams(config.alpha), config.kernel(), config.p, grid)
+        elif exp == "blowup":
+            StableParams(config.alpha)
+            experiments._check_blowup_args(config.theta, config.n_replicates)
+        elif exp == "ibp_consistency":
+            StableParams(config.alpha)
+            config.kernel()
+        elif exp == "kernel_classify":
+            experiments.classify_power_kernel(config.alpha, config.theta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _check_alpha_value(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must lie in (0,1)")
-
-
-def _check_order(config: ExperimentConfig, alpha: float) -> None:
-    p = _required_value(config.p, "p")
-    if not 0.0 < p < alpha:
-        raise ConfigError("p must be < alpha (and positive)")
-
-
-def _require(config: ExperimentConfig, key: str) -> ExperimentConfig:
-    if getattr(config, key) is None:
-        raise ConfigError(f"missing required field: {key}")
-    return config
-
-
-def _required_value(value, key: str):
-    if value is None:
-        raise ConfigError(f"missing required field: {key}")
-    return value
-
-
-def _req_float(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _req_int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _opt_float(value, key: str) -> float | None:
-    if value is None:
-        return None
-    return _req_float(value, key)
-
-
 def render_config(config: ExperimentConfig) -> str:
     """Canonical JSON rendering; parse_config(render_config(c)) == c."""
-    payload = {
-        "experiment": config.experiment,
-        "alpha": list(config.alpha) if isinstance(config.alpha, tuple) else config.alpha,
-        "theta": config.theta,
-        "p": config.p,
-        "lambda": config.lam,
-        "T": config.T,
-        "times": list(config.times) if config.times is not None else None,
-        "grid": {
-            "kind": config.grid.kind,
-            "levels": config.grid.levels,
-            "q": config.grid.q,
-            "epsilon": config.grid.epsilon,
-        },
-        "n_replicates": config.n_replicates,
-        "master_seed": config.master_seed,
-        "workers": config.workers,
-        "output_path": config.output_path,
-    }
+    payload = dataclasses.asdict(config)
+    payload["lambda"] = payload.pop("lam")
     return json.dumps(payload, sort_keys=True, indent=2)

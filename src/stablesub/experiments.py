@@ -27,6 +27,7 @@ from .integrals import (
     SingularKernel,
     _abel_discrepancies,
     _brackets_meet,
+    _check_horizon,
     _log_power_sums,
     _needs_log_space,
     exp_bracket_sums,
@@ -37,6 +38,8 @@ from .integrals import (
 )
 from .special import FracMomentQuery, frac_moment_closed_form, levy_half_cdf
 from .subordinator import (
+    DEFAULT_GRID_LEVELS,
+    DEFAULT_GRID_Q,
     DEFAULT_MASTER_SEED,
     SeedSpec,
     StableParams,
@@ -351,8 +354,8 @@ def default_grid(kernel) -> TimeGrid:
     """Grid matched to the kernel: dyadic refinement toward the power-kernel
     singularity, uniform cells for the bounded exponential kernel."""
     if isinstance(kernel, SingularKernel):
-        return TimeGrid.geometric(kernel.T, levels=40, q=0.5)
-    return TimeGrid.uniform(kernel.T, levels=40)
+        return TimeGrid.geometric(kernel.T, DEFAULT_GRID_LEVELS, DEFAULT_GRID_Q)
+    return TimeGrid.uniform(kernel.T, DEFAULT_GRID_LEVELS)
 
 
 def run_laplace_check(
@@ -365,10 +368,11 @@ def run_laplace_check(
     """Check E e^(-lam S_1) = e^(-lam^alpha) cell by cell, 3-sigma acceptance."""
     if n_replicates < 2:
         raise ValueError("n_replicates must be >= 2")
+    for alpha in alphas:
+        StableParams(alpha)  # validates every alpha before the first draw
     cells = []
     cell_index = 0
     for alpha in alphas:
-        StableParams(alpha)  # validates alpha
         for lam in lams:
             draws = _draw_cell(alpha, master_seed, cell_index, n_replicates, workers)
             transformed = np.exp(-lam * draws)
@@ -431,14 +435,9 @@ def run_scaling_check(
     workers: int = 1,
 ) -> ScalingCheckReport:
     """Self-similarity collapse: E S_t^p / t^(p/alpha) constant across horizons."""
-    # Computed first, so that the query rejects a bad order before any draw.
-    reference = frac_moment_closed_form(FracMomentQuery(params.alpha, p, 1.0))
-    if not times:
-        raise ValueError("times must be nonempty")
+    reference = frac_moment_closed_form(_check_scaling_args(params.alpha, p, times))
     normalized, errors = [], []
     for cell, t in enumerate(times):
-        if not t > 0.0:
-            raise ValueError(f"times must be positive, got {t}")
         draws = _draw_cell(params.alpha, master_seed, cell, n_replicates, workers)
         scaled = (t ** (1.0 / params.alpha) * draws) ** p
         est = MomentEstimate.from_samples(scaled, "upper")
@@ -459,6 +458,17 @@ def run_scaling_check(
         max_deviation_sigmas=max_sigmas,
         passed=max_sigmas <= 3.0,
     )
+
+
+def _check_scaling_args(alpha: float, p: float, times) -> FracMomentQuery:
+    """Validate the scaling check's arguments; returns the query of E S_1^p."""
+    query = FracMomentQuery(alpha, p, 1.0)
+    if not times:
+        raise ValueError("times must be nonempty")
+    for t in times:
+        if not t > 0.0:
+            raise ValueError(f"times must be positive, got {t}")
+    return query
 
 
 def run_moment_check(
@@ -522,7 +532,7 @@ def _moment_cell(params: StableParams, kernel, p: float, grid: TimeGrid | None):
         raise TypeError(f"unsupported kernel type: {type(kernel).__name__}")
     if grid is None:
         grid = default_grid(kernel)
-    _check_grid_horizon(grid, kernel)
+    _check_horizon(grid, kernel.T)
     if isinstance(kernel, SingularKernel) and _needs_log_space(grid.epsilon, kernel.theta):
         # The batched sums have no log-space form; refuse before sampling.
         raise ValueError(
@@ -531,11 +541,6 @@ def _moment_cell(params: StableParams, kernel, p: float, grid: TimeGrid | None):
             f"got {kernel.theta * abs(math.log(grid.epsilon)):.6g}"
         )
     return params.alpha, grid, kernel, p, bound
-
-
-def _check_grid_horizon(grid: TimeGrid, kernel) -> None:
-    if not math.isclose(grid.T, kernel.T, rel_tol=1e-12):
-        raise ValueError(f"grid horizon {grid.T} does not match kernel horizon {kernel.T}")
 
 
 def _bound_report(lower: np.ndarray, upper: np.ndarray, p: float, bound: float) -> BoundCheckReport:
@@ -568,10 +573,7 @@ def run_blowup_diagnostic(
     slope against log(1/epsilon) and compares it with theta - 1/alpha.
     Medians, not means: the raw integrals have infinite expectation.
     """
-    if n_replicates < 100:
-        raise ValueError("n_replicates must be at least 100 for stable medians")
-    if not theta > 0.0:
-        raise ValueError(f"theta must be > 0, got {theta}")
+    _check_blowup_args(theta, n_replicates)
     if not 1 <= min_level < max_level:
         raise ValueError(f"need 1 <= min_level < max_level, got {min_level}, {max_level}")
     grid = TimeGrid.geometric(T, levels=max_level, q=0.5)
@@ -608,6 +610,13 @@ def run_blowup_diagnostic(
         boundary_inconclusive=abs(expected) <= 1e-9,
         n_replicates=int(n_replicates),
     )
+
+
+def _check_blowup_args(theta: float, n_replicates: int) -> None:
+    if n_replicates < 100:
+        raise ValueError("n_replicates must be at least 100 for stable medians")
+    if not theta > 0.0:
+        raise ValueError(f"theta must be > 0, got {theta}")
 
 
 def _median_with_ci(matrix: np.ndarray):
@@ -679,10 +688,10 @@ def run_ibp_consistency(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    if grid is None:
-        grid = TimeGrid.geometric(T, levels=40, q=0.5)
     kernel = SingularKernel(theta=theta, T=T)
-    _check_grid_horizon(grid, kernel)
+    if grid is None:
+        grid = default_grid(kernel)
+    _check_horizon(grid, T)
     values = sample_path_values(params, grid, _stream(master_seed, 0, 0), n_paths)
     theta_rng = _stream(master_seed, 1, 0).generator()
     random_thetas = 0.05 + theta_rng.random(n_paths) * 4.0

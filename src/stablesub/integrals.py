@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .subordinator import SubordinatorPath
+from .subordinator import SubordinatorPath, TimeGrid
 
 __all__ = [
     "ExpKernel",
@@ -65,7 +65,7 @@ class ExpKernel:
 
     def __post_init__(self) -> None:
         if not self.lam > 0.0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+            raise ValueError(f"lambda must be > 0, got {self.lam}")
         if not self.T > 0.0:
             raise ValueError(f"T must be > 0, got {self.T}")
 
@@ -124,9 +124,10 @@ def _brackets_meet(lower_a, upper_a, lower_b, upper_b, rel_tol: float = 0.0):
         return (lo <= hi) | (lo - hi <= rel_tol * magnitude)
 
 
-def _check_horizon(path: SubordinatorPath, T: float) -> None:
-    if not math.isclose(path.grid.T, T, rel_tol=1e-12, abs_tol=0.0):
-        raise ValueError(f"kernel horizon {T} does not match path horizon {path.grid.T}")
+def _check_horizon(grid: TimeGrid, T: float) -> None:
+    """A kernel on (0, T] needs a grid that ends at T."""
+    if not math.isclose(grid.T, T, rel_tol=1e-12):
+        raise ValueError(f"kernel horizon {T} does not match grid horizon {grid.T}")
 
 
 def _bracket_sums(kernel_at_points: np.ndarray, increments: np.ndarray, *, decreasing: bool):
@@ -162,7 +163,7 @@ def stieltjes_bracket(path: SubordinatorPath, kernel: SingularKernel) -> Integra
     double range; the returned bracket then carries log values and the
     log_scale flag.
     """
-    _check_horizon(path, kernel.T)
+    _check_horizon(path.grid, kernel.T)
     if _needs_log_space(path.grid.epsilon, kernel.theta):
         lower, upper = _log_power_sums(path.grid.points, path.values, kernel.theta)
         return IntegralBracket(float(lower), float(upper), log_scale=True)
@@ -176,7 +177,7 @@ def exp_kernel_integral(path: SubordinatorPath, kernel: ExpKernel) -> IntegralBr
     The integrand increases in t, so left endpoints give the lower sum --
     the opposite orientation to the singular kernel.
     """
-    _check_horizon(path, kernel.T)
+    _check_horizon(path.grid, kernel.T)
     lower, upper = exp_bracket_sums(path.grid.points, path.values, kernel.lam, kernel.T)
     return IntegralBracket(float(lower), float(upper))
 
@@ -213,7 +214,7 @@ def time_integral_bracket(path: SubordinatorPath, kernel: SingularKernel) -> Int
     per cell, at the left endpoint for the lower sum and at the right for the
     upper, which brackets by monotonicity of the path.
     """
-    _check_horizon(path, kernel.T)
+    _check_horizon(path.grid, kernel.T)
     lower, upper = _time_integral_sums(path.grid.points, path.values, kernel.theta)
     return IntegralBracket(float(lower), float(upper))
 
@@ -226,7 +227,7 @@ def ibp_estimate(path: SubordinatorPath, kernel: SingularKernel) -> IntegralBrac
     it must intersect stieltjes_bracket on every path; computing it through
     different arithmetic makes the intersection a real consistency check.
     """
-    _check_horizon(path, kernel.T)
+    _check_horizon(path.grid, kernel.T)
     if _needs_log_space(path.grid.epsilon, kernel.theta):
         # In the overflow regime the signed boundary term cancels
         # catastrophically in log space, so fall back on the exact

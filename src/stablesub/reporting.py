@@ -254,13 +254,9 @@ def _build_scaling(config: ExperimentConfig):
 
 
 def _build_bound(config: ExperimentConfig):
-    if config.experiment == "moment_bound_theta":
-        kernel = SingularKernel(theta=config.theta, T=config.T)
-    else:
-        kernel = ExpKernel(lam=config.lam, T=config.T)
     params = StableParams(config.scalar_alpha())
     grid = config.grid.build(config.T)
-    report = run_moment_check(params, kernel, p=config.p, grid=grid, **_sampling(config))
+    report = run_moment_check(params, config.kernel(), p=config.p, grid=grid, **_sampling(config))
     results = {
         "bound_value": report.bound_value,
         "margin": report.margin,
@@ -304,8 +300,9 @@ def _build_blowup(config: ExperimentConfig):
 
 
 def _build_ibp(config: ExperimentConfig):
+    kernel = config.kernel()
     report = run_ibp_consistency(
-        StableParams(config.scalar_alpha()), theta=config.theta, T=config.T,
+        StableParams(config.scalar_alpha()), theta=kernel.theta, T=kernel.T,
         n_paths=config.n_replicates, master_seed=config.master_seed,
         grid=config.grid.build(config.T),
     )

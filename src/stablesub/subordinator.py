@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 DEFAULT_MASTER_SEED = 12345
+# Default grid shape: 40 geometric levels of ratio 1/2, so epsilon = T * 2^-40.
+DEFAULT_GRID_LEVELS = 40
+DEFAULT_GRID_Q = 0.5
 _TWO64 = 1 << 64
 # Angle clamp for the sine-ratio construction: the ratios overflow at the
 # endpoints of (0, pi).  The induced bias is far below statistical resolution.
@@ -106,7 +109,7 @@ class TimeGrid:
         return float(self.points[0])
 
     @classmethod
-    def geometric(cls, T: float, levels: int, q: float = 0.5) -> "TimeGrid":
+    def geometric(cls, T: float, levels: int, q: float = DEFAULT_GRID_Q) -> "TimeGrid":
         """Points T * q^k for k = levels..0, so epsilon = T * q^levels."""
         if not T > 0.0:
             raise ValueError(f"T must be > 0, got {T}")
@@ -124,7 +127,7 @@ class TimeGrid:
             raise ValueError(f"T must be > 0, got {T}")
         if levels < 1:
             raise ValueError(f"levels must be >= 1, got {levels}")
-        eps = T * 2.0**-40 if epsilon is None else float(epsilon)
+        eps = T * DEFAULT_GRID_Q**DEFAULT_GRID_LEVELS if epsilon is None else float(epsilon)
         if not 0.0 < eps < T:
             raise ValueError(f"epsilon must lie in (0, T), got {eps}")
         pts = np.linspace(eps, T, levels + 1)

@@ -2,10 +2,12 @@
 
 import json
 import math
+import re
 
 import pytest
 from click.testing import CliRunner
 
+import stablesub.subordinator as subordinator
 from stablesub import ConfigError, parse_config, render_config
 from stablesub.cli import main
 from stablesub.config import config_from_mapping
@@ -28,15 +30,17 @@ class TestParseConfig:
         assert config.grid.build(config.T).epsilon == pytest.approx(2.0**-40)
 
     def test_alpha_constraint_message(self):
-        with pytest.raises(ConfigError, match=r"alpha must lie in \(0,1\)"):
+        with pytest.raises(ConfigError, match=r"alpha must lie in \(0, 1\), got 1\.2"):
             parse_config('{"experiment": "laplace_check", "alpha": 1.2}')
 
     def test_theta_threshold_message(self):
-        with pytest.raises(ConfigError, match="theta must be < 1/alpha"):
+        message = r"theta must lie in \(0, 1/alpha\): got theta=2\.5, alpha=0\.5"
+        with pytest.raises(ConfigError, match=message):
             parse_config('{"experiment": "moment_bound_theta", "alpha": 0.5, "theta": 2.5}')
 
     def test_order_message(self):
-        with pytest.raises(ConfigError, match="p must be < alpha"):
+        message = r"p must lie in \(0, alpha\): got p=0\.6, alpha=0\.5"
+        with pytest.raises(ConfigError, match=message):
             parse_config('{"experiment": "scaling", "alpha": 0.5, "p": 0.6}')
 
     def test_unknown_keys_named(self):
@@ -135,7 +139,60 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(main, ["bound-theta", "--alpha", "0.5", "--theta", "2.5"])
         assert result.exit_code == 2
-        assert "theta must be < 1/alpha" in result.output
+        assert "theta must lie in (0, 1/alpha): got theta=2.5, alpha=0.5" in result.output
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("not json", "error: config is not valid JSON"),
+         ("[1]", "error: config must be a JSON object")],
+    )
+    def test_unreadable_config_document(self, tmp_path, text, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        result = CliRunner().invoke(main, ["cdf", "--config", str(config_path)])
+        assert result.exit_code == 2
+        assert message in result.output
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            ("laplace --alpha 1.2", "alpha"),
+            ("laplace --alpha 0", "alpha"),
+            ("scaling --alpha 0.5 --p 0.6", "p"),
+            ("scaling --alpha 0.5 --p -0.1", "p"),
+            ("scaling --alpha 0.5 --times 1 --times -1", "times"),
+            ("scaling", "alpha"),
+            ("bound-theta --alpha 0.5 --theta 2.5", "theta"),
+            ("bound-theta --alpha 0.5 --theta 0", "theta"),
+            ("bound-theta --alpha 0.5 --theta -1", "theta"),
+            ("bound-theta --alpha 0.5 --theta 1 --grid-q 1.5", "grid.q"),
+            ("bound-theta --alpha 0.5 --theta 1 --grid-kind uniform --grid-epsilon 2",
+             "grid.epsilon"),
+            ("bound-theta --alpha 0.03 --theta 30 --p 0.01", "theta"),
+            ("bound-exp --alpha 0.5 --lambda 0", "lambda"),
+            ("bound-exp --alpha 0.5 --lambda 1 --T -1", "T"),
+            ("bound-exp --alpha 0.5 --p 0.25 --grid-levels 0", "grid.levels"),
+            ("blowup --alpha 0.5 --theta 0", "theta"),
+            ("blowup --alpha 0.5 --theta 3 --replicates 50", "n_replicates"),
+            ("blowup --alpha 0.5 --theta 3 --levels 12", "grid.levels"),
+            ("blowup --alpha 0.5", "theta"),
+            ("ibp --alpha 0.5 --theta -1", "theta"),
+            ("ibp --alpha 1.5", "alpha"),
+            ("classify --alpha 1.5 --theta 1", "alpha"),
+            ("classify --alpha 0.5 --theta 0", "c"),  # the exponent's name in --help
+            ("cdf --replicates 1", "n_replicates"),
+            ("cdf --workers 0", "workers"),
+            ("cdf --seed -1", "master_seed"),
+        ],
+    )
+    def test_rejected_before_sampling(self, monkeypatch, args, key):
+        def never(*args):
+            raise AssertionError("sampled before validation")
+
+        monkeypatch.setattr(subordinator, "_standard_stable_draws", never)
+        result = CliRunner().invoke(main, args.split())
+        assert result.exit_code == 2, result.output
+        assert re.search(rf"^error: .*\b{re.escape(key)}\b", result.output), result.output
 
     def test_bound_theta_overflow_regime_is_config_error(self):
         # theta * |ln 2^-40| = 831 > 700: the batched kernel leaves double range.

@@ -32,6 +32,7 @@ from stablesub import (
     run_moment_checks,
     run_scaling_check,
     sample_path_values,
+    sample_standard_stable_batch,
     stieltjes_bracket,
 )
 from stablesub.cli import main
@@ -361,6 +362,29 @@ class TestDistributionChecks:
         monkeypatch.setattr(experiments, "_draw_cell", never)
         with pytest.raises(ValueError, match="p must lie in"):
             run_scaling_check(StableParams(0.5), 0.6, n_replicates=100)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: run_laplace_check(alphas=(0.5, 1.5), n_replicates=1000),
+             r"alpha must lie in \(0, 1\), got 1\.5"),
+            (lambda: run_scaling_check(StableParams(0.5), 0.25, times=(1.0, -1.0),
+                                       n_replicates=1000),
+             r"times must be positive, got -1\.0"),
+        ],
+        ids=["laplace", "scaling"],
+    )
+    def test_every_argument_checked_before_the_first_draw(self, monkeypatch, call, message):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sample_standard_stable_batch(*args)
+
+        monkeypatch.setattr(experiments, "sample_standard_stable_batch", counted)
+        with pytest.raises(ValueError, match=message):
+            call()
+        assert calls == []
 
 
 class TestIbpConsistency:
