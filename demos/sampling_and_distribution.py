@@ -3,6 +3,7 @@
 Run with:  python3 demos/sampling_and_distribution.py
 """
 
+import csv
 import math
 
 import numpy as np
@@ -43,5 +44,8 @@ print(f"  {len(grid)} grid points; S_eps = {path.values[0]:.3e}, S_T = {path.val
 print("  increments are independent with the (dt)^(1/alpha) scaling, so the")
 print("  path is exact in distribution at every grid point simultaneously.")
 
-path.to_csv("demo_path.csv")
+with open("demo_path.csv", "w", newline="", encoding="utf-8") as fh:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["time", "value"])
+    writer.writerows([f"{t:.17g}", f"{v:.17g}"] for t, v in zip(grid.points, path.values))
 print("  wrote demo_path.csv (time,value rows, 17 significant digits)")

@@ -36,11 +36,9 @@ from .integrals import (
     IntegralBracket,
     SingularKernel,
     abel_identity_check,
-    dyadic_block_estimate,
     exp_kernel_integral,
     ibp_estimate,
     stieltjes_bracket,
-    time_integral_bracket,
 )
 from .reporting import (
     ResultRecord,
@@ -65,6 +63,5 @@ from .subordinator import (
     deterministic_path,
     sample_path,
     sample_path_values,
-    sample_standard_stable,
     sample_standard_stable_batch,
 )

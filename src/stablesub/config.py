@@ -83,9 +83,11 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def alphas(self) -> tuple[float, ...]:
-        """Alpha grid: scalars become singletons, None the standard triple."""
+        """Alpha grid: scalars become singletons, None the Laplace check's triple."""
         if self.alpha is None:
-            return (0.3, 0.5, 0.7)
+            from .experiments import LAPLACE_ALPHAS  # see validate_config
+
+            return LAPLACE_ALPHAS
         if isinstance(self.alpha, tuple):
             return self.alpha
         return (self.alpha,)
@@ -284,8 +286,7 @@ def validate_config(config: ExperimentConfig) -> None:
     try:  # build what the run builds, or run the argument checks of its experiment
         SeedSpec(config.master_seed)
         if exp == "laplace_check":
-            for alpha in config.alphas():
-                StableParams(alpha)
+            experiments._check_laplace_args(config.alphas(), config.n_replicates)
         elif exp == "scaling":
             experiments._check_scaling_args(config.alpha, config.p, config.times)
         elif exp in ("moment_bound_theta", "moment_bound_exp"):

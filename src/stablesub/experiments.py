@@ -13,12 +13,12 @@ before averaging.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .integrals import (
     LOG_SPACE_THRESHOLD,
@@ -51,9 +51,12 @@ from .subordinator import (
 )
 
 __all__ = [
+    "ABEL_TOLERANCE",
     "BATCH_SIZE",
     "BoundCheckReport",
     "CdfCheckReport",
+    "LAPLACE_ALPHAS",
+    "LAPLACE_LAMBDAS",
     "LaplaceCell",
     "LaplaceCheckReport",
     "MomentEstimate",
@@ -65,7 +68,6 @@ __all__ = [
     "draw_standard_samples",
     "exp_kernel_moment_bound",
     "ks_distance",
-    "power_integral_diverges",
     "power_kernel_moment_bound",
     "run_blowup_diagnostic",
     "run_cdf_check",
@@ -81,6 +83,12 @@ __all__ = [
 BATCH_SIZE = 4096
 # Batch streams are keyed by replicate_index = (cell << 32) | batch.
 _CELL_SHIFT = 32
+# The Laplace check's (alpha, lambda) grid.
+LAPLACE_ALPHAS = (0.3, 0.5, 0.7)
+LAPLACE_LAMBDAS = (0.5, 1.0, 2.0)
+# Relative slack of the ibp check: rounding, where theta = 0 shrinks both
+# brackets to a point, and the Abel identity's largest discrepancy.
+ABEL_TOLERANCE = 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -145,18 +153,15 @@ class MomentEstimate:
     mean: float
     std_error: float
     n_replicates: int
-    estimator_side: str  # "lower" | "upper"
 
     def __post_init__(self) -> None:
         if self.n_replicates < 2:
             raise ValueError("n_replicates must be >= 2")
-        if self.estimator_side not in ("lower", "upper"):
-            raise ValueError(f"estimator_side must be 'lower' or 'upper', got {self.estimator_side!r}")
         if not self.std_error >= 0.0:
             raise ValueError("std_error must be >= 0")
 
     @classmethod
-    def from_samples(cls, samples: np.ndarray, side: str) -> "MomentEstimate":
+    def from_samples(cls, samples: np.ndarray) -> "MomentEstimate":
         samples = np.asarray(samples, dtype=float)
         n = samples.size
         if n < 2:
@@ -165,7 +170,6 @@ class MomentEstimate:
             mean=float(samples.mean()),
             std_error=float(samples.std(ddof=1) / math.sqrt(n)),
             n_replicates=n,
-            estimator_side=side,
         )
 
 
@@ -273,40 +277,32 @@ class SlopeReport:
 # batched replication machinery
 
 
-def _batch_layout(n_replicates: int) -> list[tuple[int, int]]:
-    """(batch_index, count) pairs covering n_replicates in BATCH_SIZE chunks."""
-    layout = []
-    index = 0
-    remaining = int(n_replicates)
-    while remaining > 0:
-        count = min(BATCH_SIZE, remaining)
-        layout.append((index, count))
-        index += 1
-        remaining -= count
-    return layout
-
-
 def _stream(master_seed: int, cell: int, batch: int) -> SeedSpec:
     return SeedSpec(master_seed, (cell << _CELL_SHIFT) | batch)
 
 
-def _run_batches(task, args_list: list, workers: int) -> list:
-    """Evaluate `task` over `args_list`, preserving order; optionally in processes."""
-    if workers <= 1 or len(args_list) <= 1:
-        return [task(args) for args in args_list]
+def _batch_task(args):
+    """One batch, packed as a single argument for the pool's map."""
+    task, seed, count = args
+    return task(seed, count)
+
+
+def _sample_batches(task, n_replicates: int, master_seed: int, cell: int, workers: int) -> list:
+    """`task(seed, count)` for each BATCH_SIZE batch of a cell's replicates, in order.
+
+    Batch b of cell c draws from the stream _stream(master_seed, c, b).  With
+    more than one worker the batches run in a process pool, so `task` must
+    pickle (a module-level function or a functools.partial of one).
+    """
+    n = int(n_replicates)
+    args = [
+        (task, _stream(master_seed, cell, batch), min(BATCH_SIZE, n - start))
+        for batch, start in enumerate(range(0, n, BATCH_SIZE))
+    ]
+    if workers <= 1 or len(args) <= 1:
+        return [_batch_task(a) for a in args]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, args_list))
-
-
-def _stable_batch_task(args) -> np.ndarray:
-    alpha, master_seed, cell, batch, count = args
-    seed = _stream(master_seed, cell, batch)
-    return sample_standard_stable_batch(StableParams(alpha), seed, count)
-
-
-def _draw_cell(alpha: float, master_seed: int, cell: int, n: int, workers: int) -> np.ndarray:
-    args = [(alpha, master_seed, cell, batch, count) for batch, count in _batch_layout(n)]
-    return np.concatenate(_run_batches(_stable_batch_task, args, workers))
+        return list(pool.map(_batch_task, args))
 
 
 def draw_standard_samples(
@@ -317,14 +313,13 @@ def draw_standard_samples(
     workers: int = 1,
 ) -> np.ndarray:
     """Batched i.i.d. S_1 draws; `cell` separates streams of one experiment."""
-    StableParams(alpha)  # validates alpha before any batch is scheduled
-    return _draw_cell(alpha, master_seed, cell, int(n_replicates), workers)
+    task = functools.partial(sample_standard_stable_batch, StableParams(alpha))
+    return np.concatenate(_sample_batches(task, n_replicates, master_seed, cell, workers))
 
 
-def _bracket_batch_task(args):
+def _kernel_sums(alpha: float, grid: TimeGrid, kernels: tuple, seed: SeedSpec, count: int) -> list:
     """One batch of paths, bracketed under every kernel that shares its stream."""
-    alpha, grid, kernels, master_seed, cell, batch, count = args
-    values = sample_path_values(StableParams(alpha), grid, _stream(master_seed, cell, batch), count)
+    values = sample_path_values(StableParams(alpha), grid, seed, count)
     sums = []
     for kernel in kernels:
         if isinstance(kernel, SingularKernel):
@@ -334,9 +329,9 @@ def _bracket_batch_task(args):
     return sums
 
 
-def _blowup_batch_task(args):
-    alpha, grid, theta, level_columns, master_seed, cell, batch, count = args
-    values = sample_path_values(StableParams(alpha), grid, _stream(master_seed, cell, batch), count)
+def _blowup_sums(alpha: float, grid: TimeGrid, theta: float, level_columns, seed: SeedSpec, count: int):
+    """One batch of paths: the scaled endpoints and truncated lower sums per level."""
+    values = sample_path_values(StableParams(alpha), grid, seed, count)
     pts = grid.points
     endpoint = values[:, level_columns] * pts[level_columns] ** -theta
     terms = np.diff(values, axis=1) * pts[1:] ** -theta
@@ -359,24 +354,21 @@ def default_grid(kernel) -> TimeGrid:
 
 
 def run_laplace_check(
-    alphas=(0.3, 0.5, 0.7),
-    lams=(0.5, 1.0, 2.0),
+    alphas=LAPLACE_ALPHAS,
     n_replicates: int = 100_000,
     master_seed: int = DEFAULT_MASTER_SEED,
     workers: int = 1,
 ) -> LaplaceCheckReport:
-    """Check E e^(-lam S_1) = e^(-lam^alpha) cell by cell, 3-sigma acceptance."""
-    if n_replicates < 2:
-        raise ValueError("n_replicates must be >= 2")
-    for alpha in alphas:
-        StableParams(alpha)  # validates every alpha before the first draw
+    """Check E e^(-lam S_1) = e^(-lam^alpha) cell by cell over alphas x
+    LAPLACE_LAMBDAS, 3-sigma acceptance."""
+    _check_laplace_args(alphas, n_replicates)
     cells = []
     cell_index = 0
     for alpha in alphas:
-        for lam in lams:
-            draws = _draw_cell(alpha, master_seed, cell_index, n_replicates, workers)
+        for lam in LAPLACE_LAMBDAS:
+            draws = draw_standard_samples(alpha, n_replicates, master_seed, cell_index, workers)
             transformed = np.exp(-lam * draws)
-            est = MomentEstimate.from_samples(transformed, "upper")
+            est = MomentEstimate.from_samples(transformed)
             target = math.exp(-(lam**alpha))
             cells.append(
                 LaplaceCell(
@@ -395,6 +387,15 @@ def run_laplace_check(
     )
 
 
+def _check_laplace_args(alphas, n_replicates: int) -> None:
+    if n_replicates < 2:
+        raise ValueError("n_replicates must be >= 2")
+    if not alphas:
+        raise ValueError("alpha must list at least one stability index")
+    for alpha in alphas:
+        StableParams(alpha)
+
+
 def ks_distance(samples: np.ndarray, cdf) -> float:
     """Kolmogorov-Smirnov distance between a sample and a CDF callable."""
     ordered = np.sort(np.asarray(samples, dtype=float))
@@ -409,15 +410,12 @@ def run_cdf_check(
     n_replicates: int = 100_000,
     master_seed: int = DEFAULT_MASTER_SEED,
     workers: int = 1,
-    critical_coefficient: float = 1.63,
 ) -> CdfCheckReport:
-    """KS test of alpha = 1/2 draws against the closed-form CDF erfc(1/(2 sqrt(x))).
-
-    The default coefficient 1.63/sqrt(n) is the asymptotic 1% critical value.
-    """
-    draws = _draw_cell(0.5, master_seed, 0, n_replicates, workers)
+    """KS test of alpha = 1/2 draws against the closed-form CDF erfc(1/(2 sqrt(x))),
+    at the asymptotic 1% critical value 1.63/sqrt(n)."""
+    draws = draw_standard_samples(0.5, n_replicates, master_seed, 0, workers)
     distance = ks_distance(draws, levy_half_cdf)
-    critical = critical_coefficient / math.sqrt(n_replicates)
+    critical = 1.63 / math.sqrt(n_replicates)
     return CdfCheckReport(
         n_replicates=int(n_replicates),
         ks_distance=distance,
@@ -438,9 +436,9 @@ def run_scaling_check(
     reference = frac_moment_closed_form(_check_scaling_args(params.alpha, p, times))
     normalized, errors = [], []
     for cell, t in enumerate(times):
-        draws = _draw_cell(params.alpha, master_seed, cell, n_replicates, workers)
+        draws = draw_standard_samples(params.alpha, n_replicates, master_seed, cell, workers)
         scaled = (t ** (1.0 / params.alpha) * draws) ** p
-        est = MomentEstimate.from_samples(scaled, "upper")
+        est = MomentEstimate.from_samples(scaled)
         norm = t ** (p / params.alpha)
         normalized.append(est.mean / norm)
         errors.append(est.std_error / norm)
@@ -505,13 +503,9 @@ def run_moment_checks(
         kernels.setdefault(kernel, len(kernels))
         members.append(index)
     reports: list = [None] * len(prepared)
-    layout = _batch_layout(n_replicates)
     for (alpha, _), (grid, kernels, members) in groups.items():
-        args = [
-            (alpha, grid, tuple(kernels), master_seed, 0, batch, count)
-            for batch, count in layout
-        ]
-        parts = _run_batches(_bracket_batch_task, args, workers)
+        task = functools.partial(_kernel_sums, alpha, grid, tuple(kernels))
+        parts = _sample_batches(task, n_replicates, master_seed, 0, workers)
         for index in members:
             _, _, kernel, p, bound = prepared[index]
             slot = kernels[kernel]
@@ -544,8 +538,8 @@ def _moment_cell(params: StableParams, kernel, p: float, grid: TimeGrid | None):
 
 
 def _bound_report(lower: np.ndarray, upper: np.ndarray, p: float, bound: float) -> BoundCheckReport:
-    est_upper = MomentEstimate.from_samples(upper**p, "upper")
-    est_lower = MomentEstimate.from_samples(lower**p, "lower")
+    est_upper = MomentEstimate.from_samples(upper**p)
+    est_lower = MomentEstimate.from_samples(lower**p)
     margin = bound - (est_upper.mean + 3.0 * est_upper.std_error)
     return BoundCheckReport(
         estimate=est_upper,
@@ -579,11 +573,8 @@ def run_blowup_diagnostic(
     grid = TimeGrid.geometric(T, levels=max_level, q=0.5)
     levels = np.arange(min_level, max_level + 1)
     level_columns = max_level - levels  # grid index of epsilon_j = T * 2^-j
-    args = [
-        (params.alpha, grid, theta, level_columns, master_seed, 0, batch, count)
-        for batch, count in _batch_layout(n_replicates)
-    ]
-    parts = _run_batches(_blowup_batch_task, args, workers)
+    task = functools.partial(_blowup_sums, params.alpha, grid, theta, level_columns)
+    parts = _sample_batches(task, n_replicates, master_seed, 0, workers)
     endpoint = np.concatenate([part[0] for part in parts], axis=0)
     lower_sums = np.concatenate([part[1] for part in parts], axis=0)
     epsilons = grid.points[level_columns]
@@ -673,12 +664,11 @@ def run_ibp_consistency(
     n_paths: int = 1000,
     master_seed: int = DEFAULT_MASTER_SEED,
     grid: TimeGrid | None = None,
-    abel_tolerance: float = 1e-10,
 ) -> IbpConsistencyReport:
     """Check that both bracket routes enclose the same truncated integral.
 
     On every sampled path the endpoint-sum bracket and the
-    boundary-plus-time-integral bracket must intersect (up to abel_tolerance
+    boundary-plus-time-integral bracket must intersect (up to ABEL_TOLERANCE
     of their magnitude, which absorbs rounding where theta = 0 shrinks both
     to a point), and the discrete summation-by-parts identity must hold to
     rounding accuracy, each with an independently drawn exponent.  Paths are
@@ -710,7 +700,7 @@ def run_ibp_consistency(
             via_parts = ibp_bracket_sums(pts, chunk, theta)
         IntegralBracket.check_rows(*direct)
         IntegralBracket.check_rows(*via_parts)
-        all_intersect &= bool(np.all(_brackets_meet(*direct, *via_parts, abel_tolerance)))
+        all_intersect &= bool(np.all(_brackets_meet(*direct, *via_parts, ABEL_TOLERANCE)))
         abel.append(_abel_discrepancies(pts, chunk, random_thetas[start : start + BATCH_SIZE]))
     # np.max passes a NaN discrepancy through, so it fails the tolerance test.
     max_abel = float(np.max(np.concatenate(abel)))
@@ -733,7 +723,7 @@ def run_ibp_consistency(
         n_paths=int(n_paths),
         all_brackets_intersect=all_intersect,
         max_abel_discrepancy=max_abel,
-        abel_identity=max_abel <= abel_tolerance,
+        abel_identity=max_abel <= ABEL_TOLERANCE,
         det_power_bracket=(power_bracket.lower, power_bracket.upper),
         det_power_target=power_target,
         det_exp_bracket=(exp_bracket.lower, exp_bracket.upper),
@@ -743,28 +733,3 @@ def run_ibp_consistency(
         ),
         convergence_rows=tuple(rows),
     )
-
-
-# --------------------------------------------------------------------------
-# numeric companion to the analytic classifier (the tests check one against the other)
-
-
-def power_integral_diverges(alpha: float, c: float, shells: int = 12, shell_factor: float = 2.0**-8) -> bool:
-    """Numeric convergence classification of int_delta^1 t^(-c*alpha) dt as delta -> 0.
-
-    Integrates shell by shell over [f^(k+1), f^k] with adaptive quadrature and
-    declares divergence when the shell contributions fail to decay.  This is
-    the independent check that classify_power_kernel is wired the right way
-    around.
-    """
-    exponent = c * alpha
-    contributions = []
-    hi = 1.0
-    for _ in range(shells):
-        lo = hi * shell_factor
-        value = integrate.quad(lambda t: t**-exponent, lo, hi, limit=200)[0]
-        contributions.append(value)
-        hi = lo
-    # Convergent integrals have geometrically decaying shells; divergent ones
-    # have flat (exponent 1) or growing shells.
-    return contributions[-1] > 0.5 * contributions[0]

@@ -23,14 +23,12 @@ __all__ = [
     "LOG_SPACE_THRESHOLD",
     "SingularKernel",
     "abel_identity_check",
-    "dyadic_block_estimate",
     "exp_bracket_sums",
     "exp_kernel_integral",
     "ibp_bracket_sums",
     "ibp_estimate",
     "power_bracket_sums",
     "stieltjes_bracket",
-    "time_integral_bracket",
 ]
 
 # Natural-log scale beyond which epsilon^(-theta) leaves double range and the
@@ -207,18 +205,6 @@ def ibp_bracket_sums(points: np.ndarray, values: np.ndarray, theta: float):
     return boundary + theta * lower, boundary + theta * upper
 
 
-def time_integral_bracket(path: SubordinatorPath, kernel: SingularKernel) -> IntegralBracket:
-    """Bracket of int_epsilon^T t^(-theta-1) S_t dt.
-
-    The cell integral of t^(-theta-1) is exact; only the path value is frozen
-    per cell, at the left endpoint for the lower sum and at the right for the
-    upper, which brackets by monotonicity of the path.
-    """
-    _check_horizon(path.grid, kernel.T)
-    lower, upper = _time_integral_sums(path.grid.points, path.values, kernel.theta)
-    return IntegralBracket(float(lower), float(upper))
-
-
 def ibp_estimate(path: SubordinatorPath, kernel: SingularKernel) -> IntegralBracket:
     """Boundary-terms-plus-time-integral route to the same enclosure.
 
@@ -259,24 +245,6 @@ def abel_identity_check(path: SubordinatorPath, kernel: SingularKernel) -> float
     """
     rows = _abel_discrepancies(path.grid.points, path.values[None, :], np.array([kernel.theta]))
     return float(rows[0])
-
-
-def dyadic_block_estimate(path: SubordinatorPath, kernel: SingularKernel, p: float) -> float:
-    """Per-path sum of p-th powers of halving-block majorants.
-
-    On the grid {T/2^k} each cell [T/2^{k+1}, T/2^k] majorizes its
-    contribution to int t^(-theta-1) S_t dt by (left-endpoint kernel) x
-    (right-endpoint value) x (cell length).  For p in (0, 1] the sum of p-th
-    powers of the majorants dominates the p-th power of the whole time
-    integral pathwise.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    if not (path.grid.kind == "geometric" and path.grid.q == 0.5):
-        raise ValueError("dyadic block estimate requires a geometric grid with ratio 1/2")
-    pts, vals = path.grid.points, path.values
-    blocks = pts[:-1] ** (-kernel.theta - 1.0) * vals[1:] * (pts[1:] - pts[:-1])
-    return float(np.sum(blocks**p))
 
 
 def _needs_log_space(epsilon: float, theta: float) -> bool:

@@ -347,7 +347,7 @@ def _oracle_chain_section(cap, seed, workers):
                 closed = frac_moment_closed_form(query)
                 max_rel = max(max_rel, abs(frac_moment_quadrature(query) - closed) / closed)
     draws = draw_standard_samples(0.5, min(1_000_000, cap * 10), seed, cell=90, workers=workers)
-    estimate = MomentEstimate.from_samples(draws**0.25, "upper")
+    estimate = MomentEstimate.from_samples(draws**0.25)
     oracle = frac_moment_closed_form(FracMomentQuery(0.5, 0.25, 1.0))
     verdicts = _verdicts(
         quadrature_agrees_closed_form=max_rel <= 1e-6,

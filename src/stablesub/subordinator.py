@@ -8,7 +8,6 @@ distributional requirement.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ __all__ = [
     "deterministic_path",
     "sample_path",
     "sample_path_values",
-    "sample_standard_stable",
     "sample_standard_stable_batch",
 ]
 
@@ -70,9 +68,6 @@ class SeedSpec:
             if not (isinstance(value, (int, np.integer)) and 0 <= int(value) < _TWO64):
                 raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
-    def child(self, replicate_index: int) -> "SeedSpec":
-        return SeedSpec(self.master_seed, replicate_index)
-
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.replicate_index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
@@ -83,8 +78,6 @@ class TimeGrid:
     """Strictly increasing sampling times in (0, T]; the first point is epsilon."""
 
     points: np.ndarray
-    kind: str = "custom"
-    q: float | None = None
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=float)
@@ -118,7 +111,7 @@ class TimeGrid:
         if levels < 1:
             raise ValueError(f"levels must be >= 1, got {levels}")
         pts = T * q ** np.arange(levels, -1, -1, dtype=float)
-        return cls(points=pts, kind="geometric", q=float(q))
+        return cls(points=pts)
 
     @classmethod
     def uniform(cls, T: float, levels: int, epsilon: float | None = None) -> "TimeGrid":
@@ -132,7 +125,7 @@ class TimeGrid:
             raise ValueError(f"epsilon must lie in (0, T), got {eps}")
         pts = np.linspace(eps, T, levels + 1)
         pts[0], pts[-1] = eps, T
-        return cls(points=pts, kind="uniform", q=None)
+        return cls(points=pts)
 
     def refined(self, factor: int = 2) -> "TimeGrid":
         """Split every cell into `factor` equal parts; epsilon and T unchanged."""
@@ -144,7 +137,7 @@ class TimeGrid:
         step = (self.points[1:] - left) / factor
         inner = left[:, None] + step[:, None] * np.arange(factor, dtype=float)[None, :]
         pts = np.append(inner.ravel(), self.points[-1])
-        return TimeGrid(points=pts, kind="refined", q=None)
+        return TimeGrid(points=pts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,24 +173,6 @@ class SubordinatorPath:
                 raise ValueError("process values must be nonnegative")
             raise ValueError("process values must be nondecreasing")
 
-    def increments(self) -> np.ndarray:
-        """Increment over each grid cell (excludes the initial jump from 0)."""
-        return np.diff(self.values)
-
-    def to_csv(self, target) -> None:
-        """One row per grid point: time,value with 17 significant digits."""
-        if hasattr(target, "write"):
-            self._write_csv(target)
-        else:
-            with open(target, "w", newline="", encoding="utf-8") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "value"])
-        for t, v in zip(self.grid.points, self.values):
-            writer.writerow([f"{t:.17g}", f"{v:.17g}"])
-
 
 def _standard_stable_draws(alpha: float, rng: np.random.Generator, shape) -> np.ndarray:
     """i.i.d. draws with Laplace transform exp(-lam^alpha), lam > 0.
@@ -225,11 +200,6 @@ def _standard_stable_draws(alpha: float, rng: np.random.Generator, shape) -> np.
         * np.sin((1.0 - alpha) * u) ** (inv - 1.0)
         / (np.sin(u) ** inv * w ** (inv - 1.0))
     )
-
-
-def sample_standard_stable(params: StableParams, seed: SeedSpec) -> float:
-    """One draw of the time-1 value S_1."""
-    return float(_standard_stable_draws(params.alpha, seed.generator(), 1)[0])
 
 
 def sample_standard_stable_batch(params: StableParams, seed: SeedSpec, size: int) -> np.ndarray:

@@ -141,6 +141,14 @@ class TestCli:
         assert result.exit_code == 2
         assert "theta must lie in (0, 1/alpha): got theta=2.5, alpha=0.5" in result.output
 
+    def test_laplace_rejects_an_empty_alpha_list(self, tmp_path):
+        # Zero cells would otherwise pass the laplace verdict on nothing.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"alpha": []}))
+        result = CliRunner().invoke(main, ["laplace", "--config", str(config_path)])
+        assert result.exit_code == 2, result.output
+        assert re.search(r"^error: .*\balpha\b", result.output), result.output
+
     @pytest.mark.parametrize(
         "text, message",
         [("not json", "error: config is not valid JSON"),

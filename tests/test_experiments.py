@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from click.testing import CliRunner
 
@@ -36,12 +37,33 @@ from stablesub import (
     stieltjes_bracket,
 )
 from stablesub.cli import main
-from stablesub.experiments import BATCH_SIZE, default_grid, power_integral_diverges
+from stablesub.experiments import BATCH_SIZE, default_grid
 from stablesub.integrals import _brackets_meet, ibp_bracket_sums, power_bracket_sums
 
 # Frozen with mpmath from E S_1^0.25 = Gamma(0.5)/Gamma(0.75) at alpha = 1/2.
 BOUND_THETA_REF = 11.811069891303610336  # (alpha, theta, p, T) = (0.5, 1, 0.25, 1)
 BOUND_EXP_REF = 6.5389430609918908993  # (alpha, p, lam) = (0.5, 0.25, 1)
+
+
+def power_integral_diverges(alpha: float, c: float, shells: int = 12, shell_factor: float = 2.0**-8) -> bool:
+    """Numeric convergence classification of int_delta^1 t^(-c*alpha) dt as delta -> 0.
+
+    Integrates shell by shell over [f^(k+1), f^k] with adaptive quadrature and
+    declares divergence when the shell contributions fail to decay.  This is
+    the independent check that classify_power_kernel is wired the right way
+    around.
+    """
+    exponent = c * alpha
+    contributions = []
+    hi = 1.0
+    for _ in range(shells):
+        lo = hi * shell_factor
+        value = integrate.quad(lambda t: t**-exponent, lo, hi, limit=200)[0]
+        contributions.append(value)
+        hi = lo
+    # Convergent integrals have geometrically decaying shells; divergent ones
+    # have flat (exponent 1) or growing shells.
+    return contributions[-1] > 0.5 * contributions[0]
 
 
 class TestClosedFormBounds:
@@ -128,16 +150,14 @@ class TestClassifier:
 
 class TestMomentEstimate:
     def test_from_samples(self):
-        est = MomentEstimate.from_samples(np.array([1.0, 2.0, 3.0, 4.0]), "upper")
+        est = MomentEstimate.from_samples(np.array([1.0, 2.0, 3.0, 4.0]))
         assert est.mean == pytest.approx(2.5)
         assert est.std_error == pytest.approx(np.std([1, 2, 3, 4], ddof=1) / 2.0)
         assert est.n_replicates == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MomentEstimate.from_samples(np.array([1.0]), "upper")
-        with pytest.raises(ValueError):
-            MomentEstimate(mean=1.0, std_error=0.1, n_replicates=10, estimator_side="middle")
+            MomentEstimate.from_samples(np.array([1.0]))
 
 
 class TestMomentChecks:
@@ -150,8 +170,6 @@ class TestMomentChecks:
         assert report.bound_value == pytest.approx(BOUND_THETA_REF, rel=1e-12)
         # x^p is monotone, so the bracket sides stay ordered in the mean
         assert report.lower_estimate.mean <= report.estimate.mean
-        assert report.estimate.estimator_side == "upper"
-        assert report.lower_estimate.estimator_side == "lower"
         # bracket tightness: side difference well inside the bound margin
         assert report.estimate.mean - report.lower_estimate.mean < report.margin
 
@@ -216,7 +234,7 @@ class TestGroupedMomentChecks:
             lower.append(lo)
             upper.append(up)
         report = run_moment_checks(self.CELLS, self.N, self.SEED)[0]
-        expected = MomentEstimate.from_samples(np.concatenate(upper) ** p, "upper")
+        expected = MomentEstimate.from_samples(np.concatenate(upper) ** p)
         assert report.estimate == expected
         assert report.lower_estimate.mean == np.mean(np.concatenate(lower) ** p)
 
@@ -244,7 +262,8 @@ class TestGroupedMomentChecks:
 
         def counting_sample(params, grid, seed, n_paths):
             if inside:
-                calls.append((params.alpha, grid.kind, grid.T, seed.replicate_index))
+                kind = "geometric" if grid.points[1] == 2.0 * grid.epsilon else "uniform"
+                calls.append((params.alpha, kind, grid.T, seed.replicate_index))
             return real_sample(params, grid, seed, n_paths)
 
         def moment_section(*args, **kwargs):
@@ -359,7 +378,7 @@ class TestDistributionChecks:
         def never(*args):
             raise AssertionError("sampled before validation")
 
-        monkeypatch.setattr(experiments, "_draw_cell", never)
+        monkeypatch.setattr(experiments, "sample_standard_stable_batch", never)
         with pytest.raises(ValueError, match="p must lie in"):
             run_scaling_check(StableParams(0.5), 0.6, n_replicates=100)
 
@@ -368,11 +387,14 @@ class TestDistributionChecks:
         [
             (lambda: run_laplace_check(alphas=(0.5, 1.5), n_replicates=1000),
              r"alpha must lie in \(0, 1\), got 1\.5"),
+            # Zero cells would otherwise pass the laplace verdict on nothing.
+            (lambda: run_laplace_check(alphas=(), n_replicates=1000),
+             r"alpha must list at least one stability index"),
             (lambda: run_scaling_check(StableParams(0.5), 0.25, times=(1.0, -1.0),
                                        n_replicates=1000),
              r"times must be positive, got -1\.0"),
         ],
-        ids=["laplace", "scaling"],
+        ids=["laplace", "laplace_empty", "scaling"],
     )
     def test_every_argument_checked_before_the_first_draw(self, monkeypatch, call, message):
         calls = []

@@ -15,14 +15,12 @@ from stablesub import (
     TimeGrid,
     abel_identity_check,
     deterministic_path,
-    dyadic_block_estimate,
     exp_kernel_integral,
     frac_moment_closed_form,
     ibp_estimate,
     sample_path,
     sample_path_values,
     stieltjes_bracket,
-    time_integral_bracket,
 )
 from stablesub.integrals import (
     IntegralBracket,
@@ -122,8 +120,8 @@ class TestBracketValidity:
             assert b.lower <= b.upper
             e = exp_kernel_integral(path, ExpKernel(lam=0.1 + 3.0 * rng.random(), T=1.0))
             assert e.lower <= e.upper
-            t = time_integral_bracket(path, SingularKernel(theta=theta, T=1.0))
-            assert t.lower <= t.upper
+            t_lower, t_upper = _time_integral_sums(path.grid.points, path.values, theta)
+            assert t_lower <= t_upper
 
     def test_brackets_enclose_fine_resolution_value(self):
         # The bracket from the coarse view of a path must contain the sums
@@ -239,9 +237,9 @@ class TestRowWiseCores:
         for i, row in enumerate(self.VALUES):
             path = SubordinatorPath(grid=GRID, values=row)
             one_lower, one_upper = one_row_time_integral(pts, row, theta)
-            time_part = time_integral_bracket(path, kernel)
-            assert (time_part.lower, time_part.upper) == (time_lower[i], time_upper[i])
-            assert (time_part.lower, time_part.upper) == (one_lower, one_upper)
+            time_part = _time_integral_sums(pts, row, theta)
+            assert time_part == (time_lower[i], time_upper[i])
+            assert time_part == (one_lower, one_upper)
             ibp = ibp_estimate(path, kernel)
             assert (ibp.lower, ibp.upper) == (ibp_lower[i], ibp_upper[i])
             boundary = 1.0**-theta * row[-1] - GRID.epsilon**-theta * row[0]
@@ -314,7 +312,7 @@ class TestLogSpaceGuard:
         assert bracket.log_scale
         assert bracket.lower <= bracket.upper
         # cross-check the log-space sum against a high-headroom direct sum
-        inc = path.increments().astype(np.longdouble)
+        inc = np.diff(path.values).astype(np.longdouble)
         pts = path.grid.points.astype(np.longdouble)
         direct = np.log(np.sum(pts[1:] ** np.longdouble(-30.0) * inc))
         assert float(direct) == pytest.approx(bracket.lower, rel=1e-10)
@@ -326,44 +324,18 @@ class TestLogSpaceGuard:
 
 
 class TestDyadicBlocks:
-    def test_requires_halving_grid(self):
-        path = deterministic_path(TimeGrid.uniform(1.0, levels=8, epsilon=0.1))
-        with pytest.raises(ValueError):
-            dyadic_block_estimate(path, SingularKernel(theta=1.0, T=1.0), 0.25)
-
-    def test_identity_path_closed_form(self):
-        # With S_t = t each block term is (2^(k+1) theta-power * 2^-k)^p.
-        theta, p = 0.5, 0.5
-        det = deterministic_path(GRID)
-        expected = sum(
-            (2.0 ** ((k + 1) * theta) * 2.0**-k) ** p for k in range(len(GRID) - 1)
-        )
-        value = dyadic_block_estimate(det, SingularKernel(theta=theta, T=1.0), p)
-        assert value == pytest.approx(expected, rel=1e-12)
-
-    def test_order_zero_limit_counts_blocks(self):
-        det = deterministic_path(GRID)
-        value = dyadic_block_estimate(det, SingularKernel(theta=1.0, T=1.0), 1e-9)
-        assert value == pytest.approx(len(GRID) - 1, rel=1e-6)
-
-    def test_dominates_time_integral_pathwise(self):
-        theta, p = 1.0, 0.2
-        kernel = SingularKernel(theta=theta, T=1.0)
-        for path in random_paths(500, master=1011):
-            blocks = dyadic_block_estimate(path, kernel, p)
-            time_part = time_integral_bracket(path, kernel)
-            assert blocks >= time_part.upper**p
-
     def test_mc_mean_matches_block_moment_series(self):
         # E sum_k (block majorant)^p equals the partial sum of the scaled
         # geometric series with ratio 2^(p (theta - 1/alpha)); p < alpha/2
         # keeps the variance finite so a 4-sigma band is meaningful.
+        # Each cell [T/2^(k+1), T/2^k] majorizes its share of
+        # int t^(-theta-1) S_t dt by (left-endpoint kernel) x (right-endpoint
+        # value) x (cell length).
         theta, p, alpha = 1.0, 0.2, 0.5
-        kernel = SingularKernel(theta=theta, T=1.0)
-        samples = [
-            dyadic_block_estimate(path, kernel, p)
-            for path in random_paths(3000, alpha=alpha, master=1013)
-        ]
+        values = sample_path_values(StableParams(alpha), GRID, SeedSpec(1013, 0), 3000)
+        pts = GRID.points
+        blocks = pts[:-1] ** (-theta - 1.0) * values[:, 1:] * np.diff(pts)
+        samples = np.sum(blocks**p, axis=1)
         mean = np.mean(samples)
         se = np.std(samples, ddof=1) / math.sqrt(len(samples))
         moment = frac_moment_closed_form(FracMomentQuery(alpha, p, 1.0))

@@ -6,6 +6,7 @@ import pytest
 
 from stablesub import (
     FracMomentQuery,
+    QuadratureError,
     frac_moment_closed_form,
     frac_moment_quadrature,
     gamma_fn,
@@ -60,6 +61,12 @@ class TestFracMoment:
             FracMomentQuery(alpha=1.2, p=0.3, t=1.0)
         with pytest.raises(ValueError):
             FracMomentQuery(alpha=0.5, p=0.25, t=0.0)
+
+    def test_quadrature_error_carries_achieved_accuracy(self):
+        # QUADPACK stops near 3e-12 relative error; 1e-30 is out of reach.
+        with pytest.raises(QuadratureError, match="reached relative error") as info:
+            frac_moment_quadrature(FracMomentQuery(0.5, 0.25), rel_tol=1e-30)
+        assert 1e-30 < info.value.achieved < 1e-10
 
     def test_closed_form_reference_cell(self):
         q = FracMomentQuery(0.5, 0.25, 1.0)
