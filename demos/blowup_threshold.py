@@ -33,7 +33,7 @@ print(f"  fitted slope {rep.fitted_slope:+.4f}, inconclusive: {rep.boundary_inco
 print("\nSubcritical theta = 1: deepening the truncation from 2^-10 to 2^-40")
 print("adds vanishing mass and the truncated lower sums stabilize:")
 rep = run_blowup_diagnostic(
-    params, theta=1.0, min_level=10, max_level=40, n_replicates=4000, master_seed=7
+    params, theta=1.0, max_level=40, n_replicates=4000, master_seed=7
 )
 for eps, median in list(zip(rep.epsilons, rep.lower_sum_medians))[::6]:
     print(f"  eps = 2^-{int(round(-math.log2(eps))):>2}: median lower sum {median:.6f}")

@@ -268,13 +268,15 @@ def validate_config(config: ExperimentConfig) -> None:
         config.scalar_alpha()
     if exp == "cdf_check" and config.alpha != 0.5:
         raise ConfigError("alpha must be 0.5 for cdf_check (the closed-form comparison law)")
-    if exp == "blowup" and grid.levels < 15:
-        raise ConfigError("grid.levels must be >= 15 for blowup (epsilon levels start at 2^-10)")
+    if exp == "blowup":
+        # The diagnostic reads only the depth: its grid halves down to T * 2^-levels.
+        for key in ("kind", "q", "epsilon"):
+            value = getattr(grid, key)
+            if value != getattr(GridConfig(), key):
+                raise ConfigError(f"grid.{key} must keep its default for blowup, got {value!r}")
     if exp in _GRID_EXPERIMENTS:
-        # blowup reads only the depth: its grid halves down to T * 2^-levels.
-        shape = GridConfig(levels=grid.levels) if exp == "blowup" else grid
         try:
-            grid = shape.build(config.T)
+            grid = grid.build(config.T)
         except ValueError as exc:
             raise ConfigError(f"grid: {exc}") from exc
 
@@ -291,9 +293,11 @@ def validate_config(config: ExperimentConfig) -> None:
             experiments._check_scaling_args(config.alpha, config.p, config.times)
         elif exp in ("moment_bound_theta", "moment_bound_exp"):
             experiments._moment_cell(StableParams(config.alpha), config.kernel(), config.p, grid)
+        elif exp == "cdf_check":
+            experiments._check_cdf_args(config.n_replicates)
         elif exp == "blowup":
             StableParams(config.alpha)
-            experiments._check_blowup_args(config.theta, config.n_replicates)
+            experiments._check_blowup_args(config.theta, config.n_replicates, config.grid.levels)
         elif exp == "ibp_consistency":
             StableParams(config.alpha)
             config.kernel()

@@ -86,6 +86,8 @@ _CELL_SHIFT = 32
 # The Laplace check's (alpha, lambda) grid.
 LAPLACE_ALPHAS = (0.3, 0.5, 0.7)
 LAPLACE_LAMBDAS = (0.5, 1.0, 2.0)
+# Blowup's epsilon levels run from T * 2^-BLOWUP_MIN_LEVEL down to T * 2^-max_level.
+BLOWUP_MIN_LEVEL = 10
 # Relative slack of the ibp check: rounding, where theta = 0 shrinks both
 # brackets to a point, and the Abel identity's largest discrepancy.
 ABEL_TOLERANCE = 1e-10
@@ -295,6 +297,8 @@ def _sample_batches(task, n_replicates: int, master_seed: int, cell: int, worker
     pickle (a module-level function or a functools.partial of one).
     """
     n = int(n_replicates)
+    if n < 1:
+        raise ValueError(f"n_replicates must be >= 1, got {n}")
     args = [
         (task, _stream(master_seed, cell, batch), min(BATCH_SIZE, n - start))
         for batch, start in enumerate(range(0, n, BATCH_SIZE))
@@ -339,6 +343,23 @@ def _blowup_sums(alpha: float, grid: TimeGrid, theta: float, level_columns, seed
     # Truncating at the last grid point leaves an empty sum.
     suffix = np.concatenate([suffix, np.zeros((suffix.shape[0], 1))], axis=1)
     return endpoint, suffix[:, level_columns]
+
+
+def _ibp_sums(alpha: float, grid: TimeGrid, theta: float, seed: SeedSpec, count: int):
+    """One batch: do both bracket routes meet on every row, and the rows' Abel discrepancies."""
+    values = sample_path_values(StableParams(alpha), grid, seed, count)
+    SubordinatorPath.check_rows(values)
+    if _needs_log_space(grid.epsilon, theta):
+        # Both routes reduce to the same log-space sums (see ibp_estimate).
+        direct = via_parts = _log_power_sums(grid.points, values, theta)
+    else:
+        direct = power_bracket_sums(grid.points, values, theta)
+        via_parts = ibp_bracket_sums(grid.points, values, theta)
+    IntegralBracket.check_rows(*direct)
+    IntegralBracket.check_rows(*via_parts)
+    meet = bool(np.all(_brackets_meet(*direct, *via_parts, ABEL_TOLERANCE)))
+    probes = _stream(seed.master_seed, 1, seed.replicate_index).generator().random(count)
+    return meet, _abel_discrepancies(grid.points, values, 0.05 + probes * 4.0)
 
 
 # --------------------------------------------------------------------------
@@ -413,6 +434,7 @@ def run_cdf_check(
 ) -> CdfCheckReport:
     """KS test of alpha = 1/2 draws against the closed-form CDF erfc(1/(2 sqrt(x))),
     at the asymptotic 1% critical value 1.63/sqrt(n)."""
+    _check_cdf_args(n_replicates)
     draws = draw_standard_samples(0.5, n_replicates, master_seed, 0, workers)
     distance = ks_distance(draws, levy_half_cdf)
     critical = 1.63 / math.sqrt(n_replicates)
@@ -422,6 +444,12 @@ def run_cdf_check(
         critical_value=critical,
         passed=distance < critical,
     )
+
+
+def _check_cdf_args(n_replicates: int) -> None:
+    # Below three draws 1.63/sqrt(n) >= 1 exceeds every KS distance: a pass on nothing.
+    if n_replicates < 3:
+        raise ValueError(f"n_replicates must be >= 3 for the KS test, got {n_replicates}")
 
 
 def run_scaling_check(
@@ -554,7 +582,6 @@ def run_blowup_diagnostic(
     params: StableParams,
     theta: float,
     T: float = 1.0,
-    min_level: int = 10,
     max_level: int = 30,
     n_replicates: int = 10_000,
     master_seed: int = DEFAULT_MASTER_SEED,
@@ -567,11 +594,9 @@ def run_blowup_diagnostic(
     slope against log(1/epsilon) and compares it with theta - 1/alpha.
     Medians, not means: the raw integrals have infinite expectation.
     """
-    _check_blowup_args(theta, n_replicates)
-    if not 1 <= min_level < max_level:
-        raise ValueError(f"need 1 <= min_level < max_level, got {min_level}, {max_level}")
+    _check_blowup_args(theta, n_replicates, max_level)
     grid = TimeGrid.geometric(T, levels=max_level, q=0.5)
-    levels = np.arange(min_level, max_level + 1)
+    levels = np.arange(BLOWUP_MIN_LEVEL, max_level + 1)
     level_columns = max_level - levels  # grid index of epsilon_j = T * 2^-j
     task = functools.partial(_blowup_sums, params.alpha, grid, theta, level_columns)
     parts = _sample_batches(task, n_replicates, master_seed, 0, workers)
@@ -603,11 +628,15 @@ def run_blowup_diagnostic(
     )
 
 
-def _check_blowup_args(theta: float, n_replicates: int) -> None:
+def _check_blowup_args(theta: float, n_replicates: int, max_level: int) -> None:
     if n_replicates < 100:
         raise ValueError("n_replicates must be at least 100 for stable medians")
     if not theta > 0.0:
         raise ValueError(f"theta must be > 0, got {theta}")
+    if max_level < BLOWUP_MIN_LEVEL + 5:  # the slope fit takes at least six levels
+        raise ValueError(
+            f"grid.levels (max_level) must be >= {BLOWUP_MIN_LEVEL + 5} for blowup, got {max_level}"
+        )
 
 
 def _median_with_ci(matrix: np.ndarray):
@@ -672,36 +701,16 @@ def run_ibp_consistency(
     of their magnitude, which absorbs rounding where theta = 0 shrinks both
     to a point), and the discrete summation-by-parts identity must hold to
     rounding accuracy, each with an independently drawn exponent.  Paths are
-    checked in row chunks of BATCH_SIZE.  Deterministic-path anchors pin the
-    estimators to classical integrals, and a midpoint-refinement sweep
+    sampled and checked one batch at a time.  Deterministic-path anchors pin
+    the estimators to classical integrals, and a midpoint-refinement sweep
     records how the deterministic bracket tightens.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
     kernel = SingularKernel(theta=theta, T=T)
     if grid is None:
         grid = default_grid(kernel)
     _check_horizon(grid, T)
-    values = sample_path_values(params, grid, _stream(master_seed, 0, 0), n_paths)
-    theta_rng = _stream(master_seed, 1, 0).generator()
-    random_thetas = 0.05 + theta_rng.random(n_paths) * 4.0
-    log_space = _needs_log_space(grid.epsilon, theta)
-    pts = grid.points
-    all_intersect = True
-    abel = []
-    for start in range(0, n_paths, BATCH_SIZE):
-        chunk = values[start : start + BATCH_SIZE]
-        SubordinatorPath.check_rows(chunk)
-        if log_space:
-            # Both routes reduce to the same log-space sums (see ibp_estimate).
-            direct = via_parts = _log_power_sums(pts, chunk, theta)
-        else:
-            direct = power_bracket_sums(pts, chunk, theta)
-            via_parts = ibp_bracket_sums(pts, chunk, theta)
-        IntegralBracket.check_rows(*direct)
-        IntegralBracket.check_rows(*via_parts)
-        all_intersect &= bool(np.all(_brackets_meet(*direct, *via_parts, ABEL_TOLERANCE)))
-        abel.append(_abel_discrepancies(pts, chunk, random_thetas[start : start + BATCH_SIZE]))
+    task = functools.partial(_ibp_sums, params.alpha, grid, theta)
+    meets, abel = zip(*_sample_batches(task, n_paths, master_seed, 0, 1))
     # np.max passes a NaN discrepancy through, so it fails the tolerance test.
     max_abel = float(np.max(np.concatenate(abel)))
 
@@ -721,7 +730,7 @@ def run_ibp_consistency(
 
     return IbpConsistencyReport(
         n_paths=int(n_paths),
-        all_brackets_intersect=all_intersect,
+        all_brackets_intersect=all(meets),
         max_abel_discrepancy=max_abel,
         abel_identity=max_abel <= ABEL_TOLERANCE,
         det_power_bracket=(power_bracket.lower, power_bracket.upper),

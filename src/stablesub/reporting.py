@@ -421,7 +421,7 @@ def _blowup_slopes_section(cap, seed, workers):
 def _stabilization_section(cap, seed, workers):
     """Finiteness stabilization of the truncated lower sums (theta < 1/alpha)."""
     report = run_blowup_diagnostic(
-        StableParams(0.5), theta=1.0, min_level=10, max_level=40,
+        StableParams(0.5), theta=1.0, max_level=40,
         n_replicates=max(100, min(10_000, cap)), master_seed=seed, workers=workers,
     )
     medians = report.lower_sum_medians

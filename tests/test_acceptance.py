@@ -153,7 +153,7 @@ def test_criterion_07_blowup_slope_law():
     for gap in (0.5, 1.0, 2.0):
         theta = 2.0 + gap  # alpha = 0.5 so the threshold sits at 2
         rep = run_blowup_diagnostic(
-            StableParams(0.5), theta=theta, min_level=10, max_level=30,
+            StableParams(0.5), theta=theta, max_level=30,
             n_replicates=10_000, master_seed=SEED,
         )
         ok &= abs(rep.fitted_slope - rep.expected_slope) <= 0.1
@@ -163,7 +163,7 @@ def test_criterion_07_blowup_slope_law():
 
 def test_criterion_08_finiteness_stabilization():
     rep = run_blowup_diagnostic(
-        StableParams(0.5), theta=1.0, min_level=10, max_level=40,
+        StableParams(0.5), theta=1.0, max_level=40,
         n_replicates=10_000, master_seed=SEED,
     )
     med = dict(zip(rep.epsilons, rep.lower_sum_medians))

@@ -189,6 +189,7 @@ class TestCli:
             ("classify --alpha 1.5 --theta 1", "alpha"),
             ("classify --alpha 0.5 --theta 0", "c"),  # the exponent's name in --help
             ("cdf --replicates 1", "n_replicates"),
+            ("cdf --replicates 2", "n_replicates"),  # 1.63/sqrt(2) > 1 passes anything
             ("cdf --workers 0", "workers"),
             ("cdf --seed -1", "master_seed"),
         ],
@@ -246,6 +247,27 @@ class TestCli:
         result = CliRunner().invoke(main, args + ["--config", str(config_path)])
         assert result.exit_code == 2, result.output
         assert "grid: grid points must be positive" in result.output
+
+    @pytest.mark.parametrize(
+        "grid, key",
+        [
+            ({"kind": "uniform", "q": 0.9, "epsilon": 0.001}, "grid.kind"),
+            ({"q": 0.9}, "grid.q"),
+            ({"epsilon": 0.001}, "grid.epsilon"),
+        ],
+        ids=["kind", "q", "epsilon"],
+    )
+    def test_blowup_rejects_grid_keys_it_never_reads(self, tmp_path, grid, key):
+        # The diagnostic halves its grid down to T * 2^-levels whatever the
+        # document says; a record must not echo a grid the run did not use.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"grid": grid}))
+        result = CliRunner().invoke(
+            main, ["blowup", "--alpha", "0.5", "--theta", "3", "--levels", "20",
+                   "--config", str(config_path)],
+        )
+        assert result.exit_code == 2, result.output
+        assert re.search(rf"^error: {re.escape(key)}\b", result.output), result.output
 
     def test_blowup_document_sets_replicates_and_levels(self, tmp_path):
         # Unset flags leave the document's values alone.

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import stablesub.experiments as experiments
 import stablesub.reporting as reporting
+import stablesub.subordinator as subordinator
 from stablesub import (
     ExpKernel,
     MomentEstimate,
@@ -337,7 +338,7 @@ class TestBlowupDiagnostic:
 
     def test_subcritical_lower_sums_stabilize(self):
         report = run_blowup_diagnostic(
-            StableParams(0.5), theta=1.0, min_level=10, max_level=40,
+            StableParams(0.5), theta=1.0, max_level=40,
             n_replicates=2000, master_seed=603,
         )
         assert abs(report.lower_sum_slope) <= 0.02
@@ -393,8 +394,12 @@ class TestDistributionChecks:
             (lambda: run_scaling_check(StableParams(0.5), 0.25, times=(1.0, -1.0),
                                        n_replicates=1000),
              r"times must be positive, got -1\.0"),
+            # Below three draws 1.63/sqrt(n) >= 1 would pass the KS test on anything.
+            (lambda: run_cdf_check(n_replicates=2), r"n_replicates must be >= 3"),
+            (lambda: experiments.draw_standard_samples(0.5, 0),
+             r"n_replicates must be >= 1, got 0"),
         ],
-        ids=["laplace", "laplace_empty", "scaling"],
+        ids=["laplace", "laplace_empty", "scaling", "cdf_two_draws", "no_draws"],
     )
     def test_every_argument_checked_before_the_first_draw(self, monkeypatch, call, message):
         calls = []
@@ -441,11 +446,19 @@ class TestIbpConsistency:
         report = run_ibp_consistency(
             StableParams(0.5), theta=theta, n_paths=n_paths, master_seed=seed
         )
-        # The per-path loop the chunked driver replaces, on the same streams.
+        # The per-path loop the batched driver replaces, on the same streams:
+        # batch b samples from SeedSpec(seed, b), its probes from (seed, 1<<32 | b).
         grid = TimeGrid.geometric(1.0, levels=40, q=0.5)
         kernel = SingularKernel(theta=theta, T=1.0)
-        values = sample_path_values(StableParams(0.5), grid, SeedSpec(seed, 0), n_paths)
-        probes = 0.05 + SeedSpec(seed, 1 << 32).generator().random(n_paths) * 4.0
+        counts = [min(BATCH_SIZE, n_paths - start) for start in range(0, n_paths, BATCH_SIZE)]
+        values = np.concatenate([
+            sample_path_values(StableParams(0.5), grid, SeedSpec(seed, b), count)
+            for b, count in enumerate(counts)
+        ])
+        probes = np.concatenate([
+            0.05 + SeedSpec(seed, 1 << 32 | b).generator().random(count) * 4.0
+            for b, count in enumerate(counts)
+        ])
         intersect, abel = True, []
         for row, probe in zip(values, probes):
             path = SubordinatorPath(grid=grid, values=row)
@@ -480,15 +493,18 @@ class TestIbpConsistency:
     @pytest.mark.parametrize(
         "row, column, value, message",
         [
-            (5999, 7, -1.0, "nondecreasing"),  # last row of the last chunk
+            (5999, 7, -1.0, "nondecreasing"),  # last row of the last batch
             (4100, 0, -1.0, "nonnegative"),
             (3, 20, math.nan, "nondecreasing"),
         ],
     )
     def test_invalid_path_values_raise(self, monkeypatch, row, column, value, message):
-        def corrupted(*args):
-            values = sample_path_values(*args)
-            values[row, column] = value
+        def corrupted(params, grid, seed, count):
+            # Global row `row` sits in the batch whose stream index is row // BATCH_SIZE.
+            values = sample_path_values(params, grid, seed, count)
+            local = row - seed.replicate_index * BATCH_SIZE
+            if 0 <= local < count:
+                values[local, column] = value
             return values
 
         monkeypatch.setattr(experiments, "sample_path_values", corrupted)
@@ -512,3 +528,41 @@ class TestOverflowRegime:
         # theta * |ln 2^-40| = 831.8 > 700: epsilon^-theta leaves double range.
         with pytest.raises(ValueError, match=r"theta \* \|ln\(grid epsilon\)\| must be <= 700"):
             run_moment_check(StableParams(0.03), SingularKernel(theta=30.0), 0.01, n_replicates=100)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "laplace --replicates 300",
+        "cdf --replicates 300",
+        "scaling --alpha 0.5 --replicates 300",
+        "bound-theta --alpha 0.5 --theta 1 --replicates 300",
+        "bound-exp --alpha 0.5 --replicates 300",
+        "blowup --alpha 0.5 --theta 3 --replicates 200 --levels 20",
+        "ibp --alpha 0.5 --theta 1 --replicates 300",
+        "verify-all --replicates 5000",
+    ],
+)
+def test_every_draw_happens_inside_the_batch_loop(monkeypatch, args):
+    """Every stable draw of a run is made by a task of _sample_batches."""
+    depth, draws = [0], []
+    real_batches = experiments._sample_batches
+    real_draws = subordinator._standard_stable_draws
+
+    def batches(*a):
+        depth[0] += 1
+        try:
+            return real_batches(*a)
+        finally:
+            depth[0] -= 1
+
+    def stable_draws(*a):
+        draws.append(depth[0])
+        return real_draws(*a)
+
+    monkeypatch.setattr(experiments, "_sample_batches", batches)
+    monkeypatch.setattr(subordinator, "_standard_stable_draws", stable_draws)
+    result = CliRunner().invoke(main, args.split() + ["--workers", "1"])
+    assert result.exit_code in (0, 1), result.output
+    assert draws, "the run drew nothing"
+    assert all(draws), f"{draws.count(0)} of {len(draws)} draws outside _sample_batches"
