@@ -24,6 +24,7 @@ from .experiments import (
     ks_distance,
     power_kernel_moment_bound,
     run_blowup_diagnostic,
+    run_blowup_diagnostics,
     run_cdf_check,
     run_ibp_consistency,
     run_laplace_check,
@@ -61,6 +62,7 @@ from .subordinator import (
     SubordinatorPath,
     TimeGrid,
     deterministic_path,
+    sample_grid_values,
     sample_path,
     sample_path_values,
     sample_standard_stable_batch,

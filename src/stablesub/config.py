@@ -264,6 +264,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("grid.epsilon must lie in (0, T)")
 
     exp = config.experiment
+    if exp in ("ibp_consistency", "kernel_classify") and config.workers > 1:
+        raise ConfigError(f"workers must be 1 for {exp}, which runs serially; got {config.workers}")
     if exp not in ("laplace_check", "verify_all"):
         config.scalar_alpha()
     if exp == "cdf_check" and config.alpha != 0.5:
@@ -274,6 +276,9 @@ def validate_config(config: ExperimentConfig) -> None:
             value = getattr(grid, key)
             if value != getattr(GridConfig(), key):
                 raise ConfigError(f"grid.{key} must keep its default for blowup, got {value!r}")
+    if grid.q != GridConfig().q and (grid.kind == "uniform" or grid.epsilon is not None):
+        # Only a geometric grid without an explicit epsilon reads its ratio.
+        raise ConfigError(f"grid.q is read only by a geometric grid without grid.epsilon, got {grid.q!r}")
     if exp in _GRID_EXPERIMENTS:
         try:
             grid = grid.build(config.T)

@@ -46,6 +46,7 @@ from .subordinator import (
     SubordinatorPath,
     TimeGrid,
     deterministic_path,
+    sample_grid_values,
     sample_path_values,
     sample_standard_stable_batch,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "ks_distance",
     "power_kernel_moment_bound",
     "run_blowup_diagnostic",
+    "run_blowup_diagnostics",
     "run_cdf_check",
     "run_ibp_consistency",
     "run_laplace_check",
@@ -321,28 +323,37 @@ def draw_standard_samples(
     return np.concatenate(_sample_batches(task, n_replicates, master_seed, cell, workers))
 
 
-def _kernel_sums(alpha: float, grid: TimeGrid, kernels: tuple, seed: SeedSpec, count: int) -> list:
-    """One batch of paths, bracketed under every kernel that shares its stream."""
-    values = sample_path_values(StableParams(alpha), grid, seed, count)
+def _kernel_sums(alpha: float, grids_and_kernels: tuple, seed: SeedSpec, count: int) -> list:
+    """One batch of standard draws, scaled onto each grid of one length; each
+    grid's paths bracketed under each of its kernels: sums[grid][kernel]."""
+    grids = [grid for grid, _ in grids_and_kernels]
+    all_values = sample_grid_values(StableParams(alpha), grids, seed, count)
     sums = []
-    for kernel in kernels:
-        if isinstance(kernel, SingularKernel):
-            sums.append(power_bracket_sums(grid.points, values, kernel.theta))
-        else:
-            sums.append(exp_bracket_sums(grid.points, values, kernel.lam, kernel.T))
+    for (grid, kernels), values in zip(grids_and_kernels, all_values):
+        increments = np.diff(values, axis=1)
+        sums.append([
+            power_bracket_sums(grid.points, increments, kernel.theta)
+            if isinstance(kernel, SingularKernel)
+            else exp_bracket_sums(grid.points, increments, kernel.lam, kernel.T)
+            for kernel in kernels
+        ])
     return sums
 
 
-def _blowup_sums(alpha: float, grid: TimeGrid, theta: float, level_columns, seed: SeedSpec, count: int):
-    """One batch of paths: the scaled endpoints and truncated lower sums per level."""
+def _blowup_sums(alpha: float, grid: TimeGrid, thetas: tuple, level_columns, seed: SeedSpec, count: int):
+    """One batch of paths: per theta, the scaled endpoints and truncated lower sums per level."""
     values = sample_path_values(StableParams(alpha), grid, seed, count)
     pts = grid.points
-    endpoint = values[:, level_columns] * pts[level_columns] ** -theta
-    terms = np.diff(values, axis=1) * pts[1:] ** -theta
-    suffix = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
-    # Truncating at the last grid point leaves an empty sum.
-    suffix = np.concatenate([suffix, np.zeros((suffix.shape[0], 1))], axis=1)
-    return endpoint, suffix[:, level_columns]
+    increments = np.diff(values, axis=1)
+    sums = []
+    for theta in thetas:
+        endpoint = values[:, level_columns] * pts[level_columns] ** -theta
+        terms = increments * pts[1:] ** -theta
+        suffix = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+        # Truncating at the last grid point leaves an empty sum.
+        suffix = np.concatenate([suffix, np.zeros((suffix.shape[0], 1))], axis=1)
+        sums.append((endpoint, suffix[:, level_columns]))
+    return sums
 
 
 def _ibp_sums(alpha: float, grid: TimeGrid, theta: float, seed: SeedSpec, count: int):
@@ -353,7 +364,7 @@ def _ibp_sums(alpha: float, grid: TimeGrid, theta: float, seed: SeedSpec, count:
         # Both routes reduce to the same log-space sums (see ibp_estimate).
         direct = via_parts = _log_power_sums(grid.points, values, theta)
     else:
-        direct = power_bracket_sums(grid.points, values, theta)
+        direct = power_bracket_sums(grid.points, np.diff(values, axis=1), theta)
         via_parts = ibp_bracket_sums(grid.points, values, theta)
     IntegralBracket.check_rows(*direct)
     IntegralBracket.check_rows(*via_parts)
@@ -518,28 +529,33 @@ def run_moment_checks(
 ) -> list[BoundCheckReport]:
     """Moment-bound checks for (params, kernel, p, grid or None) cells, in order.
 
-    Every cell keys its paths by (master_seed, batch) alone, so cells with the
-    same alpha and grid see the same paths (common random numbers: their
-    verdicts are correlated).  Each such group samples its paths once per
-    batch and brackets them under all of its kernels; one group's brackets
-    are reduced and released before the next group is sampled.
+    Every cell keys its standard draws by (master_seed, batch) alone, so cells
+    with the same alpha and grid length share them (common random numbers:
+    their verdicts are correlated), and cells with the same grid too share
+    their paths.  Each (alpha, grid length) pass draws once per batch, scales
+    the draws onto each of its grids and brackets each grid's paths under all
+    of that grid's kernels; one pass's brackets are reduced and released
+    before the next pass is sampled.
     """
     prepared = [_moment_cell(*cell) for cell in cells]
-    groups: dict = {}
+    passes: dict = {}
     for index, (alpha, grid, kernel, _, _) in enumerate(prepared):
-        _, kernels, members = groups.setdefault((alpha, grid.points.tobytes()), (grid, {}, []))
+        grids = passes.setdefault((alpha, len(grid)), {})
+        _, kernels, members = grids.setdefault(grid.points.tobytes(), (grid, {}, []))
         kernels.setdefault(kernel, len(kernels))
         members.append(index)
     reports: list = [None] * len(prepared)
-    for (alpha, _), (grid, kernels, members) in groups.items():
-        task = functools.partial(_kernel_sums, alpha, grid, tuple(kernels))
+    for (alpha, _), grids in passes.items():
+        plan = tuple((grid, tuple(kernels)) for grid, kernels, _ in grids.values())
+        task = functools.partial(_kernel_sums, alpha, plan)
         parts = _sample_batches(task, n_replicates, master_seed, 0, workers)
-        for index in members:
-            _, _, kernel, p, bound = prepared[index]
-            slot = kernels[kernel]
-            lower = np.concatenate([part[slot][0] for part in parts])
-            upper = np.concatenate([part[slot][1] for part in parts])
-            reports[index] = _bound_report(lower, upper, p, bound)
+        for g, (_, kernels, members) in enumerate(grids.values()):
+            for index in members:
+                _, _, kernel, p, bound = prepared[index]
+                k = kernels[kernel]
+                lower = np.concatenate([part[g][k][0] for part in parts])
+                upper = np.concatenate([part[g][k][1] for part in parts])
+                reports[index] = _bound_report(lower, upper, p, bound)
         del parts
     return reports
 
@@ -594,23 +610,53 @@ def run_blowup_diagnostic(
     slope against log(1/epsilon) and compares it with theta - 1/alpha.
     Medians, not means: the raw integrals have infinite expectation.
     """
-    _check_blowup_args(theta, n_replicates, max_level)
+    return run_blowup_diagnostics(
+        params, (theta,), T, max_level, n_replicates, master_seed, workers
+    )[0]
+
+
+def run_blowup_diagnostics(
+    params: StableParams,
+    thetas,
+    T: float = 1.0,
+    max_level: int = 30,
+    n_replicates: int = 10_000,
+    master_seed: int = DEFAULT_MASTER_SEED,
+    workers: int = 1,
+) -> list[SlopeReport]:
+    """Blow-up diagnostics for several exponents, in order, on one set of paths.
+
+    Every exponent keys its paths by (master_seed, batch) alone, so the
+    diagnostics share them: each batch is sampled once and reduced under
+    every theta.
+    """
+    if not thetas:
+        raise ValueError("thetas must be nonempty")
+    for theta in thetas:
+        _check_blowup_args(theta, n_replicates, max_level)
     grid = TimeGrid.geometric(T, levels=max_level, q=0.5)
     levels = np.arange(BLOWUP_MIN_LEVEL, max_level + 1)
     level_columns = max_level - levels  # grid index of epsilon_j = T * 2^-j
-    task = functools.partial(_blowup_sums, params.alpha, grid, theta, level_columns)
+    task = functools.partial(_blowup_sums, params.alpha, grid, tuple(thetas), level_columns)
     parts = _sample_batches(task, n_replicates, master_seed, 0, workers)
-    endpoint = np.concatenate([part[0] for part in parts], axis=0)
-    lower_sums = np.concatenate([part[1] for part in parts], axis=0)
     epsilons = grid.points[level_columns]
+    reports = []
+    for slot, theta in enumerate(thetas):
+        endpoint = np.concatenate([part[slot][0] for part in parts], axis=0)
+        lower_sums = np.concatenate([part[slot][1] for part in parts], axis=0)
+        reports.append(_slope_report(params.alpha, theta, epsilons, endpoint, lower_sums))
+    return reports
 
+
+def _slope_report(alpha: float, theta: float, epsilons, endpoint, lower_sums) -> SlopeReport:
+    """Medians, their intervals and the fitted slopes of one exponent's statistics."""
     med_e, lo_e, hi_e = _median_with_ci(endpoint)
     med_s, lo_s, hi_s = _median_with_ci(lower_sums)
 
     x = np.log(1.0 / epsilons)
     fitted, residual = _ols_slope(x, np.log(med_e))
     lower_sum_slope, _ = _ols_slope(x, np.log(med_s))
-    expected = theta - 1.0 / params.alpha
+    expected = theta - 1.0 / alpha
     return SlopeReport(
         epsilons=tuple(float(e) for e in epsilons),
         medians=tuple(med_e),
@@ -624,7 +670,7 @@ def run_blowup_diagnostic(
         residual=residual,
         lower_sum_slope=lower_sum_slope,
         boundary_inconclusive=abs(expected) <= 1e-9,
-        n_replicates=int(n_replicates),
+        n_replicates=int(endpoint.shape[0]),
     )
 
 

@@ -142,16 +142,16 @@ def _bracket_sums(kernel_at_points: np.ndarray, increments: np.ndarray, *, decre
     return increments @ lo_w, increments @ up_w
 
 
-def power_bracket_sums(points: np.ndarray, values: np.ndarray, theta: float):
-    """Vectorized lower/upper sums of int t^(-theta) dS over rows of `values`."""
+def power_bracket_sums(points: np.ndarray, increments: np.ndarray, theta: float):
+    """Vectorized lower/upper sums of int t^(-theta) dS over rows of cell `increments`."""
     kernel = points**-theta
-    return _bracket_sums(kernel, np.diff(values, axis=-1), decreasing=True)
+    return _bracket_sums(kernel, increments, decreasing=True)
 
 
-def exp_bracket_sums(points: np.ndarray, values: np.ndarray, lam: float, T: float):
-    """Vectorized lower/upper sums of int e^(-lam (T-t)) dS over rows of `values`."""
+def exp_bracket_sums(points: np.ndarray, increments: np.ndarray, lam: float, T: float):
+    """Vectorized lower/upper sums of int e^(-lam (T-t)) dS over rows of cell `increments`."""
     kernel = np.exp(-lam * (T - points))
-    return _bracket_sums(kernel, np.diff(values, axis=-1), decreasing=False)
+    return _bracket_sums(kernel, increments, decreasing=False)
 
 
 def stieltjes_bracket(path: SubordinatorPath, kernel: SingularKernel) -> IntegralBracket:
@@ -165,7 +165,7 @@ def stieltjes_bracket(path: SubordinatorPath, kernel: SingularKernel) -> Integra
     if _needs_log_space(path.grid.epsilon, kernel.theta):
         lower, upper = _log_power_sums(path.grid.points, path.values, kernel.theta)
         return IntegralBracket(float(lower), float(upper), log_scale=True)
-    lower, upper = power_bracket_sums(path.grid.points, path.values, kernel.theta)
+    lower, upper = power_bracket_sums(path.grid.points, np.diff(path.values), kernel.theta)
     return IntegralBracket(float(lower), float(upper))
 
 
@@ -176,7 +176,8 @@ def exp_kernel_integral(path: SubordinatorPath, kernel: ExpKernel) -> IntegralBr
     the opposite orientation to the singular kernel.
     """
     _check_horizon(path.grid, kernel.T)
-    lower, upper = exp_bracket_sums(path.grid.points, path.values, kernel.lam, kernel.T)
+    increments = np.diff(path.values)
+    lower, upper = exp_bracket_sums(path.grid.points, increments, kernel.lam, kernel.T)
     return IntegralBracket(float(lower), float(upper))
 
 

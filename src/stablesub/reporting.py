@@ -21,6 +21,7 @@ from .experiments import (
     classify_power_kernel,
     draw_standard_samples,
     run_blowup_diagnostic,
+    run_blowup_diagnostics,
     run_cdf_check,
     run_ibp_consistency,
     run_laplace_check,
@@ -405,14 +406,13 @@ def _bound_grid_sections(cap, seed, workers):
 
 def _blowup_slopes_section(cap, seed, workers):
     """Blow-up slope law at three supercritical exponents (alpha = 1/2, threshold 2)."""
-    rows, matches = [], []
-    for theta in (2.5, 3.0, 4.0):
-        report = run_blowup_diagnostic(
-            StableParams(0.5), theta=theta, n_replicates=max(100, min(10_000, cap)),
-            master_seed=seed, workers=workers,
-        )
-        rows.append([theta, report.fitted_slope, report.expected_slope, report.residual])
-        matches.append(report.slope_matches)
+    thetas = (2.5, 3.0, 4.0)
+    reports = run_blowup_diagnostics(
+        StableParams(0.5), thetas, n_replicates=max(100, min(10_000, cap)),
+        master_seed=seed, workers=workers,
+    )
+    rows = [[theta, r.fitted_slope, r.expected_slope, r.residual] for theta, r in zip(thetas, reports)]
+    matches = [r.slope_matches for r in reports]
     columns = ["theta", "fitted_slope", "expected_slope", "residual"]
     verdicts = _verdicts(slopes_match=all(matches))
     return [(verdicts, {"n_cases": len(rows)}, {"slopes": {"columns": columns, "rows": rows}})]

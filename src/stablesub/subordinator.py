@@ -19,6 +19,7 @@ __all__ = [
     "SubordinatorPath",
     "TimeGrid",
     "deterministic_path",
+    "sample_grid_values",
     "sample_path",
     "sample_path_values",
     "sample_standard_stable_batch",
@@ -207,6 +208,23 @@ def sample_standard_stable_batch(params: StableParams, seed: SeedSpec, size: int
     return _standard_stable_draws(params.alpha, seed.generator(), int(size))
 
 
+def sample_grid_values(
+    params: StableParams, grids, seed: SeedSpec, n_paths: int
+) -> list[np.ndarray]:
+    """Value matrices of shape (n_paths, n), one per grid, from one standard draw matrix.
+
+    The grids must all have n points.  Their paths share the stable draws of
+    the single stream keyed by `seed` (common random numbers): grid g scales
+    them by its own (t_{i+1} - t_i)^(1/alpha) and accumulates.
+    """
+    lengths = sorted({len(grid) for grid in grids})
+    if len(lengths) != 1:
+        raise ValueError(f"grids must share one length, got lengths {lengths}")
+    draws = _standard_stable_draws(params.alpha, seed.generator(), (int(n_paths), lengths[0]))
+    inv = 1.0 / params.alpha
+    return [np.cumsum(draws * np.diff(grid.points, prepend=0.0) ** inv, axis=1) for grid in grids]
+
+
 def sample_path_values(
     params: StableParams, grid: TimeGrid, seed: SeedSpec, n_paths: int
 ) -> np.ndarray:
@@ -215,10 +233,7 @@ def sample_path_values(
     Cell increments are (t_{i+1} - t_i)^(1/alpha) times independent standard
     draws; the first column carries the increment over (0, epsilon].
     """
-    dts = np.diff(grid.points, prepend=0.0)
-    draws = _standard_stable_draws(params.alpha, seed.generator(), (int(n_paths), dts.size))
-    draws *= dts ** (1.0 / params.alpha)
-    return np.cumsum(draws, axis=1)
+    return sample_grid_values(params, [grid], seed, n_paths)[0]
 
 
 def sample_path(params: StableParams, grid: TimeGrid, seed: SeedSpec) -> SubordinatorPath:

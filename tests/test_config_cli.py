@@ -174,6 +174,10 @@ class TestCli:
             ("bound-theta --alpha 0.5 --theta 0", "theta"),
             ("bound-theta --alpha 0.5 --theta -1", "theta"),
             ("bound-theta --alpha 0.5 --theta 1 --grid-q 1.5", "grid.q"),
+            # q is read only by a geometric grid without an explicit epsilon.
+            ("bound-exp --alpha 0.5 --grid-q 0.3", "grid.q"),
+            ("bound-theta --alpha 0.5 --theta 1 --grid-epsilon 1e-6 --grid-q 0.3", "grid.q"),
+            ("bound-theta --alpha 0.5 --theta 1 --grid-kind uniform --grid-q 0.9", "grid.q"),
             ("bound-theta --alpha 0.5 --theta 1 --grid-kind uniform --grid-epsilon 2",
              "grid.epsilon"),
             ("bound-theta --alpha 0.03 --theta 30 --p 0.01", "theta"),
@@ -186,6 +190,8 @@ class TestCli:
             ("blowup --alpha 0.5", "theta"),
             ("ibp --alpha 0.5 --theta -1", "theta"),
             ("ibp --alpha 1.5", "alpha"),
+            ("ibp --alpha 0.5 --workers 4", "workers"),  # runs serially
+            ("classify --alpha 0.5 --theta 2 --workers 3", "workers"),
             ("classify --alpha 1.5 --theta 1", "alpha"),
             ("classify --alpha 0.5 --theta 0", "c"),  # the exponent's name in --help
             ("cdf --replicates 1", "n_replicates"),

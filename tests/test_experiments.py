@@ -231,7 +231,7 @@ class TestGroupedMomentChecks:
         for batch, start in enumerate(range(0, self.N, BATCH_SIZE)):
             count = min(BATCH_SIZE, self.N - start)
             values = sample_path_values(params, grid, SeedSpec(self.SEED, batch), count)
-            lo, up = power_bracket_sums(grid.points, values, kernel.theta)
+            lo, up = power_bracket_sums(grid.points, np.diff(values, axis=-1), kernel.theta)
             lower.append(lo)
             upper.append(up)
         report = run_moment_checks(self.CELLS, self.N, self.SEED)[0]
@@ -249,23 +249,66 @@ class TestGroupedMomentChecks:
         def never(*args):
             raise AssertionError("sampled before validation")
 
-        monkeypatch.setattr(experiments, "sample_path_values", never)
+        monkeypatch.setattr(experiments, "sample_grid_values", never)
         cells = [self.CELLS[0], (StableParams(0.5), SingularKernel(theta=1.0), 0.7, None)]
         with pytest.raises(ValueError):
             run_moment_checks(cells, n_replicates=200)
 
-    def test_verify_all_samples_each_group_once_per_batch(self, monkeypatch):
-        # 18 moment-bound cells share 5 (alpha, grid) path streams.
+    # Three passes over grids of one length: alpha 0.3 and 0.5, 41 and 21
+    # points, geometric and uniform grids, both kernel types.
+    MIXED_CELLS = [
+        (StableParams(0.3), SingularKernel(theta=1.5), 0.075, None),
+        (StableParams(0.5), SingularKernel(theta=1.0), 0.25, TimeGrid.geometric(1.0, levels=20)),
+        (StableParams(0.5), ExpKernel(lam=1.0, T=1.0), 0.25, None),
+        (StableParams(0.5), SingularKernel(theta=1.6), 0.125, None),
+        (StableParams(0.3), ExpKernel(lam=2.0, T=5.0), 0.1, None),
+        (StableParams(0.5), ExpKernel(lam=0.5, T=1.0), 0.1, TimeGrid.uniform(1.0, levels=20)),
+        (StableParams(0.5), SingularKernel(theta=1.0), 0.25, None),
+    ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mixed_passes_equal_per_cell_reports(self, monkeypatch, workers):
         calls = []
+        real_batches = experiments._sample_batches
+
+        def counting_batches(*args):
+            calls.append(args)
+            return real_batches(*args)
+
+        monkeypatch.setattr(experiments, "_sample_batches", counting_batches)
+        grouped = run_moment_checks(self.MIXED_CELLS, self.N, self.SEED, workers)
+        # One sampling pass per (alpha, grid length): (0.3, 41), (0.5, 21), (0.5, 41).
+        assert len(calls) == 3
+        monkeypatch.setattr(experiments, "_sample_batches", real_batches)
+        for (params, kernel, p, grid), report in zip(self.MIXED_CELLS, grouped, strict=True):
+            single = run_moment_check(
+                params, kernel, p, n_replicates=self.N, master_seed=self.SEED, grid=grid
+            )
+            assert report == single
+
+    def test_verify_all_samples_each_group_once_per_batch(self, monkeypatch):
+        # 18 moment-bound cells: 3 (alpha, 41 points) passes draw the standard
+        # matrix that their 5 (alpha, grid) path groups share.
+        calls = []
+        draws = []
+        batch = [None]
         inside = []
-        real_sample = experiments.sample_path_values
+        real_values = experiments.sample_grid_values
+        real_draws = subordinator._standard_stable_draws
         real_checks = reporting.run_moment_checks
 
-        def counting_sample(params, grid, seed, n_paths):
+        def counting_values(params, grids, seed, n_paths):
             if inside:
-                kind = "geometric" if grid.points[1] == 2.0 * grid.epsilon else "uniform"
-                calls.append((params.alpha, kind, grid.T, seed.replicate_index))
-            return real_sample(params, grid, seed, n_paths)
+                batch[0] = seed.replicate_index
+                for grid in grids:
+                    kind = "geometric" if grid.points[1] == 2.0 * grid.epsilon else "uniform"
+                    calls.append((params.alpha, kind, grid.T, seed.replicate_index))
+            return real_values(params, grids, seed, n_paths)
+
+        def counting_draws(alpha, rng, shape):
+            if inside:
+                draws.append((alpha, shape[1], batch[0]))
+            return real_draws(alpha, rng, shape)
 
         def moment_section(*args, **kwargs):
             inside.append(True)
@@ -274,7 +317,8 @@ class TestGroupedMomentChecks:
             finally:
                 inside.clear()
 
-        monkeypatch.setattr(experiments, "sample_path_values", counting_sample)
+        monkeypatch.setattr(experiments, "sample_grid_values", counting_values)
+        monkeypatch.setattr(subordinator, "_standard_stable_draws", counting_draws)
         monkeypatch.setattr(reporting, "run_moment_checks", moment_section)
         common = ["--replicates", "5000", "--seed", "12345"]
         result = CliRunner().invoke(main, ["verify-all", *common])
@@ -287,8 +331,9 @@ class TestGroupedMomentChecks:
             (0.5, "uniform", 5.0),
         }
         assert len(calls) == 5 * 2
-        for batch in (0, 1):
-            assert {call[:3] for call in calls if call[3] == batch} == groups
+        for index in (0, 1):
+            assert {call[:3] for call in calls if call[3] == index} == groups
+        assert sorted(draws) == [(alpha, 41, index) for alpha in (0.3, 0.5, 0.7) for index in (0, 1)]
 
         # The same renderers write these sections and the single records.
         record = json.loads(result.output)
@@ -486,7 +531,7 @@ class TestIbpConsistency:
         assert report.passed
         grid = TimeGrid.geometric(1.0, levels=40, q=0.5)
         values = sample_path_values(StableParams(0.5), grid, SeedSpec(3, 0), 3000)
-        direct = power_bracket_sums(grid.points, values, 0.0)
+        direct = power_bracket_sums(grid.points, np.diff(values, axis=-1), 0.0)
         via_parts = ibp_bracket_sums(grid.points, values, 0.0)
         assert not np.all(_brackets_meet(*direct, *via_parts))
 
@@ -524,7 +569,7 @@ class TestOverflowRegime:
         def no_sampling(*args):
             raise AssertionError("sampled a cell that cannot be evaluated")
 
-        monkeypatch.setattr(experiments, "sample_path_values", no_sampling)
+        monkeypatch.setattr(experiments, "sample_grid_values", no_sampling)
         # theta * |ln 2^-40| = 831.8 > 700: epsilon^-theta leaves double range.
         with pytest.raises(ValueError, match=r"theta \* \|ln\(grid epsilon\)\| must be <= 700"):
             run_moment_check(StableParams(0.03), SingularKernel(theta=30.0), 0.01, n_replicates=100)

@@ -1,5 +1,6 @@
 """Sampler distribution checks, grid/path invariants, seed reproducibility."""
 
+import inspect
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import stablesub.subordinator as subordinator
 from stablesub import (
     SeedSpec,
     StableParams,
@@ -15,6 +17,7 @@ from stablesub import (
     deterministic_path,
     ks_distance,
     levy_half_cdf,
+    sample_grid_values,
     sample_path,
     sample_path_values,
     sample_standard_stable_batch,
@@ -178,3 +181,41 @@ class TestPaths:
         path = deterministic_path(grid)
         assert np.allclose(path.values, [0.5, 1.0])
         assert np.all(np.diff(path.values) > 0.0)
+
+
+class TestSharedDraws:
+    def test_each_grid_matches_its_own_sampling(self):
+        grids = [
+            TimeGrid.geometric(1.0, levels=20),
+            TimeGrid.uniform(5.0, levels=20),
+            TimeGrid.uniform(1.0, levels=20, epsilon=0.01),
+        ]
+        shared = sample_grid_values(StableParams(0.5), grids, SeedSpec(11, 4), 300)
+        assert len(shared) == len(grids)
+        for grid, values in zip(grids, shared):
+            alone = sample_path_values(StableParams(0.5), grid, SeedSpec(11, 4), 300)
+            assert np.array_equal(values, alone)
+
+    @pytest.mark.parametrize("lengths", [(), (21, 41)], ids=["none", "mixed"])
+    def test_grids_must_share_one_length(self, lengths):
+        grids = [TimeGrid.geometric(1.0, levels=n - 1) for n in lengths]
+        with pytest.raises(ValueError, match="grids must share one length"):
+            sample_grid_values(StableParams(0.5), grids, SeedSpec(11, 4), 10)
+
+
+# The benchmark tracer (perfbench/tracing.py) counts a sampler call's draws by
+# binding the call to the sampler's signature and reading these parameters by
+# name; a rename would crash every traced run.
+GRID = TimeGrid.geometric(1.0, levels=40)
+TRACED_CALLS = {
+    "sample_path_values": ((StableParams(0.5), GRID, SeedSpec(1), 7), {"grid": GRID, "n_paths": 7}),
+    "sample_path": ((StableParams(0.5), GRID, SeedSpec(1)), {"grid": GRID}),
+    "sample_standard_stable_batch": ((StableParams(0.5), SeedSpec(1), 9), {"size": 9}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_CALLS))
+def test_sampler_parameters_keep_the_names_the_tracer_reads(name):
+    args, expected = TRACED_CALLS[name]
+    arguments = inspect.signature(getattr(subordinator, name)).bind(*args).arguments
+    assert {key: arguments.get(key) for key in expected} == expected
