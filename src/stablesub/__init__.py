@@ -62,7 +62,6 @@ from .subordinator import (
     SubordinatorPath,
     TimeGrid,
     deterministic_path,
-    sample_grid_values,
     sample_path,
     sample_path_values,
     sample_standard_stable_batch,

@@ -270,12 +270,16 @@ def validate_config(config: ExperimentConfig) -> None:
         config.scalar_alpha()
     if exp == "cdf_check" and config.alpha != 0.5:
         raise ConfigError("alpha must be 0.5 for cdf_check (the closed-form comparison law)")
-    if exp == "blowup":
-        # The diagnostic reads only the depth: its grid halves down to T * 2^-levels.
-        for key in ("kind", "q", "epsilon"):
+    if exp not in _GRID_EXPERIMENTS or exp == "blowup":
+        # Blowup reads only the depth (its grid halves down to T * 2^-levels);
+        # the other experiments read no grid and no horizon.
+        unread = ("kind", "q", "epsilon") if exp == "blowup" else ("kind", "levels", "q", "epsilon")
+        for key in unread:
             value = getattr(grid, key)
             if value != getattr(GridConfig(), key):
-                raise ConfigError(f"grid.{key} must keep its default for blowup, got {value!r}")
+                raise ConfigError(f"grid.{key} must keep its default for {exp}, got {value!r}")
+        if exp != "blowup" and config.T != ExperimentConfig.T:
+            raise ConfigError(f"T must keep its default for {exp}, got {config.T!r}")
     if grid.q != GridConfig().q and (grid.kind == "uniform" or grid.epsilon is not None):
         # Only a geometric grid without an explicit epsilon reads its ratio.
         raise ConfigError(f"grid.q is read only by a geometric grid without grid.epsilon, got {grid.q!r}")

@@ -13,6 +13,7 @@ before averaging.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -46,7 +47,8 @@ from .subordinator import (
     SubordinatorPath,
     TimeGrid,
     deterministic_path,
-    sample_grid_values,
+    kanter_draws,
+    kanter_inputs,
     sample_path_values,
     sample_standard_stable_batch,
 )
@@ -83,6 +85,11 @@ __all__ = [
 # Fixed replicate batching unit; batch boundaries must not depend on the
 # worker count or reproducibility across worker counts would break.
 BATCH_SIZE = 4096
+# Rows of a moment batch transformed and bracketed at a time, so the working
+# set stays small.  A multiple of 4: a BLAS matrix-vector product rounds a row
+# by its place in a block of 4 rows, so chunks that start on such a block give
+# the same bracket sums, bit for bit, as one product over the whole batch.
+CHUNK_ROWS = 512
 # Batch streams are keyed by replicate_index = (cell << 32) | batch.
 _CELL_SHIFT = 32
 # The Laplace check's (alpha, lambda) grid.
@@ -291,12 +298,38 @@ def _batch_task(args):
     return task(seed, count)
 
 
+# (workers, pool) of the pool that _worker_pool holds open, or None.
+_RUN_POOL = None
+
+
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """One process pool for every _sample_batches call of `workers` inside the block.
+
+    The pool is built on entry (none for a single worker) and shut down, its
+    workers joined, on exit.
+    """
+    global _RUN_POOL
+    if workers <= 1:
+        yield
+        return
+    outer = _RUN_POOL
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        _RUN_POOL = (workers, pool)
+        try:
+            yield
+        finally:
+            _RUN_POOL = outer
+
+
 def _sample_batches(task, n_replicates: int, master_seed: int, cell: int, workers: int) -> list:
     """`task(seed, count)` for each BATCH_SIZE batch of a cell's replicates, in order.
 
     Batch b of cell c draws from the stream _stream(master_seed, c, b).  With
     more than one worker the batches run in a process pool, so `task` must
-    pickle (a module-level function or a functools.partial of one).
+    pickle (a module-level function or a functools.partial of one).  The pool
+    is the one _worker_pool holds open for this worker count, else one
+    started for this call.
     """
     n = int(n_replicates)
     if n < 1:
@@ -307,8 +340,12 @@ def _sample_batches(task, n_replicates: int, master_seed: int, cell: int, worker
     ]
     if workers <= 1 or len(args) <= 1:
         return [_batch_task(a) for a in args]
+    # A few batches per message: fewer round trips, the same order.
+    chunksize = math.ceil(len(args) / (4 * workers))
+    if _RUN_POOL is not None and _RUN_POOL[0] == workers:
+        return list(_RUN_POOL[1].map(_batch_task, args, chunksize=chunksize))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_batch_task, args))
+        return list(pool.map(_batch_task, args, chunksize=chunksize))
 
 
 def draw_standard_samples(
@@ -323,20 +360,37 @@ def draw_standard_samples(
     return np.concatenate(_sample_batches(task, n_replicates, master_seed, cell, workers))
 
 
-def _kernel_sums(alpha: float, grids_and_kernels: tuple, seed: SeedSpec, count: int) -> list:
-    """One batch of standard draws, scaled onto each grid of one length; each
-    grid's paths bracketed under each of its kernels: sums[grid][kernel]."""
-    grids = [grid for grid, _ in grids_and_kernels]
-    all_values = sample_grid_values(StableParams(alpha), grids, seed, count)
-    sums = []
-    for (grid, kernels), values in zip(grids_and_kernels, all_values):
-        increments = np.diff(values, axis=1)
-        sums.append([
-            power_bracket_sums(grid.points, increments, kernel.theta)
-            if isinstance(kernel, SingularKernel)
-            else exp_bracket_sums(grid.points, increments, kernel.lam, kernel.T)
-            for kernel in kernels
-        ])
+def _moment_sums(plan: tuple, seed: SeedSpec, count: int) -> np.ndarray:
+    """One batch of paths on grids of one length, bracketed under every kernel.
+
+    `plan` holds (alpha, ((grid, kernels), ...)) entries.  The batch draws
+    (U, W) once; then, CHUNK_ROWS rows at a time, kanter_draws makes every
+    alpha's standard draws from one set of sines, each grid scales its alpha's
+    draws by (t_{i+1} - t_i)^(1/alpha) into paths, and each kernel brackets
+    the paths' increments.  Returns sums[k, side, row]: k counts the kernels
+    in plan order, side 0 is the lower sum and side 1 the upper.
+    """
+    first_grid = plan[0][1][0][0]  # every grid of the plan has its length
+    u, w = kanter_inputs(seed, (count, len(first_grid)))
+    alphas = [alpha for alpha, _ in plan]
+    scales = [
+        [np.diff(grid.points, prepend=0.0) ** (1.0 / alpha) for grid, _ in grids]
+        for alpha, grids in plan
+    ]
+    sums = np.empty((sum(len(kernels) for _, grids in plan for _, kernels in grids), 2, count))
+    for start in range(0, count, CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        k = 0
+        for (_, grids), draws, grid_scales in zip(plan, kanter_draws(alphas, u[rows], w[rows]), scales):
+            for (grid, kernels), scale in zip(grids, grid_scales):
+                increments = np.diff(np.cumsum(draws * scale, axis=1), axis=1)
+                for kernel in kernels:
+                    sums[k, :, rows] = (
+                        power_bracket_sums(grid.points, increments, kernel.theta)
+                        if isinstance(kernel, SingularKernel)
+                        else exp_bracket_sums(grid.points, increments, kernel.lam, kernel.T)
+                    )
+                    k += 1
     return sums
 
 
@@ -529,32 +583,39 @@ def run_moment_checks(
 ) -> list[BoundCheckReport]:
     """Moment-bound checks for (params, kernel, p, grid or None) cells, in order.
 
-    Every cell keys its standard draws by (master_seed, batch) alone, so cells
-    with the same alpha and grid length share them (common random numbers:
-    their verdicts are correlated), and cells with the same grid too share
-    their paths.  Each (alpha, grid length) pass draws once per batch, scales
-    the draws onto each of its grids and brackets each grid's paths under all
-    of that grid's kernels; one pass's brackets are reduced and released
-    before the next pass is sampled.
+    Every cell keys its (U, W) draws by (master_seed, batch) alone, so cells
+    with the same grid length share them (common random numbers: their
+    verdicts are correlated), cells with the same alpha too share their
+    standard draws, and cells with the same grid too share their paths.  Cells
+    are grouped by grid length, then alpha, grid and kernel; each grid length
+    takes one sampling pass (_moment_sums), whose brackets are reduced and
+    released before the next pass is sampled.
     """
     prepared = [_moment_cell(*cell) for cell in cells]
     passes: dict = {}
     for index, (alpha, grid, kernel, _, _) in enumerate(prepared):
-        grids = passes.setdefault((alpha, len(grid)), {})
-        _, kernels, members = grids.setdefault(grid.points.tobytes(), (grid, {}, []))
-        kernels.setdefault(kernel, len(kernels))
-        members.append(index)
+        grids = passes.setdefault(len(grid), {}).setdefault(alpha, {})
+        _, kernels = grids.setdefault(grid.points.tobytes(), (grid, {}))
+        kernels.setdefault(kernel, []).append(index)
     reports: list = [None] * len(prepared)
-    for (alpha, _), grids in passes.items():
-        plan = tuple((grid, tuple(kernels)) for grid, kernels, _ in grids.values())
-        task = functools.partial(_kernel_sums, alpha, plan)
+    for by_alpha in passes.values():
+        plan = tuple(
+            (alpha, tuple((grid, tuple(kernels)) for grid, kernels in grids.values()))
+            for alpha, grids in by_alpha.items()
+        )
+        members = [
+            indices
+            for grids in by_alpha.values()
+            for _, kernels in grids.values()
+            for indices in kernels.values()
+        ]
+        task = functools.partial(_moment_sums, plan)
         parts = _sample_batches(task, n_replicates, master_seed, 0, workers)
-        for g, (_, kernels, members) in enumerate(grids.values()):
-            for index in members:
-                _, _, kernel, p, bound = prepared[index]
-                k = kernels[kernel]
-                lower = np.concatenate([part[g][k][0] for part in parts])
-                upper = np.concatenate([part[g][k][1] for part in parts])
+        for k, indices in enumerate(members):
+            lower = np.concatenate([part[k, 0] for part in parts])
+            upper = np.concatenate([part[k, 1] for part in parts])
+            for index in indices:
+                _, _, _, p, bound = prepared[index]
                 reports[index] = _bound_report(lower, upper, p, bound)
         del parts
     return reports

@@ -18,6 +18,7 @@ from . import __version__
 from .config import ExperimentConfig, render_config
 from .experiments import (
     MomentEstimate,
+    _worker_pool,
     classify_power_kernel,
     draw_standard_samples,
     run_blowup_diagnostic,
@@ -65,10 +66,14 @@ def run(config: ExperimentConfig) -> ResultRecord:
     """Dispatch an experiment, assemble its record, and persist it if requested.
 
     Persists a JSON record plus one CSV per numeric series when
-    config.output_path is set; exit-status policy is left to the CLI.
+    config.output_path is set; exit-status policy is left to the CLI.  With
+    more than one worker the run's batches share one process pool, whose
+    workers have exited when this returns.
     """
     started = time.perf_counter()
-    verdicts, results, series = _BUILDERS[config.experiment](config)
+    # One process pool serves every sampling pass of the run.
+    with _worker_pool(config.workers):
+        verdicts, results, series = _BUILDERS[config.experiment](config)
     record = ResultRecord(
         experiment=config.experiment,
         config=json.loads(render_config(config)),

@@ -8,6 +8,7 @@ distributional requirement.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,8 @@ __all__ = [
     "SubordinatorPath",
     "TimeGrid",
     "deterministic_path",
-    "sample_grid_values",
+    "kanter_draws",
+    "kanter_inputs",
     "sample_path",
     "sample_path_values",
     "sample_standard_stable_batch",
@@ -175,17 +177,17 @@ class SubordinatorPath:
             raise ValueError("process values must be nondecreasing")
 
 
-def _standard_stable_draws(alpha: float, rng: np.random.Generator, shape) -> np.ndarray:
-    """i.i.d. draws with Laplace transform exp(-lam^alpha), lam > 0.
+def kanter_inputs(seed: SeedSpec, shape) -> tuple[np.ndarray, np.ndarray]:
+    """The angles U, uniform on (0, pi), and unit exponentials W of `shape`
+    Kanter draws, from the single stream keyed by `seed`.
 
-    Kanter construction: with U uniform on (0, pi) and W unit exponential,
-
-        sin(alpha U) * sin((1-alpha) U)^(1/alpha - 1)
-            / ( sin(U)^(1/alpha) * W^(1/alpha - 1) )
-
-    has exactly the target law.  Rejection-free; degenerate endpoint draws
-    (probability ~2^-53 each) are re-drawn rather than clamped away.
+    The only function that draws from a stream for the stable sampler: every
+    standard draw is Kanter's transform of these (see kanter_draws).  U comes
+    first, then W, each over the whole shape.  Degenerate endpoint draws
+    (probability ~2^-53 each) are re-drawn rather than clamped away; U is then
+    kept _ANGLE_CLAMP away from 0 and pi.
     """
+    rng = seed.generator()
     u = rng.random(shape) * math.pi
     w = rng.standard_exponential(shape)
     bad = (u <= 0.0) | (w <= 0.0)
@@ -195,34 +197,56 @@ def _standard_stable_draws(alpha: float, rng: np.random.Generator, shape) -> np.
         w[bad] = rng.standard_exponential(n_bad)
         bad = (u <= 0.0) | (w <= 0.0)
     np.clip(u, _ANGLE_CLAMP, math.pi - _ANGLE_CLAMP, out=u)
-    inv = 1.0 / alpha
-    return (
-        np.sin(alpha * u)
-        * np.sin((1.0 - alpha) * u) ** (inv - 1.0)
-        / (np.sin(u) ** inv * w ** (inv - 1.0))
-    )
+    return u, w
+
+
+def kanter_draws(alphas, u: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
+    """i.i.d. draws with Laplace transform exp(-lam^alpha), lam > 0, one array per alpha.
+
+    Kanter construction: with U uniform on (0, pi) and W unit exponential,
+
+        sin(alpha U) * sin((1-alpha) U)^(1/alpha - 1)
+            / ( sin(U)^(1/alpha) * W^(1/alpha - 1) )
+
+    has exactly the target law.  Rejection-free.  The alphas share (U, W),
+    so their draws share their randomness (common random numbers), and each
+    sine sin(c U) is evaluated once per distinct coefficient c: sin(U) for
+    every alpha, sin(U / 2) twice for alpha = 1/2, sin(0.7 U) for both
+    alpha = 0.3 and 0.7.  A sine is released after its last use, so no more
+    arrays are alive at once than in the one-alpha expression.  Elementwise:
+    any block of rows of (u, w) gives the same rows of each result, bit for
+    bit.
+    """
+    uses = collections.Counter(c for alpha in alphas for c in (alpha, 1.0 - alpha, 1.0))
+    sines: dict = {}
+
+    def sin_of(c: float) -> np.ndarray:
+        value = sines.pop(c) if c in sines else np.sin(c * u)
+        uses[c] -= 1
+        if uses[c]:
+            sines[c] = value
+        return value
+
+    draws = []
+    for alpha in alphas:
+        inv = 1.0 / alpha
+        draws.append(
+            sin_of(alpha)
+            * sin_of(1.0 - alpha) ** (inv - 1.0)
+            / (sin_of(1.0) ** inv * w ** (inv - 1.0))
+        )
+    return draws
+
+
+def _standard_stable_draws(alpha: float, seed: SeedSpec, shape) -> np.ndarray:
+    """Standard draws of `shape` for one alpha: kanter_inputs, then kanter_draws."""
+    u, w = kanter_inputs(seed, shape)
+    return kanter_draws((alpha,), u, w)[0]
 
 
 def sample_standard_stable_batch(params: StableParams, seed: SeedSpec, size: int) -> np.ndarray:
     """`size` i.i.d. draws of S_1 from the single stream keyed by `seed`."""
-    return _standard_stable_draws(params.alpha, seed.generator(), int(size))
-
-
-def sample_grid_values(
-    params: StableParams, grids, seed: SeedSpec, n_paths: int
-) -> list[np.ndarray]:
-    """Value matrices of shape (n_paths, n), one per grid, from one standard draw matrix.
-
-    The grids must all have n points.  Their paths share the stable draws of
-    the single stream keyed by `seed` (common random numbers): grid g scales
-    them by its own (t_{i+1} - t_i)^(1/alpha) and accumulates.
-    """
-    lengths = sorted({len(grid) for grid in grids})
-    if len(lengths) != 1:
-        raise ValueError(f"grids must share one length, got lengths {lengths}")
-    draws = _standard_stable_draws(params.alpha, seed.generator(), (int(n_paths), lengths[0]))
-    inv = 1.0 / params.alpha
-    return [np.cumsum(draws * np.diff(grid.points, prepend=0.0) ** inv, axis=1) for grid in grids]
+    return _standard_stable_draws(params.alpha, seed, int(size))
 
 
 def sample_path_values(
@@ -233,7 +257,8 @@ def sample_path_values(
     Cell increments are (t_{i+1} - t_i)^(1/alpha) times independent standard
     draws; the first column carries the increment over (0, epsilon].
     """
-    return sample_grid_values(params, [grid], seed, n_paths)[0]
+    draws = _standard_stable_draws(params.alpha, seed, (int(n_paths), len(grid)))
+    return np.cumsum(draws * np.diff(grid.points, prepend=0.0) ** (1.0 / params.alpha), axis=1)
 
 
 def sample_path(params: StableParams, grid: TimeGrid, seed: SeedSpec) -> SubordinatorPath:

@@ -3,10 +3,12 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import stablesub.experiments as experiments
 import stablesub.subordinator as subordinator
 from stablesub import ConfigError, parse_config, render_config
 from stablesub.cli import main
@@ -198,14 +200,30 @@ class TestCli:
             ("cdf --replicates 2", "n_replicates"),  # 1.63/sqrt(2) > 1 passes anything
             ("cdf --workers 0", "workers"),
             ("cdf --seed -1", "master_seed"),
+            # A token starting with "{" is a config document.  These
+            # experiments read no grid and no horizon.
+            ('classify --alpha 0.5 --theta 2 --config {"grid":{"levels":7,"kind":"uniform"},"T":3.0}',
+             "grid.kind"),
+            ('classify --alpha 0.5 --theta 2 --config {"T":3.0}', "T"),
+            ('cdf --config {"T":3.0}', "T"),
+            ('laplace --config {"grid":{"epsilon":0.001}}', "grid.epsilon"),
+            ('scaling --alpha 0.5 --config {"grid":{"q":0.25}}', "grid.q"),
+            ('verify-all --config {"grid":{"levels":12}}', "grid.levels"),
         ],
     )
-    def test_rejected_before_sampling(self, monkeypatch, args, key):
+    def test_rejected_before_sampling(self, monkeypatch, tmp_path, args, key):
         def never(*args):
             raise AssertionError("sampled before validation")
 
-        monkeypatch.setattr(subordinator, "_standard_stable_draws", never)
-        result = CliRunner().invoke(main, args.split())
+        # kanter_inputs is the one function that draws from a stream for the sampler.
+        monkeypatch.setattr(subordinator, "kanter_inputs", never)
+        monkeypatch.setattr(experiments, "kanter_inputs", never)
+        argv = args.split()
+        for i, token in enumerate(argv):
+            if token.startswith("{"):
+                argv[i] = str(tmp_path / f"config{i}.json")
+                Path(argv[i]).write_text(token)
+        result = CliRunner().invoke(main, argv)
         assert result.exit_code == 2, result.output
         assert re.search(rf"^error: .*\b{re.escape(key)}\b", result.output), result.output
 

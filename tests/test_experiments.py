@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -249,13 +250,13 @@ class TestGroupedMomentChecks:
         def never(*args):
             raise AssertionError("sampled before validation")
 
-        monkeypatch.setattr(experiments, "sample_grid_values", never)
+        monkeypatch.setattr(experiments, "kanter_inputs", never)
         cells = [self.CELLS[0], (StableParams(0.5), SingularKernel(theta=1.0), 0.7, None)]
         with pytest.raises(ValueError):
             run_moment_checks(cells, n_replicates=200)
 
-    # Three passes over grids of one length: alpha 0.3 and 0.5, 41 and 21
-    # points, geometric and uniform grids, both kernel types.
+    # Two grid lengths, 41 and 21 points; alpha 0.3 and 0.5, geometric and
+    # uniform grids, both kernel types.
     MIXED_CELLS = [
         (StableParams(0.3), SingularKernel(theta=1.5), 0.075, None),
         (StableParams(0.5), SingularKernel(theta=1.0), 0.25, TimeGrid.geometric(1.0, levels=20)),
@@ -277,8 +278,10 @@ class TestGroupedMomentChecks:
 
         monkeypatch.setattr(experiments, "_sample_batches", counting_batches)
         grouped = run_moment_checks(self.MIXED_CELLS, self.N, self.SEED, workers)
-        # One sampling pass per (alpha, grid length): (0.3, 41), (0.5, 21), (0.5, 41).
-        assert len(calls) == 3
+        # One sampling pass per grid length, for every alpha of that length.
+        plans = [call[0].args[0] for call in calls]
+        assert sorted(len(plan[0][1][0][0]) for plan in plans) == [21, 41]
+        assert sorted(tuple(alpha for alpha, _ in plan) for plan in plans) == [(0.3, 0.5), (0.5,)]
         monkeypatch.setattr(experiments, "_sample_batches", real_batches)
         for (params, kernel, p, grid), report in zip(self.MIXED_CELLS, grouped, strict=True):
             single = run_moment_check(
@@ -287,28 +290,31 @@ class TestGroupedMomentChecks:
             assert report == single
 
     def test_verify_all_samples_each_group_once_per_batch(self, monkeypatch):
-        # 18 moment-bound cells: 3 (alpha, 41 points) passes draw the standard
-        # matrix that their 5 (alpha, grid) path groups share.
-        calls = []
-        draws = []
-        batch = [None]
+        # 18 moment-bound cells on 41 points: 1 pass, whose batches each draw
+        # (U, W) once and make the standard draws of alpha = 0.3, 0.5 and 0.7
+        # from it, which the 5 (alpha, grid) path groups share.
+        plans, inputs, draws = [], [], []
         inside = []
-        real_values = experiments.sample_grid_values
-        real_draws = subordinator._standard_stable_draws
+        real_batches = experiments._sample_batches
+        real_inputs = experiments.kanter_inputs
+        real_draws = experiments.kanter_draws
         real_checks = reporting.run_moment_checks
 
-        def counting_values(params, grids, seed, n_paths):
+        def batches(task, *args):
             if inside:
-                batch[0] = seed.replicate_index
-                for grid in grids:
-                    kind = "geometric" if grid.points[1] == 2.0 * grid.epsilon else "uniform"
-                    calls.append((params.alpha, kind, grid.T, seed.replicate_index))
-            return real_values(params, grids, seed, n_paths)
+                plans.append(task.args[0])
+            return real_batches(task, *args)
 
-        def counting_draws(alpha, rng, shape):
+        def counting_inputs(seed, shape):
+            u, w = real_inputs(seed, shape)
             if inside:
-                draws.append((alpha, shape[1], batch[0]))
-            return real_draws(alpha, rng, shape)
+                inputs.append((seed.replicate_index, shape, u))
+            return u, w
+
+        def counting_draws(alphas, u, w):
+            if inside:
+                draws.append((tuple(alphas), inputs[-1][0], len(u), np.shares_memory(u, inputs[-1][2])))
+            return real_draws(alphas, u, w)
 
         def moment_section(*args, **kwargs):
             inside.append(True)
@@ -317,23 +323,31 @@ class TestGroupedMomentChecks:
             finally:
                 inside.clear()
 
-        monkeypatch.setattr(experiments, "sample_grid_values", counting_values)
-        monkeypatch.setattr(subordinator, "_standard_stable_draws", counting_draws)
+        monkeypatch.setattr(experiments, "_sample_batches", batches)
+        monkeypatch.setattr(experiments, "kanter_inputs", counting_inputs)
+        monkeypatch.setattr(experiments, "kanter_draws", counting_draws)
         monkeypatch.setattr(reporting, "run_moment_checks", moment_section)
         common = ["--replicates", "5000", "--seed", "12345"]
         result = CliRunner().invoke(main, ["verify-all", *common])
         assert result.exit_code == 0, result.output
+        assert len(plans) == 1
         groups = {
+            (alpha, "geometric" if grid.points[1] == 2.0 * grid.epsilon else "uniform", grid.T)
+            for alpha, grids in plans[0]
+            for grid, _ in grids
+        }
+        assert groups == {
             (0.3, "geometric", 1.0),
             (0.5, "geometric", 1.0),
             (0.7, "geometric", 1.0),
             (0.5, "uniform", 1.0),
             (0.5, "uniform", 5.0),
         }
-        assert len(calls) == 5 * 2
-        for index in (0, 1):
-            assert {call[:3] for call in calls if call[3] == index} == groups
-        assert sorted(draws) == [(alpha, 41, index) for alpha in (0.3, 0.5, 0.7) for index in (0, 1)]
+        assert [(index, shape) for index, shape, _ in inputs] == [(0, (4096, 41)), (1, (904, 41))]
+        assert {alphas for alphas, *_ in draws} == {(0.3, 0.5, 0.7)}
+        assert all(shared for *_, shared in draws)
+        for index, count in ((0, 4096), (1, 904)):
+            assert sum(rows for _, batch, rows, _ in draws if batch == index) == count
 
         # The same renderers write these sections and the single records.
         record = json.loads(result.output)
@@ -357,6 +371,58 @@ class TestGroupedMomentChecks:
                 if key.startswith(f"{prefix}_")
             }
             assert section_series == single["series"]
+
+
+class TestMomentBatch:
+    # Two alphas, two grids of one length, both kernel types.
+    PLAN = (
+        (0.3, ((default_grid(SingularKernel(theta=1.5)), (SingularKernel(theta=1.5),)),)),
+        (0.5, (
+            (default_grid(SingularKernel(theta=1.0)), (SingularKernel(theta=1.0), SingularKernel(theta=1.6))),
+            (default_grid(ExpKernel(lam=1.0, T=1.0)), (ExpKernel(lam=1.0, T=1.0),)),
+        )),
+    )
+
+    @pytest.mark.parametrize("count", [904, 4096])
+    def test_row_chunks_do_not_change_a_bit(self, monkeypatch, count):
+        # Chunk sizes are multiples of 4, as CHUNK_ROWS is: a BLAS
+        # matrix-vector product rounds a row by its place in a 4-row block, so
+        # 1- or 7-row chunks move the sums by rounding.  Both counts leave a
+        # ragged last chunk at 12 rows.
+        seed = SeedSpec(505, 3)
+        monkeypatch.setattr(experiments, "CHUNK_ROWS", count)
+        whole = experiments._moment_sums(self.PLAN, seed, count)
+        for rows in (4, 12, 512):
+            monkeypatch.setattr(experiments, "CHUNK_ROWS", rows)
+            assert np.array_equal(experiments._moment_sums(self.PLAN, seed, count), whole)
+        # Kernel 1 is alpha = 0.5, theta = 1 on its geometric grid.
+        grid = self.PLAN[1][1][0][0]
+        values = sample_path_values(StableParams(0.5), grid, seed, count)
+        lower, upper = power_bracket_sums(grid.points, np.diff(values, axis=1), 1.0)
+        assert whole.shape == (4, 2, count)
+        assert np.array_equal(whole[1, 0], lower) and np.array_equal(whole[1, 1], upper)
+
+
+@pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
+def test_one_process_pool_per_run(monkeypatch, workers, pools):
+    started, joined = [], []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+        def shutdown(self, wait=True, **kwargs):
+            super().shutdown(wait, **kwargs)
+            joined.append(wait)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    args = ["verify-all", "--replicates", "5000", "--workers", str(workers)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert started == [workers] * pools
+    assert joined == [True] * pools
+    assert multiprocessing.active_children() == []
 
 
 class TestBlowupDiagnostic:
@@ -569,7 +635,7 @@ class TestOverflowRegime:
         def no_sampling(*args):
             raise AssertionError("sampled a cell that cannot be evaluated")
 
-        monkeypatch.setattr(experiments, "sample_grid_values", no_sampling)
+        monkeypatch.setattr(experiments, "kanter_inputs", no_sampling)
         # theta * |ln 2^-40| = 831.8 > 700: epsilon^-theta leaves double range.
         with pytest.raises(ValueError, match=r"theta \* \|ln\(grid epsilon\)\| must be <= 700"):
             run_moment_check(StableParams(0.03), SingularKernel(theta=30.0), 0.01, n_replicates=100)
@@ -592,7 +658,7 @@ def test_every_draw_happens_inside_the_batch_loop(monkeypatch, args):
     """Every stable draw of a run is made by a task of _sample_batches."""
     depth, draws = [0], []
     real_batches = experiments._sample_batches
-    real_draws = subordinator._standard_stable_draws
+    real_inputs = subordinator.kanter_inputs
 
     def batches(*a):
         depth[0] += 1
@@ -601,12 +667,14 @@ def test_every_draw_happens_inside_the_batch_loop(monkeypatch, args):
         finally:
             depth[0] -= 1
 
-    def stable_draws(*a):
+    def inputs(*a):
         draws.append(depth[0])
-        return real_draws(*a)
+        return real_inputs(*a)
 
     monkeypatch.setattr(experiments, "_sample_batches", batches)
-    monkeypatch.setattr(subordinator, "_standard_stable_draws", stable_draws)
+    # kanter_inputs is the one function that draws from a stream for the sampler.
+    monkeypatch.setattr(subordinator, "kanter_inputs", inputs)
+    monkeypatch.setattr(experiments, "kanter_inputs", inputs)
     result = CliRunner().invoke(main, args.split() + ["--workers", "1"])
     assert result.exit_code in (0, 1), result.output
     assert draws, "the run drew nothing"

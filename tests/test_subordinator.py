@@ -17,11 +17,11 @@ from stablesub import (
     deterministic_path,
     ks_distance,
     levy_half_cdf,
-    sample_grid_values,
     sample_path,
     sample_path_values,
     sample_standard_stable_batch,
 )
+from stablesub.subordinator import kanter_draws, kanter_inputs
 
 
 class TestTypes:
@@ -184,23 +184,31 @@ class TestPaths:
 
 
 class TestSharedDraws:
-    def test_each_grid_matches_its_own_sampling(self):
-        grids = [
-            TimeGrid.geometric(1.0, levels=20),
-            TimeGrid.uniform(5.0, levels=20),
-            TimeGrid.uniform(1.0, levels=20, epsilon=0.01),
-        ]
-        shared = sample_grid_values(StableParams(0.5), grids, SeedSpec(11, 4), 300)
-        assert len(shared) == len(grids)
-        for grid, values in zip(grids, shared):
-            alone = sample_path_values(StableParams(0.5), grid, SeedSpec(11, 4), 300)
-            assert np.array_equal(values, alone)
+    ALPHAS = (0.3, 0.5, 0.7)
 
-    @pytest.mark.parametrize("lengths", [(), (21, 41)], ids=["none", "mixed"])
-    def test_grids_must_share_one_length(self, lengths):
-        grids = [TimeGrid.geometric(1.0, levels=n - 1) for n in lengths]
-        with pytest.raises(ValueError, match="grids must share one length"):
-            sample_grid_values(StableParams(0.5), grids, SeedSpec(11, 4), 10)
+    def test_each_alpha_matches_its_own_sampling(self):
+        grid = TimeGrid.geometric(1.0, levels=20)
+        u, w = kanter_inputs(SeedSpec(11, 4), (300, len(grid)))
+        shared = kanter_draws(self.ALPHAS, u, w)
+        assert len(shared) == len(self.ALPHAS)
+        for alpha, draws in zip(self.ALPHAS, shared):
+            # Kanter's expression written out, each sine evaluated on its own.
+            inv = 1.0 / alpha
+            kanter = np.sin(alpha * u) * np.sin((1.0 - alpha) * u) ** (inv - 1.0) / (
+                np.sin(u) ** inv * w ** (inv - 1.0)
+            )
+            assert np.array_equal(draws, kanter)
+            alone = sample_path_values(StableParams(alpha), grid, SeedSpec(11, 4), 300)
+            steps = np.diff(grid.points, prepend=0.0) ** (1.0 / alpha)
+            assert np.array_equal(np.cumsum(draws * steps, axis=1), alone)
+
+    @pytest.mark.parametrize("rows", [1, 7, 300])
+    def test_row_blocks_give_identical_draws(self, rows):
+        u, w = kanter_inputs(SeedSpec(11, 4), (300, 21))
+        whole = kanter_draws(self.ALPHAS, u, w)
+        blocks = [kanter_draws(self.ALPHAS, u[i : i + rows], w[i : i + rows]) for i in range(0, 300, rows)]
+        for a, draws in enumerate(whole):
+            assert np.array_equal(np.concatenate([block[a] for block in blocks]), draws)
 
 
 # The benchmark tracer (perfbench/tracing.py) counts a sampler call's draws by
