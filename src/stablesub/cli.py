@@ -8,54 +8,83 @@ and a short verdict summary is printed instead.
 
 from __future__ import annotations
 
+import functools
 import sys
 from pathlib import Path
 
 import click
 
-from .config import ConfigError, config_from_mapping, parse_document
+from .config import _DEFAULTS, ConfigError, _object, config_from_mapping, parse_document
+from .experiments import LAPLACE_ALPHAS
 from .reporting import record_to_json, run
 
 
-def _common_options(fn):
-    options = [
-        click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-                     default=None, help="JSON config document; explicit flags override it."),
-        click.option("--seed", type=int, default=None, help="Master seed."),
-        click.option("--replicates", type=int, default=None, help="Replicate count."),
-        click.option("--workers", type=int, default=None, help="Parallel worker processes."),
-        click.option("--out", "output_path", type=click.Path(), default=None,
-                     help="Output stem: writes <out>.json plus companion CSVs."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+def _listed(values) -> str:
+    return " ".join(f"{value:g}" for value in values)
 
 
-def _grid_options(fn):
-    options = [
-        click.option("--grid-kind", type=click.Choice(["geometric", "uniform"]), default=None),
-        click.option("--grid-levels", type=int, default=None),
-        click.option("--grid-q", type=float, default=None),
-        click.option("--grid-epsilon", type=float, default=None),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+# A flag is (flag, config key, type, help); a key "grid_<name>" sets grid.<name>.
+_COMMON = (
+    ("--seed", "master_seed", int, "Master seed."),
+    ("--replicates", "n_replicates", int, "Replicate count."),
+    ("--workers", "workers", int, "Parallel worker processes."),
+    ("--out", "output_path", click.Path(), "Output stem: writes <out>.json plus companion CSVs."),
+)
+_GRID = (
+    ("--grid-kind", "grid_kind", click.Choice(["geometric", "uniform"]), None),
+    ("--grid-levels", "grid_levels", int, None),
+    ("--grid-q", "grid_q", float, None),
+    ("--grid-epsilon", "grid_epsilon", float, None),
+)
+_ALPHA = ("--alpha", "alpha", float, None)
+_THETA = ("--theta", "theta", float, None)
+_P = ("--p", "p", float, None)
+_T = ("--T", "T", float, None)
+
+# Subcommand -> (experiment, help, flags after the common ones).  A flag whose
+# type is a list is repeatable.
+_COMMANDS = {
+    "laplace": ("laplace_check", "Laplace-transform fidelity of the sampler over an (alpha, lambda) grid.", (
+        ("--alpha", "alpha", [float],
+         f"Stability index; repeatable. Default grid: {_listed(LAPLACE_ALPHAS)}."),
+    )),
+    "cdf": ("cdf_check", "Kolmogorov-Smirnov check of alpha = 1/2 draws against the closed-form CDF.", ()),
+    "scaling": ("scaling", "Self-similarity collapse of normalized fractional moments across horizons.", (
+        _ALPHA, _P,
+        ("--times", "times", [float], f"Horizons; default {_listed(_DEFAULTS['scaling']['times'])}."),
+    )),
+    "bound-theta": ("moment_bound_theta",
+                    "Power-kernel moment bound check: MC mean of the bracketed integral^p vs bound.",
+                    (*_GRID, _ALPHA, _THETA, _P, _T)),
+    "bound-exp": ("moment_bound_exp", "Exponential-kernel moment bound check (kernel e^(-lambda (T-t))).",
+                  (*_GRID, _ALPHA, ("--lambda", "lambda", float, None), _P, _T)),
+    "blowup": ("blowup", "Blow-up diagnostic: log-log slope of scaled near-origin medians.", (
+        _ALPHA, _THETA,
+        ("--levels", "grid_levels", int,
+         f"Deepest epsilon level 2^-levels; default {_DEFAULTS['blowup']['grid']['levels']:g}."),
+    )),
+    "ibp": ("ibp_consistency", "Dual-route bracket consistency and exact summation-by-parts identity.",
+            (_ALPHA, _THETA)),
+    "classify": ("kernel_classify", "Analytic short-time classification of S_t against the power t^theta.",
+                 (_ALPHA, ("--theta", "theta", float, "Exponent c of the comparison power t^c."))),
+    "verify-all": ("verify_all", "Run the full acceptance grid; nonzero exit if any verdict fails.", ()),
+}
 
 
-def _execute(experiment: str, config_path, overrides: dict, grid_overrides: dict) -> None:
+def _execute(experiment: str, config_path, **flags) -> None:
     try:
         text = Path(config_path).read_text(encoding="utf-8") if config_path else "{}"
         payload = parse_document(text)
         payload["experiment"] = experiment
-        for key, value in overrides.items():
-            if value is not None:
+        grid = dict(_object(payload.get("grid"), "grid"))
+        for key, value in flags.items():
+            if value is None or value == ():  # flag not given
+                continue
+            value = list(value) if isinstance(value, tuple) else value
+            if key.startswith("grid_"):
+                grid[key.removeprefix("grid_")] = value
+            else:
                 payload[key] = value
-        grid = dict(payload.get("grid") or {})
-        for key, value in grid_overrides.items():
-            if value is not None:
-                grid[key] = value
         if grid:
             payload["grid"] = grid
         config = config_from_mapping(payload)
@@ -73,119 +102,23 @@ def _execute(experiment: str, config_path, overrides: dict, grid_overrides: dict
     sys.exit(0 if record.passed else 1)
 
 
-def _collect(seed, replicates, workers, output_path, **extra) -> dict:
-    overrides = {
-        "master_seed": seed,
-        "n_replicates": replicates,
-        "workers": workers,
-        "output_path": output_path,
-    }
-    overrides.update(extra)
-    return overrides
-
-
 @click.group()
 def main():
     """Stable-subordinator simulation and singular-integral experiments."""
 
 
-@main.command()
-@_common_options
-@click.option("--alpha", type=float, multiple=True, help="Stability index; repeatable. Default grid: 0.3 0.5 0.7.")
-def laplace(config_path, seed, replicates, workers, output_path, alpha):
-    """Laplace-transform fidelity of the sampler over an (alpha, lambda) grid."""
-    extra = {"alpha": list(alpha)} if alpha else {}
-    _execute("laplace_check", config_path, _collect(seed, replicates, workers, output_path, **extra), {})
+def _command(name: str, experiment: str, summary: str, flags: tuple) -> click.Command:
+    options = [click.Option(["--config", "config_path"], type=click.Path(exists=True, dir_okay=False),
+                            help="JSON config document; explicit flags override it.")]
+    for flag, key, kind, flag_help in _COMMON + flags:
+        repeatable = isinstance(kind, list)
+        options.append(click.Option([flag, key], type=kind[0] if repeatable else kind,
+                                    multiple=repeatable, help=flag_help))
+    return click.Command(name, params=options, help=summary, callback=functools.partial(_execute, experiment))
 
 
-@main.command()
-@_common_options
-def cdf(config_path, seed, replicates, workers, output_path):
-    """Kolmogorov-Smirnov check of alpha = 1/2 draws against the closed-form CDF."""
-    _execute("cdf_check", config_path, _collect(seed, replicates, workers, output_path), {})
-
-
-@main.command()
-@_common_options
-@click.option("--alpha", type=float, default=None)
-@click.option("--p", type=float, default=None)
-@click.option("--times", type=float, multiple=True, help="Horizons; default 0.25 1 4.")
-def scaling(config_path, seed, replicates, workers, output_path, alpha, p, times):
-    """Self-similarity collapse of normalized fractional moments across horizons."""
-    extra = {"alpha": alpha, "p": p}
-    if times:
-        extra["times"] = list(times)
-    _execute("scaling", config_path, _collect(seed, replicates, workers, output_path, **extra), {})
-
-
-@main.command("bound-theta")
-@_common_options
-@_grid_options
-@click.option("--alpha", type=float, default=None)
-@click.option("--theta", type=float, default=None)
-@click.option("--p", type=float, default=None)
-@click.option("--T", "horizon", type=float, default=None)
-def bound_theta(config_path, seed, replicates, workers, output_path,
-                grid_kind, grid_levels, grid_q, grid_epsilon, alpha, theta, p, horizon):
-    """Power-kernel moment bound check: MC mean of the bracketed integral^p vs bound."""
-    extra = {"alpha": alpha, "theta": theta, "p": p, "T": horizon}
-    grid = {"kind": grid_kind, "levels": grid_levels, "q": grid_q, "epsilon": grid_epsilon}
-    _execute("moment_bound_theta", config_path, _collect(seed, replicates, workers, output_path, **extra), grid)
-
-
-@main.command("bound-exp")
-@_common_options
-@_grid_options
-@click.option("--alpha", type=float, default=None)
-@click.option("--lambda", "lam", type=float, default=None)
-@click.option("--p", type=float, default=None)
-@click.option("--T", "horizon", type=float, default=None)
-def bound_exp(config_path, seed, replicates, workers, output_path,
-              grid_kind, grid_levels, grid_q, grid_epsilon, alpha, lam, p, horizon):
-    """Exponential-kernel moment bound check (kernel e^(-lambda (T-t)))."""
-    extra = {"alpha": alpha, "lambda": lam, "p": p, "T": horizon}
-    grid = {"kind": grid_kind, "levels": grid_levels, "q": grid_q, "epsilon": grid_epsilon}
-    _execute("moment_bound_exp", config_path, _collect(seed, replicates, workers, output_path, **extra), grid)
-
-
-@main.command()
-@_common_options
-@click.option("--alpha", type=float, default=None)
-@click.option("--theta", type=float, default=None)
-@click.option("--levels", type=int, default=None, help="Deepest epsilon level 2^-levels; default 30.")
-def blowup(config_path, seed, replicates, workers, output_path, alpha, theta, levels):
-    """Blow-up diagnostic: log-log slope of scaled near-origin medians."""
-    extra = {"alpha": alpha, "theta": theta}
-    _execute("blowup", config_path, _collect(seed, replicates, workers, output_path, **extra),
-             {"levels": levels})
-
-
-@main.command()
-@_common_options
-@click.option("--alpha", type=float, default=None)
-@click.option("--theta", type=float, default=None)
-def ibp(config_path, seed, replicates, workers, output_path, alpha, theta):
-    """Dual-route bracket consistency and exact summation-by-parts identity."""
-    extra = {"alpha": alpha, "theta": theta}
-    _execute("ibp_consistency", config_path, _collect(seed, replicates, workers, output_path, **extra), {})
-
-
-@main.command()
-@_common_options
-@click.option("--alpha", type=float, default=None)
-@click.option("--theta", type=float, default=None, help="Exponent c of the comparison power t^c.")
-def classify(config_path, seed, replicates, workers, output_path, alpha, theta):
-    """Analytic short-time classification of S_t against the power t^theta."""
-    extra = {"alpha": alpha, "theta": theta}
-    _execute("kernel_classify", config_path, _collect(seed, replicates, workers, output_path, **extra), {})
-
-
-@main.command("verify-all")
-@_common_options
-def verify_all(config_path, seed, replicates, workers, output_path):
-    """Run the full acceptance grid; nonzero exit if any verdict fails."""
-    _execute("verify_all", config_path, _collect(seed, replicates, workers, output_path), {})
-
+for _name, _spec in _COMMANDS.items():
+    main.add_command(_command(_name, *_spec))
 
 if __name__ == "__main__":
     main()

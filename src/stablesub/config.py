@@ -13,6 +13,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
+from . import experiments
 from .integrals import ExpKernel, SingularKernel
 from .subordinator import DEFAULT_GRID_LEVELS, DEFAULT_GRID_Q, DEFAULT_MASTER_SEED
 from .subordinator import SeedSpec, StableParams, TimeGrid
@@ -29,9 +30,6 @@ __all__ = [
 ]
 
 DEFAULT_REPLICATES = 100_000
-
-# Experiments that sample on a grid built from the config's grid section.
-_GRID_EXPERIMENTS = ("moment_bound_theta", "moment_bound_exp", "blowup", "ibp_consistency")
 
 
 class ConfigError(ValueError):
@@ -85,9 +83,7 @@ class ExperimentConfig:
     def alphas(self) -> tuple[float, ...]:
         """Alpha grid: scalars become singletons, None the Laplace check's triple."""
         if self.alpha is None:
-            from .experiments import LAPLACE_ALPHAS  # see validate_config
-
-            return LAPLACE_ALPHAS
+            return experiments.LAPLACE_ALPHAS
         if isinstance(self.alpha, tuple):
             return self.alpha
         return (self.alpha,)
@@ -110,23 +106,32 @@ def _half_alpha(fields: dict) -> float | None:
 
 
 _REQUIRED = object()  # a field the experiment cannot run without
+_FIELD = object()  # a field read with its ExperimentConfig or GridConfig default
+_SAMPLING = {"n_replicates": _FIELD, "master_seed": _FIELD, "workers": _FIELD}
+_GRID = {"kind": _FIELD, "levels": _FIELD, "q": _FIELD, "epsilon": _FIELD}
 
-# Per-experiment defaults by field name, filling fields left unset (absent or
-# null); a callable computes its value from the fields parsed so far.  Other
-# fields take the ExperimentConfig and GridConfig defaults.
+# Per experiment, every field its run reads besides output_path, with the
+# default that fills it when unset (absent or null): _FIELD, _REQUIRED, a
+# value, or a callable of the fields parsed so far; "grid" holds the grid
+# fields.  A field an entry does not list keeps its field default, so a record
+# never echoes a setting its run did not use.
 _DEFAULTS = {
-    "laplace_check": {},
-    "cdf_check": {"alpha": 0.5},
-    "scaling": {"alpha": _REQUIRED, "p": _half_alpha, "times": (0.25, 1.0, 4.0)},
-    "moment_bound_theta": {"alpha": _REQUIRED, "theta": _REQUIRED, "p": _half_alpha},
+    "laplace_check": {"alpha": _FIELD, **_SAMPLING},
+    "cdf_check": {"alpha": 0.5, **_SAMPLING},  # recorded, and held at 0.5 by validate_config
+    "scaling": {"alpha": _REQUIRED, "p": _half_alpha, "times": (0.25, 1.0, 4.0), **_SAMPLING},
+    "moment_bound_theta": {"alpha": _REQUIRED, "theta": _REQUIRED, "p": _half_alpha, "T": _FIELD,
+                           "grid": _GRID, **_SAMPLING},
     # The bounded exponential kernel has no singularity to resolve.
-    "moment_bound_exp": {"alpha": _REQUIRED, "p": _half_alpha, "lam": 1.0,
-                         "grid": {"kind": "uniform"}},
-    "blowup": {"alpha": _REQUIRED, "theta": _REQUIRED, "n_replicates": 10_000,
-               "grid": {"levels": 30}},
-    "ibp_consistency": {"alpha": _REQUIRED, "n_replicates": 1000, "theta": 0.5},
+    "moment_bound_exp": {"alpha": _REQUIRED, "p": _half_alpha, "lam": 1.0, "T": _FIELD,
+                         "grid": {**_GRID, "kind": "uniform"}, **_SAMPLING},
+    # The diagnostic halves its grid down to T * 2^-levels: it reads only the depth.
+    "blowup": {"alpha": _REQUIRED, "theta": _REQUIRED, "T": _FIELD, "grid": {"levels": 30},
+               **_SAMPLING, "n_replicates": 10_000},
+    # Runs serially: no workers.
+    "ibp_consistency": {"alpha": _REQUIRED, "theta": 0.5, "T": _FIELD, "grid": _GRID,
+                        "n_replicates": 1000, "master_seed": _FIELD},
     "kernel_classify": {"alpha": _REQUIRED, "theta": _REQUIRED},
-    "verify_all": {},
+    "verify_all": _SAMPLING,
 }
 EXPERIMENTS = tuple(_DEFAULTS)
 
@@ -170,16 +175,17 @@ def _as_is(value, key: str):
     return value
 
 
-# Config key -> (field name, parser(value, key)).
+# Config key -> (field name, parser(value, key)), in the order unread keys
+# are reported: the grid's, then T, then the rest.
 _KEYS = {
     "experiment": ("experiment", _as_is),
+    "grid": ("grid", _object),
+    "T": ("T", _number),
     "alpha": ("alpha", _numbers),
     "theta": ("theta", _optional_number),
     "p": ("p", _optional_number),
     "lambda": ("lam", _optional_number),
-    "T": ("T", _number),
     "times": ("times", _times),
-    "grid": ("grid", _object),
     "n_replicates": ("n_replicates", _integer),
     "master_seed": ("master_seed", _integer),
     "workers": ("workers", _integer),
@@ -235,7 +241,7 @@ def _fields(payload: dict, keys: dict, defaults: dict, prefix: str) -> dict:
         name, parse = keys[key]
         fields[name] = parse(value, prefix + key)
     for name, default in defaults.items():
-        if fields.get(name) is None:
+        if fields.get(name) is None and default is not _FIELD:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required field: {name}")
             fields[name] = default(fields) if callable(default) else default
@@ -264,35 +270,26 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("grid.epsilon must lie in (0, T)")
 
     exp = config.experiment
-    if exp in ("ibp_consistency", "kernel_classify") and config.workers > 1:
-        raise ConfigError(f"workers must be 1 for {exp}, which runs serially; got {config.workers}")
+    reads = _DEFAULTS[exp]  # every other field must keep its default
+    unread = [(f"grid.{key}", grid, name) for key, (name, _) in _GRID_KEYS.items()
+              if name not in reads.get("grid", {})]
+    unread += [(key, config, name) for key, (name, _) in _KEYS.items()
+               if name not in (*reads, "experiment", "grid", "output_path")]
+    for key, owner, name in unread:
+        if getattr(owner, name) != getattr(type(owner), name):
+            raise ConfigError(f"{key} must keep its default for {exp}, got {getattr(owner, name)!r}")
     if exp not in ("laplace_check", "verify_all"):
         config.scalar_alpha()
     if exp == "cdf_check" and config.alpha != 0.5:
         raise ConfigError("alpha must be 0.5 for cdf_check (the closed-form comparison law)")
-    if exp not in _GRID_EXPERIMENTS or exp == "blowup":
-        # Blowup reads only the depth (its grid halves down to T * 2^-levels);
-        # the other experiments read no grid and no horizon.
-        unread = ("kind", "q", "epsilon") if exp == "blowup" else ("kind", "levels", "q", "epsilon")
-        for key in unread:
-            value = getattr(grid, key)
-            if value != getattr(GridConfig(), key):
-                raise ConfigError(f"grid.{key} must keep its default for {exp}, got {value!r}")
-        if exp != "blowup" and config.T != ExperimentConfig.T:
-            raise ConfigError(f"T must keep its default for {exp}, got {config.T!r}")
     if grid.q != GridConfig().q and (grid.kind == "uniform" or grid.epsilon is not None):
         # Only a geometric grid without an explicit epsilon reads its ratio.
         raise ConfigError(f"grid.q is read only by a geometric grid without grid.epsilon, got {grid.q!r}")
-    if exp in _GRID_EXPERIMENTS:
+    if "grid" in reads:
         try:
             grid = grid.build(config.T)
         except ValueError as exc:
             raise ConfigError(f"grid: {exc}") from exc
-
-    # Imported here, not at the top: loading experiments (and scipy.integrate)
-    # ahead of integrals changed scipy's import order and slowed
-    # `import stablesub.cli` by about 50 ms (2-core Xeon, Python 3.11).
-    from . import experiments
 
     try:  # build what the run builds, or run the argument checks of its experiment
         SeedSpec(config.master_seed)

@@ -328,8 +328,8 @@ def _sample_batches(task, n_replicates: int, master_seed: int, cell: int, worker
     Batch b of cell c draws from the stream _stream(master_seed, c, b).  With
     more than one worker the batches run in a process pool, so `task` must
     pickle (a module-level function or a functools.partial of one).  The pool
-    is the one _worker_pool holds open for this worker count, else one
-    started for this call.
+    is the one _worker_pool holds open for this worker count, else one it
+    opens for this call.
     """
     n = int(n_replicates)
     if n < 1:
@@ -342,10 +342,9 @@ def _sample_batches(task, n_replicates: int, master_seed: int, cell: int, worker
         return [_batch_task(a) for a in args]
     # A few batches per message: fewer round trips, the same order.
     chunksize = math.ceil(len(args) / (4 * workers))
-    if _RUN_POOL is not None and _RUN_POOL[0] == workers:
+    open_pool = _RUN_POOL is not None and _RUN_POOL[0] == workers
+    with contextlib.nullcontext() if open_pool else _worker_pool(workers):
         return list(_RUN_POOL[1].map(_batch_task, args, chunksize=chunksize))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_batch_task, args, chunksize=chunksize))
 
 
 def draw_standard_samples(

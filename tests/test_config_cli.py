@@ -16,6 +16,56 @@ from stablesub.config import config_from_mapping
 from stablesub.reporting import ResultRecord, comparable_record_json, record_to_json
 
 
+_SAMPLING = ("n_replicates", "master_seed", "workers")
+_GRID = ("grid.kind", "grid.levels", "grid.q", "grid.epsilon")
+# The keys each experiment's run reads, besides output_path, which every run reads.
+_READS = {
+    "laplace_check": ("alpha", *_SAMPLING),
+    "cdf_check": _SAMPLING,
+    "scaling": ("alpha", "p", "times", *_SAMPLING),
+    "moment_bound_theta": ("alpha", "theta", "p", "T", *_GRID, *_SAMPLING),
+    "moment_bound_exp": ("alpha", "lambda", "p", "T", *_GRID, *_SAMPLING),
+    "blowup": ("alpha", "theta", "T", "grid.levels", *_SAMPLING),
+    "ibp_consistency": ("alpha", "theta", "T", *_GRID, "n_replicates", "master_seed"),
+    "kernel_classify": ("alpha", "theta"),
+    "verify_all": _SAMPLING,
+}
+_REQUIRED = {
+    "scaling": {"alpha": 0.5},
+    "moment_bound_theta": {"alpha": 0.5, "theta": 1.0},
+    "moment_bound_exp": {"alpha": 0.5},
+    "blowup": {"alpha": 0.5, "theta": 3.0},
+    "ibp_consistency": {"alpha": 0.5},
+    "kernel_classify": {"alpha": 0.5, "theta": 2.0},
+}
+# A valid value of each key that differs from every experiment's default.
+_NON_DEFAULT = {
+    "alpha": 0.6, "theta": 1.2, "p": 0.1, "lambda": 2.0, "T": 2.0, "times": [0.5, 2.0],
+    "n_replicates": 500, "master_seed": 7, "workers": 2, "output_path": "runs/x",
+    "grid.levels": 20, "grid.q": 0.25, "grid.epsilon": 1e-6,
+}
+# Flags of every subcommand, then each subcommand's own, in --help order.
+_COMMON_FLAGS = ["--config", "--seed", "--replicates", "--workers", "--out"]
+_GRID_FLAGS = ["--grid-kind", "--grid-levels", "--grid-q", "--grid-epsilon"]
+_FLAGS = {
+    "laplace": ["--alpha"],
+    "cdf": [],
+    "scaling": ["--alpha", "--p", "--times"],
+    "bound-theta": [*_GRID_FLAGS, "--alpha", "--theta", "--p", "--T"],
+    "bound-exp": [*_GRID_FLAGS, "--alpha", "--lambda", "--p", "--T"],
+    "blowup": ["--alpha", "--theta", "--levels"],
+    "ibp": ["--alpha", "--theta"],
+    "classify": ["--alpha", "--theta"],
+    "verify-all": [],
+}
+
+
+def _help(command):
+    result = CliRunner().invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    return result.output
+
+
 def _reject_constant(token):
     raise AssertionError(f"record holds the non-JSON token {token}")
 
@@ -101,6 +151,29 @@ class TestParseConfig:
         ibp = parse_config('{"experiment": "ibp_consistency", "alpha": 0.5}')
         assert (ibp.n_replicates, ibp.grid.levels, ibp.theta) == (1000, 40, 0.5)
 
+    @pytest.mark.parametrize("experiment", sorted(_READS))
+    def test_each_experiment_reads_its_keys_and_refuses_the_rest(self, experiment):
+        base = {"experiment": experiment, **_REQUIRED.get(experiment, {})}
+        default = config_from_mapping(base)
+        assert parse_config(render_config(default)) == default
+        other_kind = "geometric" if default.grid.kind == "uniform" else "uniform"
+        for key, value in {**_NON_DEFAULT, "grid.kind": other_kind}.items():
+            document = dict(base)
+            section, _, name = key.rpartition(".")
+            target = document.setdefault("grid", {}) if section else document
+            target[name] = value
+            if key not in (*_READS[experiment], "output_path"):
+                message = rf"^{re.escape(key)} must (keep its default|be 0\.5) for {experiment}\b"
+                with pytest.raises(ConfigError, match=message):
+                    config_from_mapping(document)
+                continue
+            if key == "grid.q":
+                target["kind"] = "geometric"  # the one grid that reads its ratio
+            config = config_from_mapping(document)
+            rendered = json.loads(render_config(config))
+            assert (rendered["grid"] if section else rendered)[name] == value, key
+            assert parse_config(render_config(config)) == config
+
     def test_workers_floor(self):
         with pytest.raises(ConfigError, match="workers must be >= 1"):
             config_from_mapping({"experiment": "cdf_check", "workers": 0})
@@ -129,6 +202,22 @@ class TestRecordJson:
 
 
 class TestCli:
+    @pytest.mark.parametrize("command", sorted(_FLAGS))
+    def test_help_lists_each_flag(self, command):
+        flags = re.findall(r"^  (--[\w-]+)", _help(command), re.MULTILINE)
+        assert flags == _COMMON_FLAGS + _FLAGS[command] + ["--help"]
+
+    def test_help_defaults_are_the_config_defaults(self):
+        def hinted(command, pattern):
+            text = " ".join(_help(command).split())
+            return tuple(float(v) for v in re.search(pattern + r" ([\d. ]+)\.", text)[1].split())
+
+        assert hinted("laplace", "Default grid:") == experiments.LAPLACE_ALPHAS
+        scaling = parse_config('{"experiment": "scaling", "alpha": 0.5}')
+        assert hinted("scaling", "Horizons; default") == scaling.times
+        blowup = parse_config('{"experiment": "blowup", "alpha": 0.5, "theta": 3.0}')
+        assert hinted("blowup", "2\\^-levels; default") == (blowup.grid.levels,)
+
     def test_classify_stdout_record(self):
         runner = CliRunner()
         result = runner.invoke(main, ["classify", "--alpha", "0.5", "--theta", "2.0"])
@@ -154,7 +243,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "text, message",
         [("not json", "error: config is not valid JSON"),
-         ("[1]", "error: config must be a JSON object")],
+         ("[1]", "error: config must be a JSON object"),
+         ('{"grid": 5}', "error: grid must be an object")],
     )
     def test_unreadable_config_document(self, tmp_path, text, message):
         config_path = tmp_path / "config.json"
@@ -209,6 +299,17 @@ class TestCli:
             ('laplace --config {"grid":{"epsilon":0.001}}', "grid.epsilon"),
             ('scaling --alpha 0.5 --config {"grid":{"q":0.25}}', "grid.q"),
             ('verify-all --config {"grid":{"levels":12}}', "grid.levels"),
+            # Every other key a run never reads keeps its default too.
+            ('verify-all --config {"theta":1.0}', "theta"),
+            ('cdf --config {"p":0.1}', "p"),
+            ('laplace --config {"lambda":2.0}', "lambda"),
+            ('scaling --alpha 0.5 --config {"theta":1.0}', "theta"),
+            ('bound-theta --alpha 0.5 --theta 1 --config {"lambda":2.0}', "lambda"),
+            ('bound-exp --alpha 0.5 --config {"theta":1.0}', "theta"),
+            ('blowup --alpha 0.5 --theta 3 --config {"times":[2.0]}', "times"),
+            ('ibp --alpha 0.5 --config {"p":0.1}', "p"),
+            ("classify --alpha 0.5 --theta 2 --seed 3", "master_seed"),
+            ("classify --alpha 0.5 --theta 2 --replicates 7", "n_replicates"),
         ],
     )
     def test_rejected_before_sampling(self, monkeypatch, tmp_path, args, key):
@@ -317,7 +418,7 @@ class TestCli:
 
     def test_config_file_with_flag_override(self, tmp_path):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"alpha": 0.5, "theta": 1.9, "n_replicates": 64}))
+        config_path.write_text(json.dumps({"alpha": 0.5, "theta": 1.9}))
         runner = CliRunner()
         result = runner.invoke(main, ["classify", "--config", str(config_path), "--theta", "2.0"])
         assert result.exit_code == 0
