@@ -57,6 +57,7 @@ from .special import (
     levy_half_cdf,
 )
 from .subordinator import (
+    NonFiniteDrawError,
     SeedSpec,
     StableParams,
     SubordinatorPath,

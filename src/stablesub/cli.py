@@ -1,7 +1,8 @@
 """Command-line driver: one subcommand per experiment plus verify-all.
 
 Exit status is 0 only when every verdict passes; configuration errors exit
-with status 2 and name the offending key.  Without --out the full JSON record
+with status 2 and name the offending key, and so does a sampler that leaves
+double range (naming alpha).  Without --out the full JSON record
 goes to stdout; with --out the record and companion CSVs are written to files
 and a short verdict summary is printed instead.
 """
@@ -17,6 +18,7 @@ import click
 from .config import _DEFAULTS, ConfigError, _object, config_from_mapping, parse_document
 from .experiments import LAPLACE_ALPHAS
 from .reporting import record_to_json, run
+from .subordinator import NonFiniteDrawError
 
 
 def _listed(values) -> str:
@@ -89,7 +91,7 @@ def _execute(experiment: str, config_path, **flags) -> None:
             payload["grid"] = grid
         config = config_from_mapping(payload)
         record = run(config)
-    except ConfigError as exc:
+    except (ConfigError, NonFiniteDrawError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 

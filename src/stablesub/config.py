@@ -299,7 +299,7 @@ def validate_config(config: ExperimentConfig) -> None:
             experiments._check_scaling_args(config.alpha, config.p, config.times)
         elif exp in ("moment_bound_theta", "moment_bound_exp"):
             experiments._moment_cell(StableParams(config.alpha), config.kernel(), config.p, grid)
-        elif exp == "cdf_check":
+        elif exp in ("cdf_check", "verify_all"):  # verify-all runs cdf_check
             experiments._check_cdf_args(config.n_replicates)
         elif exp == "blowup":
             StableParams(config.alpha)

@@ -304,32 +304,28 @@ _RUN_POOL = None
 
 @contextlib.contextmanager
 def _worker_pool(workers: int):
-    """One process pool for every _sample_batches call of `workers` inside the block.
+    """Run every _sample_batches call inside the block on `workers` processes.
 
-    The pool is built on entry (none for a single worker) and shut down, its
-    workers joined, on exit.
+    One process pool is built on entry (none for a single worker: the batches
+    run serially) and shut down, its workers joined, on exit.
     """
     global _RUN_POOL
-    if workers <= 1:
-        yield
-        return
     outer = _RUN_POOL
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        _RUN_POOL = (workers, pool)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        _RUN_POOL = None if pool is None else (workers, pool)
         try:
             yield
         finally:
             _RUN_POOL = outer
 
 
-def _sample_batches(task, n_replicates: int, master_seed: int, cell: int, workers: int) -> list:
+def _sample_batches(task, n_replicates: int, master_seed: int, cell: int) -> list:
     """`task(seed, count)` for each BATCH_SIZE batch of a cell's replicates, in order.
 
-    Batch b of cell c draws from the stream _stream(master_seed, c, b).  With
-    more than one worker the batches run in a process pool, so `task` must
-    pickle (a module-level function or a functools.partial of one).  The pool
-    is the one _worker_pool holds open for this worker count, else one it
-    opens for this call.
+    Batch b of cell c draws from the stream _stream(master_seed, c, b).  The
+    batches run in the process pool that _worker_pool holds open, so `task`
+    must pickle (a module-level function or a functools.partial of one), and
+    serially when no pool is open.
     """
     n = int(n_replicates)
     if n < 1:
@@ -338,13 +334,11 @@ def _sample_batches(task, n_replicates: int, master_seed: int, cell: int, worker
         (task, _stream(master_seed, cell, batch), min(BATCH_SIZE, n - start))
         for batch, start in enumerate(range(0, n, BATCH_SIZE))
     ]
-    if workers <= 1 or len(args) <= 1:
+    if _RUN_POOL is None or len(args) <= 1:
         return [_batch_task(a) for a in args]
+    workers, pool = _RUN_POOL
     # A few batches per message: fewer round trips, the same order.
-    chunksize = math.ceil(len(args) / (4 * workers))
-    open_pool = _RUN_POOL is not None and _RUN_POOL[0] == workers
-    with contextlib.nullcontext() if open_pool else _worker_pool(workers):
-        return list(_RUN_POOL[1].map(_batch_task, args, chunksize=chunksize))
+    return list(pool.map(_batch_task, args, chunksize=math.ceil(len(args) / (4 * workers))))
 
 
 def draw_standard_samples(
@@ -352,11 +346,10 @@ def draw_standard_samples(
     n_replicates: int,
     master_seed: int = DEFAULT_MASTER_SEED,
     cell: int = 0,
-    workers: int = 1,
 ) -> np.ndarray:
     """Batched i.i.d. S_1 draws; `cell` separates streams of one experiment."""
     task = functools.partial(sample_standard_stable_batch, StableParams(alpha))
-    return np.concatenate(_sample_batches(task, n_replicates, master_seed, cell, workers))
+    return np.concatenate(_sample_batches(task, n_replicates, master_seed, cell))
 
 
 def _moment_sums(plan: tuple, seed: SeedSpec, count: int) -> np.ndarray:
@@ -442,7 +435,6 @@ def run_laplace_check(
     alphas=LAPLACE_ALPHAS,
     n_replicates: int = 100_000,
     master_seed: int = DEFAULT_MASTER_SEED,
-    workers: int = 1,
 ) -> LaplaceCheckReport:
     """Check E e^(-lam S_1) = e^(-lam^alpha) cell by cell over alphas x
     LAPLACE_LAMBDAS, 3-sigma acceptance."""
@@ -451,7 +443,7 @@ def run_laplace_check(
     cell_index = 0
     for alpha in alphas:
         for lam in LAPLACE_LAMBDAS:
-            draws = draw_standard_samples(alpha, n_replicates, master_seed, cell_index, workers)
+            draws = draw_standard_samples(alpha, n_replicates, master_seed, cell_index)
             transformed = np.exp(-lam * draws)
             est = MomentEstimate.from_samples(transformed)
             target = math.exp(-(lam**alpha))
@@ -494,12 +486,11 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
 def run_cdf_check(
     n_replicates: int = 100_000,
     master_seed: int = DEFAULT_MASTER_SEED,
-    workers: int = 1,
 ) -> CdfCheckReport:
     """KS test of alpha = 1/2 draws against the closed-form CDF erfc(1/(2 sqrt(x))),
     at the asymptotic 1% critical value 1.63/sqrt(n)."""
     _check_cdf_args(n_replicates)
-    draws = draw_standard_samples(0.5, n_replicates, master_seed, 0, workers)
+    draws = draw_standard_samples(0.5, n_replicates, master_seed, 0)
     distance = ks_distance(draws, levy_half_cdf)
     critical = 1.63 / math.sqrt(n_replicates)
     return CdfCheckReport(
@@ -522,13 +513,12 @@ def run_scaling_check(
     times=(0.25, 1.0, 4.0),
     n_replicates: int = 100_000,
     master_seed: int = DEFAULT_MASTER_SEED,
-    workers: int = 1,
 ) -> ScalingCheckReport:
     """Self-similarity collapse: E S_t^p / t^(p/alpha) constant across horizons."""
     reference = frac_moment_closed_form(_check_scaling_args(params.alpha, p, times))
     normalized, errors = [], []
     for cell, t in enumerate(times):
-        draws = draw_standard_samples(params.alpha, n_replicates, master_seed, cell, workers)
+        draws = draw_standard_samples(params.alpha, n_replicates, master_seed, cell)
         scaled = (t ** (1.0 / params.alpha) * draws) ** p
         est = MomentEstimate.from_samples(scaled)
         norm = t ** (p / params.alpha)
@@ -568,17 +558,15 @@ def run_moment_check(
     n_replicates: int = 100_000,
     master_seed: int = DEFAULT_MASTER_SEED,
     grid: TimeGrid | None = None,
-    workers: int = 1,
 ) -> BoundCheckReport:
     """Estimate E (bracket of the kernel integral)^p and compare to its bound."""
-    return run_moment_checks([(params, kernel, p, grid)], n_replicates, master_seed, workers)[0]
+    return run_moment_checks([(params, kernel, p, grid)], n_replicates, master_seed)[0]
 
 
 def run_moment_checks(
     cells,
     n_replicates: int = 100_000,
     master_seed: int = DEFAULT_MASTER_SEED,
-    workers: int = 1,
 ) -> list[BoundCheckReport]:
     """Moment-bound checks for (params, kernel, p, grid or None) cells, in order.
 
@@ -609,7 +597,7 @@ def run_moment_checks(
             for indices in kernels.values()
         ]
         task = functools.partial(_moment_sums, plan)
-        parts = _sample_batches(task, n_replicates, master_seed, 0, workers)
+        parts = _sample_batches(task, n_replicates, master_seed, 0)
         for k, indices in enumerate(members):
             lower = np.concatenate([part[k, 0] for part in parts])
             upper = np.concatenate([part[k, 1] for part in parts])
@@ -661,7 +649,6 @@ def run_blowup_diagnostic(
     max_level: int = 30,
     n_replicates: int = 10_000,
     master_seed: int = DEFAULT_MASTER_SEED,
-    workers: int = 1,
 ) -> SlopeReport:
     """Median growth of the scaled near-origin statistic across epsilon levels.
 
@@ -670,9 +657,7 @@ def run_blowup_diagnostic(
     slope against log(1/epsilon) and compares it with theta - 1/alpha.
     Medians, not means: the raw integrals have infinite expectation.
     """
-    return run_blowup_diagnostics(
-        params, (theta,), T, max_level, n_replicates, master_seed, workers
-    )[0]
+    return run_blowup_diagnostics(params, (theta,), T, max_level, n_replicates, master_seed)[0]
 
 
 def run_blowup_diagnostics(
@@ -682,7 +667,6 @@ def run_blowup_diagnostics(
     max_level: int = 30,
     n_replicates: int = 10_000,
     master_seed: int = DEFAULT_MASTER_SEED,
-    workers: int = 1,
 ) -> list[SlopeReport]:
     """Blow-up diagnostics for several exponents, in order, on one set of paths.
 
@@ -698,7 +682,7 @@ def run_blowup_diagnostics(
     levels = np.arange(BLOWUP_MIN_LEVEL, max_level + 1)
     level_columns = max_level - levels  # grid index of epsilon_j = T * 2^-j
     task = functools.partial(_blowup_sums, params.alpha, grid, tuple(thetas), level_columns)
-    parts = _sample_batches(task, n_replicates, master_seed, 0, workers)
+    parts = _sample_batches(task, n_replicates, master_seed, 0)
     epsilons = grid.points[level_columns]
     reports = []
     for slot, theta in enumerate(thetas):
@@ -816,7 +800,7 @@ def run_ibp_consistency(
         grid = default_grid(kernel)
     _check_horizon(grid, T)
     task = functools.partial(_ibp_sums, params.alpha, grid, theta)
-    meets, abel = zip(*_sample_batches(task, n_paths, master_seed, 0, 1))
+    meets, abel = zip(*_sample_batches(task, n_paths, master_seed, 0))
     # np.max passes a NaN discrepancy through, so it fails the tolerance test.
     max_abel = float(np.max(np.concatenate(abel)))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .config import ExperimentConfig, render_config
+from .config import ExperimentConfig, config_from_mapping, render_config
 from .experiments import (
     MomentEstimate,
     _worker_pool,
@@ -173,50 +173,7 @@ def _format_cell(cell) -> str:
 
 
 # --------------------------------------------------------------------------
-# renderers: each report kind becomes (verdicts, results, series) once, for
-# its single-experiment record and its verify-all section alike
-
-
-def _render_laplace(report):
-    columns = ["alpha", "lambda", "mc_mean", "std_error", "target", "within_3se"]
-    rows = [[c.alpha, c.lam, c.mc_mean, c.std_error, c.target, c.within_3se] for c in report.cells]
-    return (
-        _verdicts(laplace_transform=report.passed),
-        {"n_cells": len(report.cells), "n_within_3se": report.n_within},
-        {"laplace_cells": {"columns": columns, "rows": rows}},
-    )
-
-
-def _render_cdf(report):
-    results = {"ks_distance": report.ks_distance, "critical_value": report.critical_value,
-               "n_replicates": report.n_replicates}
-    return _verdicts(distribution_ks=report.passed), results, {}
-
-
-def _render_scaling(report):
-    columns = ["t", "normalized_moment", "std_error"]
-    return (
-        _verdicts(scaling_collapse=report.passed),
-        {"reference_moment": report.reference, "max_deviation_sigmas": report.max_deviation_sigmas},
-        {"scaling": _series(columns, report.times, report.normalized_means, report.std_errors)},
-    )
-
-
-def _render_ibp(report):
-    columns = ["grid_levels", "lower_sum", "upper_sum", "gap"]
-    verdicts = _verdicts(
-        brackets_intersect=report.all_brackets_intersect,
-        abel_identity=report.abel_identity,
-        classical_integrals=report.classical_integrals,
-    )
-    results = {
-        "n_paths": report.n_paths,
-        "max_abel_discrepancy": report.max_abel_discrepancy,
-        "det_power_target": report.det_power_target,
-        "det_exp_target": report.det_exp_target,
-    }
-    rows = [list(row) for row in report.convergence_rows]
-    return verdicts, results, {"bracket_convergence": {"columns": columns, "rows": rows}}
+# per-experiment record builders: each becomes (verdicts, results, series)
 
 
 def _verdicts(**checks: bool) -> dict:
@@ -228,35 +185,38 @@ def _series(columns: list[str], *values) -> dict:
     return {"columns": columns, "rows": [list(row) for row in zip(*values)]}
 
 
-# --------------------------------------------------------------------------
-# per-experiment record builders
-
-
 def _sampling(config: ExperimentConfig) -> dict:
-    """Replicate count, seed and worker count: the keywords every sampling driver takes."""
-    return dict(n_replicates=config.n_replicates, master_seed=config.master_seed,
-                workers=config.workers)
+    """Replicate count and seed: the keywords every sampling driver takes."""
+    return dict(n_replicates=config.n_replicates, master_seed=config.master_seed)
 
 
 def _build_laplace(config: ExperimentConfig):
     report = run_laplace_check(alphas=config.alphas(), **_sampling(config))
-    verdicts, results, series = _render_laplace(report)
-    table = series["laplace_cells"]
-    results["cells"] = [dict(zip(table["columns"], row)) for row in table["rows"]]
-    return verdicts, results, series
+    columns = ["alpha", "lambda", "mc_mean", "std_error", "target", "within_3se"]
+    rows = [[c.alpha, c.lam, c.mc_mean, c.std_error, c.target, c.within_3se] for c in report.cells]
+    return (
+        _verdicts(laplace_transform=report.passed),
+        {"n_cells": len(report.cells), "n_within_3se": report.n_within},
+        {"laplace_cells": {"columns": columns, "rows": rows}},
+    )
 
 
 def _build_cdf(config: ExperimentConfig):
-    return _render_cdf(run_cdf_check(**_sampling(config)))
+    report = run_cdf_check(**_sampling(config))
+    results = {"ks_distance": report.ks_distance, "critical_value": report.critical_value,
+               "n_replicates": report.n_replicates}
+    return _verdicts(distribution_ks=report.passed), results, {}
 
 
 def _build_scaling(config: ExperimentConfig):
     params = StableParams(config.scalar_alpha())
     report = run_scaling_check(params, p=config.p, times=config.times, **_sampling(config))
-    verdicts, results, series = _render_scaling(report)
-    results.update(normalized_means=list(report.normalized_means),
-                   std_errors=list(report.std_errors), times=list(report.times))
-    return verdicts, results, series
+    columns = ["t", "normalized_moment", "std_error"]
+    return (
+        _verdicts(scaling_collapse=report.passed),
+        {"reference_moment": report.reference, "max_deviation_sigmas": report.max_deviation_sigmas},
+        {"scaling": _series(columns, report.times, report.normalized_means, report.std_errors)},
+    )
 
 
 def _build_bound(config: ExperimentConfig):
@@ -305,6 +265,24 @@ def _build_blowup(config: ExperimentConfig):
     return _verdicts(blowup_slope=report.slope_matches), results, series
 
 
+def _render_ibp(report):
+    """The ibp triple that the ibp record and the verify-all section share."""
+    columns = ["grid_levels", "lower_sum", "upper_sum", "gap"]
+    verdicts = _verdicts(
+        brackets_intersect=report.all_brackets_intersect,
+        abel_identity=report.abel_identity,
+        classical_integrals=report.classical_integrals,
+    )
+    results = {
+        "n_paths": report.n_paths,
+        "max_abel_discrepancy": report.max_abel_discrepancy,
+        "det_power_target": report.det_power_target,
+        "det_exp_target": report.det_exp_target,
+    }
+    rows = [list(row) for row in report.convergence_rows]
+    return verdicts, results, {"bracket_convergence": {"columns": columns, "rows": rows}}
+
+
 def _build_ibp(config: ExperimentConfig):
     kernel = config.kernel()
     report = run_ibp_consistency(
@@ -327,22 +305,22 @@ def _build_classify(config: ExperimentConfig):
 
 # --------------------------------------------------------------------------
 # verify-all: the full acceptance grid in one run, as a table of sections.
-# A section maps (replicate cap, seed, workers) to one triple per name.
+# A section maps (replicate cap, seed) to one triple per name.
 
 
-def _laplace_section(cap, seed, workers):
-    """Laplace transform fidelity, 9 cells."""
-    report = run_laplace_check(n_replicates=min(100_000, cap), master_seed=seed, workers=workers)
-    return [_render_laplace(report)]
+def _experiment_section(experiment: str, **keys):
+    """Section that runs an ordinary experiment config through its builder, at
+    up to 100k replicates."""
+
+    def section(cap, seed):
+        config = config_from_mapping({"experiment": experiment, **keys,
+                                      "n_replicates": min(100_000, cap), "master_seed": seed})
+        return [_BUILDERS[experiment](config)]
+
+    return section
 
 
-def _cdf_section(cap, seed, workers):
-    """Distribution oracle at alpha = 1/2 (1% KS critical value)."""
-    report = run_cdf_check(n_replicates=min(100_000, cap), master_seed=seed, workers=workers)
-    return [_render_cdf(report)]
-
-
-def _oracle_chain_section(cap, seed, workers):
+def _oracle_chain_section(cap, seed):
     """Quadrature vs closed form on the 36-cell grid, then a Monte Carlo
     check of E S_1^p at the pinned cell."""
     max_rel = 0.0
@@ -352,7 +330,7 @@ def _oracle_chain_section(cap, seed, workers):
                 query = FracMomentQuery(alpha, p, t)
                 closed = frac_moment_closed_form(query)
                 max_rel = max(max_rel, abs(frac_moment_quadrature(query) - closed) / closed)
-    draws = draw_standard_samples(0.5, min(1_000_000, cap * 10), seed, cell=90, workers=workers)
+    draws = draw_standard_samples(0.5, min(1_000_000, cap * 10), seed, cell=90)
     estimate = MomentEstimate.from_samples(draws**0.25)
     oracle = frac_moment_closed_form(FracMomentQuery(0.5, 0.25, 1.0))
     verdicts = _verdicts(
@@ -369,14 +347,6 @@ def _oracle_chain_section(cap, seed, workers):
     return [(verdicts, results, {})]
 
 
-def _scaling_section(cap, seed, workers):
-    """Scaling collapse across horizons."""
-    report = run_scaling_check(
-        StableParams(0.5), p=0.25, n_replicates=min(100_000, cap), master_seed=seed, workers=workers
-    )
-    return [_render_scaling(report)]
-
-
 _THETA_GRID = [
     (alpha, frac / alpha, p)
     for alpha in (0.3, 0.5, 0.7) for frac in (0.5, 0.8) for p in (alpha / 4.0, alpha / 2.0)
@@ -384,7 +354,7 @@ _THETA_GRID = [
 _EXP_GRID = [(lam, T) for lam in (0.5, 1.0, 2.0) for T in (1.0, 5.0)]
 
 
-def _bound_grid_sections(cap, seed, workers):
+def _bound_grid_sections(cap, seed):
     """Power-kernel bound over the (alpha, theta, p) grid and exponential-kernel
     bound over lambda x T, in one driver call so that cells sharing sample
     paths draw them once."""
@@ -392,7 +362,7 @@ def _bound_grid_sections(cap, seed, workers):
         (StableParams(alpha), SingularKernel(theta=theta, T=1.0), p, None)
         for alpha, theta, p in _THETA_GRID
     ] + [(StableParams(0.5), ExpKernel(lam=lam, T=T), 0.25, None) for lam, T in _EXP_GRID]
-    checks = run_moment_checks(cells, min(100_000, cap), seed, workers)
+    checks = run_moment_checks(cells, min(100_000, cap), seed)
     triples = []
     for keys, key_columns, section in (
         (_THETA_GRID, ["alpha", "theta", "p"], checks[: len(_THETA_GRID)]),
@@ -409,12 +379,11 @@ def _bound_grid_sections(cap, seed, workers):
     return triples
 
 
-def _blowup_slopes_section(cap, seed, workers):
+def _blowup_slopes_section(cap, seed):
     """Blow-up slope law at three supercritical exponents (alpha = 1/2, threshold 2)."""
     thetas = (2.5, 3.0, 4.0)
     reports = run_blowup_diagnostics(
-        StableParams(0.5), thetas, n_replicates=max(100, min(10_000, cap)),
-        master_seed=seed, workers=workers,
+        StableParams(0.5), thetas, n_replicates=max(100, min(10_000, cap)), master_seed=seed
     )
     rows = [[theta, r.fitted_slope, r.expected_slope, r.residual] for theta, r in zip(thetas, reports)]
     matches = [r.slope_matches for r in reports]
@@ -423,11 +392,11 @@ def _blowup_slopes_section(cap, seed, workers):
     return [(verdicts, {"n_cases": len(rows)}, {"slopes": {"columns": columns, "rows": rows}})]
 
 
-def _stabilization_section(cap, seed, workers):
+def _stabilization_section(cap, seed):
     """Finiteness stabilization of the truncated lower sums (theta < 1/alpha)."""
     report = run_blowup_diagnostic(
         StableParams(0.5), theta=1.0, max_level=40,
-        n_replicates=max(100, min(10_000, cap)), master_seed=seed, workers=workers,
+        n_replicates=max(100, min(10_000, cap)), master_seed=seed,
     )
     medians = report.lower_sum_medians
     at35 = medians[report.epsilons.index(2.0**-35)]
@@ -438,7 +407,7 @@ def _stabilization_section(cap, seed, workers):
     return [(_verdicts(median_change_below_1pct=change < 0.01), results, series)]
 
 
-def _ibp_section(cap, seed, workers):
+def _ibp_section(cap, seed):
     """Exact identities and the dual-route bracket consistency."""
     report = run_ibp_consistency(
         StableParams(0.5), theta=1.0, n_paths=max(2, min(1000, cap)), master_seed=seed
@@ -447,10 +416,10 @@ def _ibp_section(cap, seed, workers):
 
 
 _VERIFY_ALL_SECTIONS = (
-    (("laplace",), _laplace_section),
-    (("cdf",), _cdf_section),
+    (("laplace",), _experiment_section("laplace_check")),
+    (("cdf",), _experiment_section("cdf_check")),
     (("frac_moment_chain",), _oracle_chain_section),
-    (("scaling",), _scaling_section),
+    (("scaling",), _experiment_section("scaling", alpha=0.5, p=0.25)),
     (("bound_theta_grid", "bound_exp_grid"), _bound_grid_sections),
     (("blowup_slopes",), _blowup_slopes_section),
     (("finiteness_stabilization",), _stabilization_section),
@@ -461,7 +430,7 @@ _VERIFY_ALL_SECTIONS = (
 def _build_verify_all(config: ExperimentConfig):
     verdicts, results, series = {}, {}, {}
     for names, section in _VERIFY_ALL_SECTIONS:
-        triples = section(config.n_replicates, config.master_seed, config.workers)
+        triples = section(config.n_replicates, config.master_seed)
         for prefix, (sub_verdicts, sub_results, sub_series) in zip(names, triples, strict=True):
             verdicts.update((f"{prefix}.{key}", value) for key, value in sub_verdicts.items())
             results[prefix] = sub_results

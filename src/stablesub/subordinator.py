@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "NonFiniteDrawError",
     "SeedSpec",
     "StableParams",
     "SubordinatorPath",
@@ -35,6 +36,10 @@ _TWO64 = 1 << 64
 # Angle clamp for the sine-ratio construction: the ratios overflow at the
 # endpoints of (0, pi).  The induced bias is far below statistical resolution.
 _ANGLE_CLAMP = 1e-12
+
+
+class NonFiniteDrawError(ValueError):
+    """Kanter draws left double range: at small alpha sin(U)^(1/alpha) underflows."""
 
 
 @dataclass(frozen=True)
@@ -215,7 +220,8 @@ def kanter_draws(alphas, u: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     alpha = 0.3 and 0.7.  A sine is released after its last use, so no more
     arrays are alive at once than in the one-alpha expression.  Elementwise:
     any block of rows of (u, w) gives the same rows of each result, bit for
-    bit.
+    bit.  Raises NonFiniteDrawError, naming alpha and the count, when an
+    alpha's draws are not all finite.
     """
     uses = collections.Counter(c for alpha in alphas for c in (alpha, 1.0 - alpha, 1.0))
     sines: dict = {}
@@ -230,11 +236,20 @@ def kanter_draws(alphas, u: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     draws = []
     for alpha in alphas:
         inv = 1.0 / alpha
-        draws.append(
-            sin_of(alpha)
-            * sin_of(1.0 - alpha) ** (inv - 1.0)
-            / (sin_of(1.0) ** inv * w ** (inv - 1.0))
-        )
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            draw = (
+                sin_of(alpha)
+                * sin_of(1.0 - alpha) ** (inv - 1.0)
+                / (sin_of(1.0) ** inv * w ** (inv - 1.0))
+            )
+        finite = np.isfinite(draw)
+        if not finite.all():
+            bad = draw.size - int(np.count_nonzero(finite))
+            raise NonFiniteDrawError(
+                f"alpha = {alpha:g} leaves the sampler's double range: "
+                f"{bad} of {draw.size} stable draws are not finite"
+            )
+        draws.append(draw)
     return draws
 
 

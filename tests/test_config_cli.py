@@ -289,6 +289,7 @@ class TestCli:
             ("cdf --replicates 1", "n_replicates"),
             ("cdf --replicates 2", "n_replicates"),  # 1.63/sqrt(2) > 1 passes anything
             ("cdf --workers 0", "workers"),
+            ("verify-all --replicates 2", "n_replicates"),  # verify-all runs the KS test
             ("cdf --seed -1", "master_seed"),
             # A token starting with "{" is a config document.  These
             # experiments read no grid and no horizon.
@@ -336,6 +337,26 @@ class TestCli:
         )
         assert result.exit_code == 2
         assert "theta * |ln(grid epsilon)| must be <= 700" in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "ibp --alpha 0.01 --replicates 200",
+            "bound-theta --alpha 0.01 --theta 1 --p 0.005 --replicates 2000",
+            'laplace --config {"alpha":[0.01],"n_replicates":2000}',
+        ],
+    )
+    def test_tiny_alpha_is_a_named_error(self, tmp_path, args):
+        # A few Kanter draws in a thousand are not finite at alpha = 0.01.
+        argv = args.split()
+        if argv[-1].startswith("{"):
+            argv[-1] = str(tmp_path / "config.json")
+            Path(argv[-1]).write_text(args.split()[-1])
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        pattern = r"error: alpha = 0\.01 leaves the sampler's double range: [1-9]\d* of \d+ stable draws are not finite\n"
+        assert re.fullmatch(pattern, result.output), result.output
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

@@ -1,5 +1,5 @@
 """The demos import only names that stablesub still provides, and call them
-only with keywords those names accept.
+only with keywords those names accept; README's library example runs.
 
 The demos themselves are not run here: together they take several seconds.
 """
@@ -7,11 +7,13 @@ The demos themselves are not run here: together they take several seconds.
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _stablesub_imports(tree: ast.AST) -> list:
@@ -62,3 +64,11 @@ def test_call_keywords_are_parameters(demo):
             if kw.arg is not None and kw.arg not in parameters
         ]
     assert not unknown, f"{demo.name}: " + "; ".join(unknown)
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1, "the Library example section holds one python block"
+    exec(compile(blocks[0], "README.md: Library example", "exec"), {})

@@ -1,6 +1,7 @@
 """Monte Carlo experiment drivers: bounds, diagnostics, classification."""
 
 import dataclasses
+import inspect
 import json
 import math
 import multiprocessing
@@ -185,8 +186,9 @@ class TestMomentChecks:
 
     def test_worker_count_does_not_change_numbers(self):
         kwargs = dict(p=0.25, n_replicates=12_000, master_seed=503)
-        one = run_moment_check(StableParams(0.5), SingularKernel(theta=1.0, T=1.0), **kwargs, workers=1)
-        many = run_moment_check(StableParams(0.5), SingularKernel(theta=1.0, T=1.0), **kwargs, workers=4)
+        one = run_moment_check(StableParams(0.5), SingularKernel(theta=1.0, T=1.0), **kwargs)
+        with experiments._worker_pool(4):
+            many = run_moment_check(StableParams(0.5), SingularKernel(theta=1.0, T=1.0), **kwargs)
         assert one.estimate.mean == many.estimate.mean
         assert one.estimate.std_error == many.estimate.std_error
 
@@ -212,7 +214,8 @@ class TestGroupedMomentChecks:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_grouped_reports_equal_per_cell_reports(self, workers):
-        grouped = run_moment_checks(self.CELLS, self.N, self.SEED, workers)
+        with experiments._worker_pool(workers):
+            grouped = run_moment_checks(self.CELLS, self.N, self.SEED)
         assert len(grouped) == len(self.CELLS)
         for (params, kernel, p, grid), report in zip(self.CELLS, grouped):
             single = run_moment_check(
@@ -277,7 +280,8 @@ class TestGroupedMomentChecks:
             return real_batches(*args)
 
         monkeypatch.setattr(experiments, "_sample_batches", counting_batches)
-        grouped = run_moment_checks(self.MIXED_CELLS, self.N, self.SEED, workers)
+        with experiments._worker_pool(workers):
+            grouped = run_moment_checks(self.MIXED_CELLS, self.N, self.SEED)
         # One sampling pass per grid length, for every alpha of that length.
         plans = [call[0].args[0] for call in calls]
         assert sorted(len(plan[0][1][0][0]) for plan in plans) == [21, 41]
@@ -349,7 +353,9 @@ class TestGroupedMomentChecks:
         for index, count in ((0, 4096), (1, 904)):
             assert sum(rows for _, batch, rows, _ in draws if batch == index) == count
 
-        # The same renderers write these sections and the single records.
+        # The same builders write these sections and the single records: the
+        # laplace, cdf and scaling sections equal their single records, and
+        # the ibp section is its record's rendered subset.
         record = json.loads(result.output)
         singles = {
             "laplace": ["laplace", *common],
@@ -362,9 +368,16 @@ class TestGroupedMomentChecks:
         for prefix, args in singles.items():
             single = json.loads(CliRunner().invoke(main, args).output)
             section = record["results"][prefix]
-            assert {key: single["results"][key] for key in section} == section
-            for key, verdict in single["verdicts"].items():
-                assert record["verdicts"][f"{prefix}.{key}"] == verdict
+            if prefix == "ibp":
+                assert {key: single["results"][key] for key in section} == section
+            else:
+                assert section == single["results"]
+            section_verdicts = {
+                key[len(prefix) + 1 :]: verdict
+                for key, verdict in record["verdicts"].items()
+                if key.startswith(f"{prefix}.")
+            }
+            assert section_verdicts == single["verdicts"]
             section_series = {
                 key[len(prefix) + 1 :]: block
                 for key, block in record["series"].items()
@@ -423,6 +436,21 @@ def test_one_process_pool_per_run(monkeypatch, workers, pools):
     assert started == [workers] * pools
     assert joined == [True] * pools
     assert multiprocessing.active_children() == []
+
+
+def test_the_run_owns_the_worker_count():
+    # No driver or verify-all section takes a worker count: reporting.run
+    # enters _worker_pool, and _sample_batches maps onto the pool it holds.
+    drivers = [getattr(experiments, name) for name in experiments.__all__]
+    drivers = [fn for fn in drivers if inspect.isfunction(fn)]
+    assert "run_moment_checks" in {fn.__name__ for fn in drivers}
+    for fn in drivers:
+        assert "workers" not in inspect.signature(fn).parameters, fn.__name__
+    assert list(inspect.signature(experiments._sample_batches).parameters) == [
+        "task", "n_replicates", "master_seed", "cell"
+    ]
+    for _, section in reporting._VERIFY_ALL_SECTIONS:
+        assert list(inspect.signature(section).parameters) == ["cap", "seed"]
 
 
 class TestBlowupDiagnostic:

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy import stats
 
 import stablesub.subordinator as subordinator
 from stablesub import (
+    NonFiniteDrawError,
     SeedSpec,
     StableParams,
     SubordinatorPath,
@@ -209,6 +211,19 @@ class TestSharedDraws:
         blocks = [kanter_draws(self.ALPHAS, u[i : i + rows], w[i : i + rows]) for i in range(0, 300, rows)]
         for a, draws in enumerate(whole):
             assert np.array_equal(np.concatenate([block[a] for block in blocks]), draws)
+
+    def test_non_finite_draws_are_a_named_error(self):
+        # At alpha = 0.01, sin(U)^(1/alpha) underflows on a few draws in a
+        # thousand; the error names alpha and counts that alpha's draws.
+        u, w = kanter_inputs(SeedSpec(11, 4), (300, 21))
+        with np.errstate(all="ignore"):
+            kanter = np.sin(0.01 * u) * np.sin(0.99 * u) ** 99.0 / (np.sin(u) ** 100.0 * w**99.0)
+        bad = int(np.count_nonzero(~np.isfinite(kanter)))
+        assert bad > 0
+        message = f"alpha = 0.01 leaves the sampler's double range: {bad} of 6300 stable draws are not finite"
+        with pytest.raises(NonFiniteDrawError, match=f"^{re.escape(message)}$"):
+            kanter_draws((0.5, 0.01), u, w)
+        assert all(np.all(np.isfinite(draws)) for draws in kanter_draws(self.ALPHAS, u, w))
 
 
 # The benchmark tracer (perfbench/tracing.py) counts a sampler call's draws by
