@@ -303,7 +303,8 @@ def validate_config(config: ExperimentConfig) -> None:
             experiments._check_cdf_args(config.n_replicates)
         elif exp == "blowup":
             StableParams(config.alpha)
-            experiments._check_blowup_args(config.theta, config.n_replicates, config.grid.levels)
+            experiments._check_blowup_args(config.theta, config.n_replicates, config.grid.levels,
+                                          config.T)
         elif exp == "ibp_consistency":
             StableParams(config.alpha)
             config.kernel()

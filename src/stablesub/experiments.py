@@ -302,16 +302,23 @@ def _batch_task(args):
 _RUN_POOL = None
 
 
+def _forget_run_pool() -> None:
+    """Pool initializer: a forked worker drops the pool handle it inherits."""
+    global _RUN_POOL
+    _RUN_POOL = None
+
+
 @contextlib.contextmanager
 def _worker_pool(workers: int):
-    """Run every _sample_batches call inside the block on `workers` processes.
+    """Run every _pool_map call inside the block on `workers` processes.
 
-    One process pool is built on entry (none for a single worker: the batches
+    One process pool is built on entry (none for a single worker: the tasks
     run serially) and shut down, its workers joined, on exit.
     """
     global _RUN_POOL
     outer = _RUN_POOL
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+    with (ProcessPoolExecutor(max_workers=workers, initializer=_forget_run_pool)
+          if workers > 1 else contextlib.nullcontext()) as pool:
         _RUN_POOL = None if pool is None else (workers, pool)
         try:
             yield
@@ -319,13 +326,20 @@ def _worker_pool(workers: int):
             _RUN_POOL = outer
 
 
+def _pool_map(fn, items, chunksize: int):
+    """`fn` over `items`, in order: all submitted at once to the pool that
+    _worker_pool holds open (so both must pickle), else the lazy built-in map."""
+    if _RUN_POOL is None:
+        return map(fn, items)
+    return _RUN_POOL[1].map(fn, items, chunksize=chunksize)
+
+
 def _sample_batches(task, n_replicates: int, master_seed: int, cell: int) -> list:
     """`task(seed, count)` for each BATCH_SIZE batch of a cell's replicates, in order.
 
     Batch b of cell c draws from the stream _stream(master_seed, c, b).  The
-    batches run in the process pool that _worker_pool holds open, so `task`
-    must pickle (a module-level function or a functools.partial of one), and
-    serially when no pool is open.
+    batches go through _pool_map, so `task` must pickle (a module-level
+    function or a functools.partial of one).
     """
     n = int(n_replicates)
     if n < 1:
@@ -334,11 +348,9 @@ def _sample_batches(task, n_replicates: int, master_seed: int, cell: int) -> lis
         (task, _stream(master_seed, cell, batch), min(BATCH_SIZE, n - start))
         for batch, start in enumerate(range(0, n, BATCH_SIZE))
     ]
-    if _RUN_POOL is None or len(args) <= 1:
-        return [_batch_task(a) for a in args]
-    workers, pool = _RUN_POOL
+    workers = _RUN_POOL[0] if _RUN_POOL else 1
     # A few batches per message: fewer round trips, the same order.
-    return list(pool.map(_batch_task, args, chunksize=math.ceil(len(args) / (4 * workers))))
+    return list(_pool_map(_batch_task, args, math.ceil(len(args) / (4 * workers))))
 
 
 def draw_standard_samples(
@@ -619,14 +631,20 @@ def _moment_cell(params: StableParams, kernel, p: float, grid: TimeGrid | None):
     if grid is None:
         grid = default_grid(kernel)
     _check_horizon(grid, kernel.T)
-    if isinstance(kernel, SingularKernel) and _needs_log_space(grid.epsilon, kernel.theta):
-        # The batched sums have no log-space form; refuse before sampling.
+    if isinstance(kernel, SingularKernel):
+        _check_double_range(grid.epsilon, kernel.theta)
+    return params.alpha, grid, kernel, p, bound
+
+
+def _check_double_range(epsilon: float, theta: float) -> None:
+    """Refuse before sampling a power kernel whose epsilon^-theta leaves double
+    range: the batched sums have no log-space form."""
+    if _needs_log_space(epsilon, theta):
         raise ValueError(
             f"theta * |ln(grid epsilon)| must be <= {LOG_SPACE_THRESHOLD:g} "
             f"(epsilon^-theta leaves double range); "
-            f"got {kernel.theta * abs(math.log(grid.epsilon)):.6g}"
+            f"got {theta * abs(math.log(epsilon)):.6g}"
         )
-    return params.alpha, grid, kernel, p, bound
 
 
 def _bound_report(lower: np.ndarray, upper: np.ndarray, p: float, bound: float) -> BoundCheckReport:
@@ -677,7 +695,7 @@ def run_blowup_diagnostics(
     if not thetas:
         raise ValueError("thetas must be nonempty")
     for theta in thetas:
-        _check_blowup_args(theta, n_replicates, max_level)
+        _check_blowup_args(theta, n_replicates, max_level, T)
     grid = TimeGrid.geometric(T, levels=max_level, q=0.5)
     levels = np.arange(BLOWUP_MIN_LEVEL, max_level + 1)
     level_columns = max_level - levels  # grid index of epsilon_j = T * 2^-j
@@ -718,7 +736,7 @@ def _slope_report(alpha: float, theta: float, epsilons, endpoint, lower_sums) ->
     )
 
 
-def _check_blowup_args(theta: float, n_replicates: int, max_level: int) -> None:
+def _check_blowup_args(theta: float, n_replicates: int, max_level: int, T: float) -> None:
     if n_replicates < 100:
         raise ValueError("n_replicates must be at least 100 for stable medians")
     if not theta > 0.0:
@@ -727,6 +745,7 @@ def _check_blowup_args(theta: float, n_replicates: int, max_level: int) -> None:
         raise ValueError(
             f"grid.levels (max_level) must be >= {BLOWUP_MIN_LEVEL + 5} for blowup, got {max_level}"
         )
+    _check_double_range(TimeGrid.geometric(T, levels=max_level, q=0.5).epsilon, theta)
 
 
 def _median_with_ci(matrix: np.ndarray):

@@ -18,6 +18,7 @@ from . import __version__
 from .config import ExperimentConfig, config_from_mapping, render_config
 from .experiments import (
     MomentEstimate,
+    _pool_map,
     _worker_pool,
     classify_power_kernel,
     draw_standard_samples,
@@ -427,10 +428,23 @@ _VERIFY_ALL_SECTIONS = (
 )
 
 
+def _verify_all_section(args):
+    """Section of the table by index: a pool task, as its closure does not pickle."""
+    index, cap, seed = args
+    return _VERIFY_ALL_SECTIONS[index][1](cap, seed)
+
+
 def _build_verify_all(config: ExperimentConfig):
+    """Each section but the moment grid is one pool task, sampling serially in
+    its worker, while the grid's pass here spreads its batches over the same
+    pool.  With no pool the lazy map runs the sections in table order."""
+    cap, seed = config.n_replicates, config.master_seed
+    others = [(i, cap, seed) for i, (_, section) in enumerate(_VERIFY_ALL_SECTIONS)
+              if section is not _bound_grid_sections]
+    tasks = _pool_map(_verify_all_section, others, 1)
     verdicts, results, series = {}, {}, {}
     for names, section in _VERIFY_ALL_SECTIONS:
-        triples = section(config.n_replicates, config.master_seed)
+        triples = section(cap, seed) if section is _bound_grid_sections else next(tasks)
         for prefix, (sub_verdicts, sub_results, sub_series) in zip(names, triples, strict=True):
             verdicts.update((f"{prefix}.{key}", value) for key, value in sub_verdicts.items())
             results[prefix] = sub_results

@@ -28,7 +28,7 @@ from stablesub import (
     run_blowup_diagnostic,
     run_cdf_check,
     run_laplace_check,
-    run_moment_check,
+    run_moment_checks,
     run_scaling_check,
     sample_path_values,
     stieltjes_bracket,
@@ -96,25 +96,35 @@ def test_criterion_04_scaling_collapse():
     )
 
 
-def test_criterion_05_power_kernel_moment_bound():
+# Criteria 5 and 6 at their stated scale: 12 power-kernel and 6
+# exponential-kernel cells.
+THETA_CELLS = [
+    (alpha, frac / alpha, p)
+    for alpha in (0.3, 0.5, 0.7) for frac in (0.5, 0.8) for p in (alpha / 4.0, alpha / 2.0)
+]
+EXP_CELLS = [(lam, T) for lam in (0.5, 1.0, 2.0) for T in (1.0, 5.0)]
+
+
+@pytest.fixture(scope="module")
+def bound_reports():
+    """The reports of criteria 5 and 6 from one run_moment_checks call, whose
+    18 cells share one sampling pass; each report equals its run_moment_check."""
+    cells = [(StableParams(alpha), SingularKernel(theta=theta, T=1.0), p, None)
+             for alpha, theta, p in THETA_CELLS]
+    cells += [(StableParams(0.5), ExpKernel(lam=lam, T=T), 0.25, None) for lam, T in EXP_CELLS]
+    reports = run_moment_checks(cells, n_replicates=100_000, master_seed=SEED)
+    return reports[: len(THETA_CELLS)], reports[len(THETA_CELLS) :]
+
+
+def test_criterion_05_power_kernel_moment_bound(bound_reports):
     failures = []
     reference_checked = False
-    for alpha in (0.3, 0.5, 0.7):
-        for frac in (0.5, 0.8):
-            theta = frac / alpha
-            for p in (alpha / 4.0, alpha / 2.0):
-                rep = run_moment_check(
-                    StableParams(alpha),
-                    SingularKernel(theta=theta, T=1.0),
-                    p,
-                    n_replicates=100_000,
-                    master_seed=SEED,
-                )
-                if not rep.passed:
-                    failures.append((alpha, theta, p))
-                if (alpha, theta, p) == (0.5, 1.0, 0.25):
-                    reference_checked = True
-                    assert rep.bound_value == pytest.approx(11.811069891303610336, rel=1e-12)
+    for (alpha, theta, p), rep in zip(THETA_CELLS, bound_reports[0], strict=True):
+        if not rep.passed:
+            failures.append((alpha, theta, p))
+        if (alpha, theta, p) == (0.5, 1.0, 0.25):
+            reference_checked = True
+            assert rep.bound_value == pytest.approx(11.811069891303610336, rel=1e-12)
     assert reference_checked
     report(
         "criterion 5 (power-kernel moment bound)",
@@ -124,21 +134,13 @@ def test_criterion_05_power_kernel_moment_bound():
     )
 
 
-def test_criterion_06_exponential_kernel_moment_bound():
+def test_criterion_06_exponential_kernel_moment_bound(bound_reports):
     failures = []
-    for lam in (0.5, 1.0, 2.0):
-        for T in (1.0, 5.0):
-            rep = run_moment_check(
-                StableParams(0.5),
-                ExpKernel(lam=lam, T=T),
-                0.25,
-                n_replicates=100_000,
-                master_seed=SEED,
-            )
-            if lam == 1.0:
-                assert rep.bound_value == pytest.approx(6.5389430609918908993, rel=1e-12)
-            if not rep.passed:
-                failures.append((lam, T))
+    for (lam, T), rep in zip(EXP_CELLS, bound_reports[1], strict=True):
+        if lam == 1.0:
+            assert rep.bound_value == pytest.approx(6.5389430609918908993, rel=1e-12)
+        if not rep.passed:
+            failures.append((lam, T))
     report(
         "criterion 6 (exponential-kernel moment bound)",
         not failures,

@@ -308,6 +308,8 @@ class TestCli:
             ('bound-theta --alpha 0.5 --theta 1 --config {"lambda":2.0}', "lambda"),
             ('bound-exp --alpha 0.5 --config {"theta":1.0}', "theta"),
             ('blowup --alpha 0.5 --theta 3 --config {"times":[2.0]}', "times"),
+            # theta * |ln 2^-30| = 1247.7 > 700: epsilon^-theta leaves double range.
+            ("blowup --alpha 0.5 --theta 60 --replicates 200", "theta"),
             ('ibp --alpha 0.5 --config {"p":0.1}', "p"),
             ("classify --alpha 0.5 --theta 2 --seed 3", "master_seed"),
             ("classify --alpha 0.5 --theta 2 --replicates 7", "n_replicates"),

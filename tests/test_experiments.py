@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from stablesub import (
     ibp_estimate,
     power_kernel_moment_bound,
     run_blowup_diagnostic,
+    run_blowup_diagnostics,
     run_cdf_check,
     run_ibp_consistency,
     run_laplace_check,
@@ -438,6 +440,35 @@ def test_one_process_pool_per_run(monkeypatch, workers, pools):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the spy reaches pool workers only through fork")
+def test_verify_all_sections_run_serially_in_pool_workers(monkeypatch, tmp_path):
+    # At 2 workers each section but the moment grid is one pool task: it runs
+    # in a worker, where no pool is open, so its batches run serially there.
+    # The grid's pass runs in this process and spreads its batches over the pool.
+    log = tmp_path / "batches.log"
+    real_batches = experiments._sample_batches
+    here = str(os.getpid())
+
+    def batches(task, *args):
+        serial = experiments._RUN_POOL is None
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()} {task.func.__name__} {serial}\n")
+        if str(os.getpid()) != here and not serial:
+            # A worker mapping onto the pool handle it inherited would hang.
+            raise RuntimeError("a pool worker holds its parent's pool")
+        return real_batches(task, *args)
+
+    monkeypatch.setattr(experiments, "_sample_batches", batches)
+    result = CliRunner().invoke(main, ["verify-all", "--replicates", "5000", "--workers", "2"])
+    calls = [tuple(line.split()) for line in log.read_text().splitlines()]
+    sections = [call for call in calls if call[1] != "_moment_sums"]
+    assert all(pid != here and serial == "True" for pid, _, serial in sections), sections
+    assert {name for _, name, _ in sections} == {"sample_standard_stable_batch", "_blowup_sums", "_ibp_sums"}
+    assert [call for call in calls if call[1] == "_moment_sums"] == [(here, "_moment_sums", "False")]
+    assert result.exit_code == 0, result.output
+
+
 def test_the_run_owns_the_worker_count():
     # No driver or verify-all section takes a worker count: reporting.run
     # enters _worker_pool, and _sample_batches maps onto the pool it holds.
@@ -667,6 +698,19 @@ class TestOverflowRegime:
         # theta * |ln 2^-40| = 831.8 > 700: epsilon^-theta leaves double range.
         with pytest.raises(ValueError, match=r"theta \* \|ln\(grid epsilon\)\| must be <= 700"):
             run_moment_check(StableParams(0.03), SingularKernel(theta=30.0), 0.01, n_replicates=100)
+
+    def test_blowup_rejects_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled a diagnostic that cannot be evaluated")
+
+        monkeypatch.setattr(subordinator, "kanter_inputs", no_sampling)
+        # theta * |ln 2^-30| = 1247.7 > 700, next to an exponent that fits.
+        with pytest.raises(ValueError, match=r"theta \* \|ln\(grid epsilon\)\| must be <= 700"):
+            run_blowup_diagnostics(StableParams(0.5), (3.0, 60.0), n_replicates=200)
+        # epsilon = T * 2^-max_level = 2^-60: theta * |ln epsilon| = 831.8.
+        with pytest.raises(ValueError, match="must be <= 700"):
+            run_blowup_diagnostic(StableParams(0.5), theta=20.0, T=2.0**-20, max_level=40,
+                                  n_replicates=200)
 
 
 @pytest.mark.parametrize(
