@@ -16,60 +16,40 @@ from pathlib import Path
 import click
 
 from .config import _DEFAULTS, ConfigError, _object, config_from_mapping, parse_document
-from .experiments import LAPLACE_ALPHAS
 from .reporting import record_to_json, run
 from .subordinator import NonFiniteDrawError
 
+# Config key -> (flag, type, help) of every key a run may read; a subcommand
+# takes the flags of the keys its experiment's _DEFAULTS entry lists.
+_FLAGS = {
+    "alpha": ("--alpha", float, "Stability index."),
+    "theta": ("--theta", float, "Kernel exponent."),
+    "p": ("--p", float, "Moment order."),
+    "lambda": ("--lambda", float, "Rate of the kernel e^(-lambda (T - t))."),
+    "T": ("--T", float, "Horizon T: the grid ends there."),
+    "times": ("--times", float, "Horizon t of S_t."),
+    "grid.kind": ("--grid-kind", click.Choice(["geometric", "uniform"]), "Grid kind."),
+    "grid.levels": ("--grid-levels", int, "Number of grid cells."),
+    "grid.q": ("--grid-q", float, "Ratio of a geometric grid."),
+    "grid.epsilon": ("--grid-epsilon", float, "First grid point."),
+    "n_replicates": ("--replicates", int, "Replicate count."),
+    "master_seed": ("--seed", int, "Master seed."),
+    "workers": ("--workers", int, "Parallel worker processes."),
+}
 
-def _listed(values) -> str:
-    return " ".join(f"{value:g}" for value in values)
-
-
-# A flag is (flag, config key, type, help); a key "grid_<name>" sets grid.<name>.
-_COMMON = (
-    ("--seed", "master_seed", int, "Master seed."),
-    ("--replicates", "n_replicates", int, "Replicate count."),
-    ("--workers", "workers", int, "Parallel worker processes."),
-    ("--out", "output_path", click.Path(), "Output stem: writes <out>.json plus companion CSVs."),
-)
-_GRID = (
-    ("--grid-kind", "grid_kind", click.Choice(["geometric", "uniform"]), None),
-    ("--grid-levels", "grid_levels", int, None),
-    ("--grid-q", "grid_q", float, None),
-    ("--grid-epsilon", "grid_epsilon", float, None),
-)
-_ALPHA = ("--alpha", "alpha", float, None)
-_THETA = ("--theta", "theta", float, None)
-_P = ("--p", "p", float, None)
-_T = ("--T", "T", float, None)
-
-# Subcommand -> (experiment, help, flags after the common ones).  A flag whose
-# type is a list is repeatable.
+# Subcommand -> (experiment, help).
 _COMMANDS = {
-    "laplace": ("laplace_check", "Laplace-transform fidelity of the sampler over an (alpha, lambda) grid.", (
-        ("--alpha", "alpha", [float],
-         f"Stability index; repeatable. Default grid: {_listed(LAPLACE_ALPHAS)}."),
-    )),
-    "cdf": ("cdf_check", "Kolmogorov-Smirnov check of alpha = 1/2 draws against the closed-form CDF.", ()),
-    "scaling": ("scaling", "Self-similarity collapse of normalized fractional moments across horizons.", (
-        _ALPHA, _P,
-        ("--times", "times", [float], f"Horizons; default {_listed(_DEFAULTS['scaling']['times'])}."),
-    )),
+    "laplace": ("laplace_check", "Laplace-transform fidelity of the sampler over an (alpha, lambda) grid."),
+    "cdf": ("cdf_check", "Kolmogorov-Smirnov check of alpha = 1/2 draws against the closed-form CDF."),
+    "scaling": ("scaling", "Self-similarity collapse of normalized fractional moments across horizons."),
     "bound-theta": ("moment_bound_theta",
-                    "Power-kernel moment bound check: MC mean of the bracketed integral^p vs bound.",
-                    (*_GRID, _ALPHA, _THETA, _P, _T)),
-    "bound-exp": ("moment_bound_exp", "Exponential-kernel moment bound check (kernel e^(-lambda (T-t))).",
-                  (*_GRID, _ALPHA, ("--lambda", "lambda", float, None), _P, _T)),
-    "blowup": ("blowup", "Blow-up diagnostic: log-log slope of scaled near-origin medians.", (
-        _ALPHA, _THETA,
-        ("--levels", "grid_levels", int,
-         f"Deepest epsilon level 2^-levels; default {_DEFAULTS['blowup']['grid']['levels']:g}."),
-    )),
-    "ibp": ("ibp_consistency", "Dual-route bracket consistency and exact summation-by-parts identity.",
-            (_ALPHA, _THETA)),
-    "classify": ("kernel_classify", "Analytic short-time classification of S_t against the power t^theta.",
-                 (_ALPHA, ("--theta", "theta", float, "Exponent c of the comparison power t^c."))),
-    "verify-all": ("verify_all", "Run the full acceptance grid; nonzero exit if any verdict fails.", ()),
+                    "Power-kernel moment bound check: MC mean of the bracketed integral^p vs bound."),
+    "bound-exp": ("moment_bound_exp", "Exponential-kernel moment bound check (kernel e^(-lambda (T-t)))."),
+    "blowup": ("blowup", "Blow-up diagnostic: log-log slope of scaled near-origin medians."),
+    "ibp": ("ibp_consistency", "Dual-route bracket consistency and exact summation-by-parts identity."),
+    "classify": ("kernel_classify",
+                 "Analytic short-time classification of S_t against the power t^c, c = --theta."),
+    "verify-all": ("verify_all", "Run the full acceptance grid; nonzero exit if any verdict fails."),
 }
 
 
@@ -77,18 +57,15 @@ def _execute(experiment: str, config_path, **flags) -> None:
     try:
         text = Path(config_path).read_text(encoding="utf-8") if config_path else "{}"
         payload = parse_document(text)
-        payload["experiment"] = experiment
         grid = dict(_object(payload.get("grid"), "grid"))
         for key, value in flags.items():
-            if value is None or value == ():  # flag not given
-                continue
-            value = list(value) if isinstance(value, tuple) else value
-            if key.startswith("grid_"):
-                grid[key.removeprefix("grid_")] = value
-            else:
-                payload[key] = value
-        if grid:
-            payload["grid"] = grid
+            if value is not None and value != ():  # flag given
+                value = list(value) if isinstance(value, tuple) else value
+                if key.startswith("grid_"):
+                    grid[key.removeprefix("grid_")] = value
+                else:
+                    payload[key] = value
+        payload.update(experiment=experiment, grid=grid)
         config = config_from_mapping(payload)
         record = run(config)
     except (ConfigError, NonFiniteDrawError) as exc:
@@ -109,13 +86,24 @@ def main():
     """Stable-subordinator simulation and singular-integral experiments."""
 
 
-def _command(name: str, experiment: str, summary: str, flags: tuple) -> click.Command:
+def _command(name: str, experiment: str, summary: str) -> click.Command:
+    """The subcommand: --config, one flag per key the experiment reads, --out.
+    A key whose default is a tuple takes a repeatable flag; a default that is
+    a value, not a marker or a rule, is shown in the flag's help."""
     options = [click.Option(["--config", "config_path"], type=click.Path(exists=True, dir_okay=False),
                             help="JSON config document; explicit flags override it.")]
-    for flag, key, kind, flag_help in _COMMON + flags:
-        repeatable = isinstance(kind, list)
-        options.append(click.Option([flag, key], type=kind[0] if repeatable else kind,
-                                    multiple=repeatable, help=flag_help))
+    for key, default in _DEFAULTS[experiment].items():
+        flag, kind, text = _FLAGS[key]
+        repeatable = isinstance(default, tuple)
+        if repeatable:
+            text += " Repeatable."
+        if isinstance(default, (int, float, str, tuple)):
+            text += f" Default: {' '.join(map(str, default if repeatable else (default,)))}."
+        # A key "grid.<name>" reaches _execute as grid_<name>.
+        options.append(click.Option([flag, key.replace(".", "_")], type=kind, multiple=repeatable,
+                                    help=text))
+    options.append(click.Option(["--out", "output_path"], type=click.Path(),
+                                help="Output stem: writes <out>.json plus companion CSVs."))
     return click.Command(name, params=options, help=summary, callback=functools.partial(_execute, experiment))
 
 

@@ -81,12 +81,8 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def alphas(self) -> tuple[float, ...]:
-        """Alpha grid: scalars become singletons, None the Laplace check's triple."""
-        if self.alpha is None:
-            return experiments.LAPLACE_ALPHAS
-        if isinstance(self.alpha, tuple):
-            return self.alpha
-        return (self.alpha,)
+        """Alpha grid: a scalar becomes a singleton."""
+        return self.alpha if isinstance(self.alpha, tuple) else (self.alpha,)
 
     def scalar_alpha(self) -> float:
         if not isinstance(self.alpha, float):
@@ -108,27 +104,29 @@ def _half_alpha(fields: dict) -> float | None:
 _REQUIRED = object()  # a field the experiment cannot run without
 _FIELD = object()  # a field read with its ExperimentConfig or GridConfig default
 _SAMPLING = {"n_replicates": _FIELD, "master_seed": _FIELD, "workers": _FIELD}
-_GRID = {"kind": _FIELD, "levels": _FIELD, "q": _FIELD, "epsilon": _FIELD}
+_GRID = {"grid.kind": _FIELD, "grid.levels": _FIELD, "grid.q": _FIELD, "grid.epsilon": _FIELD}
 
-# Per experiment, every field its run reads besides output_path, with the
-# default that fills it when unset (absent or null): _FIELD, _REQUIRED, a
-# value, or a callable of the fields parsed so far; "grid" holds the grid
-# fields.  A field an entry does not list keeps its field default, so a record
-# never echoes a setting its run did not use.
+# Per experiment, every config key its run reads besides output_path (a key
+# of the grid object as "grid.<name>"), with the default that fills it when
+# unset (absent or null): _FIELD, _REQUIRED, a value, or a callable of the
+# fields parsed so far.  A key an entry does not list keeps its field default,
+# so a record never echoes a setting its run did not use.  The CLI gives each
+# subcommand one flag per key of its entry.
 _DEFAULTS = {
-    "laplace_check": {"alpha": _FIELD, **_SAMPLING},
-    "cdf_check": {"alpha": 0.5, **_SAMPLING},  # recorded, and held at 0.5 by validate_config
+    "laplace_check": {"alpha": experiments.LAPLACE_ALPHAS, **_SAMPLING},
+    # alpha = 1/2 is the law under test, not a setting.
+    "cdf_check": _SAMPLING,
     "scaling": {"alpha": _REQUIRED, "p": _half_alpha, "times": (0.25, 1.0, 4.0), **_SAMPLING},
     "moment_bound_theta": {"alpha": _REQUIRED, "theta": _REQUIRED, "p": _half_alpha, "T": _FIELD,
-                           "grid": _GRID, **_SAMPLING},
+                           **_GRID, **_SAMPLING},
     # The bounded exponential kernel has no singularity to resolve.
-    "moment_bound_exp": {"alpha": _REQUIRED, "p": _half_alpha, "lam": 1.0, "T": _FIELD,
-                         "grid": {**_GRID, "kind": "uniform"}, **_SAMPLING},
+    "moment_bound_exp": {"alpha": _REQUIRED, "p": _half_alpha, "lambda": 1.0, "T": _FIELD,
+                         **_GRID, "grid.kind": "uniform", **_SAMPLING},
     # The diagnostic halves its grid down to T * 2^-levels: it reads only the depth.
-    "blowup": {"alpha": _REQUIRED, "theta": _REQUIRED, "T": _FIELD, "grid": {"levels": 30},
+    "blowup": {"alpha": _REQUIRED, "theta": _REQUIRED, "T": _FIELD, "grid.levels": 30,
                **_SAMPLING, "n_replicates": 10_000},
     # Runs serially: no workers.
-    "ibp_consistency": {"alpha": _REQUIRED, "theta": 0.5, "T": _FIELD, "grid": _GRID,
+    "ibp_consistency": {"alpha": _REQUIRED, "theta": 0.5, "T": _FIELD, **_GRID,
                         "n_replicates": 1000, "master_seed": _FIELD},
     "kernel_classify": {"alpha": _REQUIRED, "theta": _REQUIRED},
     "verify_all": _SAMPLING,
@@ -222,28 +220,28 @@ def config_from_mapping(payload: dict) -> ExperimentConfig:
         raise ConfigError("missing required field: experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {', '.join(EXPERIMENTS)}; got {experiment!r}")
-    defaults = dict(_DEFAULTS[experiment])
-    grid_defaults = defaults.pop("grid", {})
+    defaults = _DEFAULTS[experiment]
     fields = _fields(payload, _KEYS, defaults, "")
-    grid = _fields(fields.get("grid", {}), _GRID_KEYS, grid_defaults, "grid.")
-    fields["grid"] = GridConfig(**grid)
+    fields["grid"] = GridConfig(**_fields(fields.get("grid", {}), _GRID_KEYS, defaults, "grid."))
     config = ExperimentConfig(**fields)
     validate_config(config)
     return config
 
 
 def _fields(payload: dict, keys: dict, defaults: dict, prefix: str) -> dict:
-    """Field values parsed through a key table, unset ones filled from `defaults`."""
+    """Field values parsed through a key table, unset ones filled from `defaults`
+    (keyed by config key, each key of the table prefixed by `prefix`)."""
     fields = {}
     for key, value in payload.items():
         if key not in keys:
             raise ConfigError(f"unknown key: {prefix}{key!r}")
         name, parse = keys[key]
         fields[name] = parse(value, prefix + key)
-    for name, default in defaults.items():
+    for key, (name, _) in keys.items():
+        default = defaults.get(prefix + key, _FIELD)
         if fields.get(name) is None and default is not _FIELD:
             if default is _REQUIRED:
-                raise ConfigError(f"missing required field: {name}")
+                raise ConfigError(f"missing required field: {prefix}{key}")
             fields[name] = default(fields) if callable(default) else default
     return fields
 
@@ -270,22 +268,19 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("grid.epsilon must lie in (0, T)")
 
     exp = config.experiment
-    reads = _DEFAULTS[exp]  # every other field must keep its default
-    unread = [(f"grid.{key}", grid, name) for key, (name, _) in _GRID_KEYS.items()
-              if name not in reads.get("grid", {})]
+    reads = _DEFAULTS[exp]  # every other key must keep its default
+    unread = [(f"grid.{key}", grid, name) for key, (name, _) in _GRID_KEYS.items()]
     unread += [(key, config, name) for key, (name, _) in _KEYS.items()
-               if name not in (*reads, "experiment", "grid", "output_path")]
+               if key not in ("experiment", "grid", "output_path")]
     for key, owner, name in unread:
-        if getattr(owner, name) != getattr(type(owner), name):
+        if key not in reads and getattr(owner, name) != getattr(type(owner), name):
             raise ConfigError(f"{key} must keep its default for {exp}, got {getattr(owner, name)!r}")
-    if exp not in ("laplace_check", "verify_all"):
+    if "alpha" in reads and not isinstance(reads["alpha"], tuple):
         config.scalar_alpha()
-    if exp == "cdf_check" and config.alpha != 0.5:
-        raise ConfigError("alpha must be 0.5 for cdf_check (the closed-form comparison law)")
     if grid.q != GridConfig().q and (grid.kind == "uniform" or grid.epsilon is not None):
         # Only a geometric grid without an explicit epsilon reads its ratio.
         raise ConfigError(f"grid.q is read only by a geometric grid without grid.epsilon, got {grid.q!r}")
-    if "grid" in reads:
+    if any(key.startswith("grid.") for key in reads):
         try:
             grid = grid.build(config.T)
         except ValueError as exc:
@@ -303,11 +298,12 @@ def validate_config(config: ExperimentConfig) -> None:
             experiments._check_cdf_args(config.n_replicates)
         elif exp == "blowup":
             StableParams(config.alpha)
-            experiments._check_blowup_args(config.theta, config.n_replicates, config.grid.levels,
-                                          config.T)
+            experiments._check_blowup_args(config.alpha, config.theta, config.n_replicates,
+                                          config.grid.levels, config.T)
         elif exp == "ibp_consistency":
             StableParams(config.alpha)
             config.kernel()
+            experiments._check_path_scale(config.alpha, config.T, "T")
         elif exp == "kernel_classify":
             experiments.classify_power_kernel(config.alpha, config.theta)
     except ValueError as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -46,6 +47,7 @@ from .subordinator import (
     StableParams,
     SubordinatorPath,
     TimeGrid,
+    _check_finite,
     deterministic_path,
     kanter_draws,
     kanter_inputs,
@@ -293,9 +295,10 @@ def _stream(master_seed: int, cell: int, batch: int) -> SeedSpec:
 
 
 def _batch_task(args):
-    """One batch, packed as a single argument for the pool's map."""
-    task, seed, count = args
-    return task(seed, count)
+    """`task(*task_args)` for the tuple (task, *task_args), such as a batch
+    (task, seed, count): one pool task as a single argument for the pool's map."""
+    task, *task_args = args
+    return task(*task_args)
 
 
 # (workers, pool) of the pool that _worker_pool holds open, or None.
@@ -326,12 +329,14 @@ def _worker_pool(workers: int):
             _RUN_POOL = outer
 
 
-def _pool_map(fn, items, chunksize: int):
+def _pool_map(fn, items: list):
     """`fn` over `items`, in order: all submitted at once to the pool that
-    _worker_pool holds open (so both must pickle), else the lazy built-in map."""
+    _worker_pool holds open (so both must pickle), a few items per message
+    (fewer round trips, the same order), else the lazy built-in map."""
     if _RUN_POOL is None:
         return map(fn, items)
-    return _RUN_POOL[1].map(fn, items, chunksize=chunksize)
+    workers, pool = _RUN_POOL
+    return pool.map(fn, items, chunksize=math.ceil(len(items) / (4 * workers)))
 
 
 def _sample_batches(task, n_replicates: int, master_seed: int, cell: int) -> list:
@@ -348,9 +353,7 @@ def _sample_batches(task, n_replicates: int, master_seed: int, cell: int) -> lis
         (task, _stream(master_seed, cell, batch), min(BATCH_SIZE, n - start))
         for batch, start in enumerate(range(0, n, BATCH_SIZE))
     ]
-    workers = _RUN_POOL[0] if _RUN_POOL else 1
-    # A few batches per message: fewer round trips, the same order.
-    return list(_pool_map(_batch_task, args, math.ceil(len(args) / (4 * workers))))
+    return list(_pool_map(_batch_task, args))
 
 
 def draw_standard_samples(
@@ -382,19 +385,27 @@ def _moment_sums(plan: tuple, seed: SeedSpec, count: int) -> np.ndarray:
         for alpha, grids in plan
     ]
     sums = np.empty((sum(len(kernels) for _, grids in plan for _, kernels in grids), 2, count))
-    for start in range(0, count, CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
-        k = 0
-        for (_, grids), draws, grid_scales in zip(plan, kanter_draws(alphas, u[rows], w[rows]), scales):
-            for (grid, kernels), scale in zip(grids, grid_scales):
-                increments = np.diff(np.cumsum(draws * scale, axis=1), axis=1)
-                for kernel in kernels:
-                    sums[k, :, rows] = (
-                        power_bracket_sums(grid.points, increments, kernel.theta)
-                        if isinstance(kernel, SingularKernel)
-                        else exp_bracket_sums(grid.points, increments, kernel.lam, kernel.T)
-                    )
-                    k += 1
+    # A path or sum that overflows is caught below, once per batch.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, count, CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            k = 0
+            for (_, grids), draws, grid_scales in zip(plan, kanter_draws(alphas, u[rows], w[rows]), scales):
+                for (grid, kernels), scale in zip(grids, grid_scales):
+                    increments = np.diff(np.cumsum(draws * scale, axis=1), axis=1)
+                    for kernel in kernels:
+                        sums[k, :, rows] = (
+                            power_bracket_sums(grid.points, increments, kernel.theta)
+                            if isinstance(kernel, SingularKernel)
+                            else exp_bracket_sums(grid.points, increments, kernel.lam, kernel.T)
+                        )
+                        k += 1
+    finite = np.isfinite(sums).all(axis=1)  # [k, row]
+    if not finite.all():
+        owners = [(alpha, grid) for alpha, grids in plan for grid, kernels in grids for _ in kernels]
+        k = int(np.argmin(finite.all(axis=1)))
+        alpha, grid = owners[k]
+        _check_finite(finite[k], f"T = {grid.T:g} at alpha = {alpha:g}", "bracket sums leave double range")
     return sums
 
 
@@ -531,8 +542,11 @@ def run_scaling_check(
     normalized, errors = [], []
     for cell, t in enumerate(times):
         draws = draw_standard_samples(params.alpha, n_replicates, master_seed, cell)
-        scaled = (t ** (1.0 / params.alpha) * draws) ** p
-        est = MomentEstimate.from_samples(scaled)
+        with np.errstate(over="ignore"):
+            scaled = t ** (1.0 / params.alpha) * draws
+        where = f"times = {t:g} at alpha = {params.alpha:g}"
+        _check_finite(np.isfinite(scaled), where, "scaled draws leave double range")
+        est = MomentEstimate.from_samples(scaled**p)
         norm = t ** (p / params.alpha)
         normalized.append(est.mean / norm)
         errors.append(est.std_error / norm)
@@ -560,6 +574,7 @@ def _check_scaling_args(alpha: float, p: float, times) -> FracMomentQuery:
     for t in times:
         if not t > 0.0:
             raise ValueError(f"times must be positive, got {t}")
+        _check_path_scale(alpha, t, "times")
     return query
 
 
@@ -631,9 +646,16 @@ def _moment_cell(params: StableParams, kernel, p: float, grid: TimeGrid | None):
     if grid is None:
         grid = default_grid(kernel)
     _check_horizon(grid, kernel.T)
+    _check_path_scale(params.alpha, kernel.T, "T")
     if isinstance(kernel, SingularKernel):
         _check_double_range(grid.epsilon, kernel.theta)
     return params.alpha, grid, kernel, p, bound
+
+
+def _check_path_scale(alpha: float, t: float, key: str) -> None:
+    """Refuse before sampling a horizon `key` = t > 0 whose path scale t^(1/alpha) overflows."""
+    if math.log(t) / alpha > math.log(sys.float_info.max):
+        raise ValueError(f"{key} = {t:g} leaves double range at alpha = {alpha:g}: {key}^(1/alpha) overflows")
 
 
 def _check_double_range(epsilon: float, theta: float) -> None:
@@ -695,7 +717,7 @@ def run_blowup_diagnostics(
     if not thetas:
         raise ValueError("thetas must be nonempty")
     for theta in thetas:
-        _check_blowup_args(theta, n_replicates, max_level, T)
+        _check_blowup_args(params.alpha, theta, n_replicates, max_level, T)
     grid = TimeGrid.geometric(T, levels=max_level, q=0.5)
     levels = np.arange(BLOWUP_MIN_LEVEL, max_level + 1)
     level_columns = max_level - levels  # grid index of epsilon_j = T * 2^-j
@@ -736,7 +758,7 @@ def _slope_report(alpha: float, theta: float, epsilons, endpoint, lower_sums) ->
     )
 
 
-def _check_blowup_args(theta: float, n_replicates: int, max_level: int, T: float) -> None:
+def _check_blowup_args(alpha: float, theta: float, n_replicates: int, max_level: int, T: float) -> None:
     if n_replicates < 100:
         raise ValueError("n_replicates must be at least 100 for stable medians")
     if not theta > 0.0:
@@ -746,6 +768,7 @@ def _check_blowup_args(theta: float, n_replicates: int, max_level: int, T: float
             f"grid.levels (max_level) must be >= {BLOWUP_MIN_LEVEL + 5} for blowup, got {max_level}"
         )
     _check_double_range(TimeGrid.geometric(T, levels=max_level, q=0.5).epsilon, theta)
+    _check_path_scale(alpha, T, "T")
 
 
 def _median_with_ci(matrix: np.ndarray):
@@ -818,6 +841,7 @@ def run_ibp_consistency(
     if grid is None:
         grid = default_grid(kernel)
     _check_horizon(grid, T)
+    _check_path_scale(params.alpha, T, "T")
     task = functools.partial(_ibp_sums, params.alpha, grid, theta)
     meets, abel = zip(*_sample_batches(task, n_paths, master_seed, 0))
     # np.max passes a NaN discrepancy through, so it fails the tolerance test.

@@ -8,6 +8,7 @@ that byte-level comparisons strip.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -18,6 +19,7 @@ from . import __version__
 from .config import ExperimentConfig, config_from_mapping, render_config
 from .experiments import (
     MomentEstimate,
+    _batch_task,
     _pool_map,
     _worker_pool,
     classify_power_kernel,
@@ -94,16 +96,8 @@ def run(config: ExperimentConfig) -> ResultRecord:
 
 
 def record_to_json(record: ResultRecord) -> str:
-    payload = {
-        "experiment": record.experiment,
-        "config": record.config,
-        "verdicts": record.verdicts,
-        "results": record.results,
-        "series": record.series,
-        "library_version": record.library_version,
-        "master_seed": record.master_seed,
-        "timing": {"wall_clock_seconds": record.wall_clock_seconds},
-    }
+    payload = dict(vars(record))  # every field, the wall time under "timing"
+    payload["timing"] = {"wall_clock_seconds": payload.pop("wall_clock_seconds")}
     # allow_nan=False: a non-finite float that _strict_json missed raises.
     return json.dumps(_strict_json(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
@@ -292,9 +286,7 @@ def _build_ibp(config: ExperimentConfig):
         grid=config.grid.build(config.T),
     )
     verdicts, results, series = _render_ibp(report)
-    results.update(all_brackets_intersect=report.all_brackets_intersect,
-                   det_power_bracket=list(report.det_power_bracket),
-                   det_exp_bracket=list(report.det_exp_bracket))
+    results["det_exp_bracket"] = list(report.det_exp_bracket)
     return verdicts, results, series
 
 
@@ -306,19 +298,16 @@ def _build_classify(config: ExperimentConfig):
 
 # --------------------------------------------------------------------------
 # verify-all: the full acceptance grid in one run, as a table of sections.
-# A section maps (replicate cap, seed) to one triple per name.
+# A section maps (replicate cap, seed) to one triple per name; it is a
+# module-level function or a partial of one, so it pickles as a pool task.
 
 
-def _experiment_section(experiment: str, **keys):
+def _experiment_section(experiment: str, keys: dict, cap, seed):
     """Section that runs an ordinary experiment config through its builder, at
     up to 100k replicates."""
-
-    def section(cap, seed):
-        config = config_from_mapping({"experiment": experiment, **keys,
-                                      "n_replicates": min(100_000, cap), "master_seed": seed})
-        return [_BUILDERS[experiment](config)]
-
-    return section
+    config = config_from_mapping({"experiment": experiment, **keys,
+                                  "n_replicates": min(100_000, cap), "master_seed": seed})
+    return [_BUILDERS[experiment](config)]
 
 
 def _oracle_chain_section(cap, seed):
@@ -417,10 +406,10 @@ def _ibp_section(cap, seed):
 
 
 _VERIFY_ALL_SECTIONS = (
-    (("laplace",), _experiment_section("laplace_check")),
-    (("cdf",), _experiment_section("cdf_check")),
+    (("laplace",), functools.partial(_experiment_section, "laplace_check", {})),
+    (("cdf",), functools.partial(_experiment_section, "cdf_check", {})),
     (("frac_moment_chain",), _oracle_chain_section),
-    (("scaling",), _experiment_section("scaling", alpha=0.5, p=0.25)),
+    (("scaling",), functools.partial(_experiment_section, "scaling", {"alpha": 0.5, "p": 0.25})),
     (("bound_theta_grid", "bound_exp_grid"), _bound_grid_sections),
     (("blowup_slopes",), _blowup_slopes_section),
     (("finiteness_stabilization",), _stabilization_section),
@@ -428,20 +417,14 @@ _VERIFY_ALL_SECTIONS = (
 )
 
 
-def _verify_all_section(args):
-    """Section of the table by index: a pool task, as its closure does not pickle."""
-    index, cap, seed = args
-    return _VERIFY_ALL_SECTIONS[index][1](cap, seed)
-
-
 def _build_verify_all(config: ExperimentConfig):
     """Each section but the moment grid is one pool task, sampling serially in
     its worker, while the grid's pass here spreads its batches over the same
     pool.  With no pool the lazy map runs the sections in table order."""
     cap, seed = config.n_replicates, config.master_seed
-    others = [(i, cap, seed) for i, (_, section) in enumerate(_VERIFY_ALL_SECTIONS)
+    others = [(section, cap, seed) for _, section in _VERIFY_ALL_SECTIONS
               if section is not _bound_grid_sections]
-    tasks = _pool_map(_verify_all_section, others, 1)
+    tasks = _pool_map(_batch_task, others)
     verdicts, results, series = {}, {}, {}
     for names, section in _VERIFY_ALL_SECTIONS:
         triples = section(cap, seed) if section is _bound_grid_sections else next(tasks)

@@ -39,7 +39,15 @@ _ANGLE_CLAMP = 1e-12
 
 
 class NonFiniteDrawError(ValueError):
-    """Kanter draws left double range: at small alpha sin(U)^(1/alpha) underflows."""
+    """Draws or paths left double range: at small alpha sin(U)^(1/alpha)
+    underflows, and at a large horizon the scaled draws overflow."""
+
+
+def _check_finite(finite: np.ndarray, where: str, what: str) -> None:
+    """Raise NonFiniteDrawError("<where>: <bad> of <n> <what>") if `bad` of `finite`'s n entries are False."""
+    bad = finite.size - int(np.count_nonzero(finite))
+    if bad:
+        raise NonFiniteDrawError(f"{where}: {bad} of {finite.size} {what}")
 
 
 @dataclass(frozen=True)
@@ -242,13 +250,8 @@ def kanter_draws(alphas, u: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
                 * sin_of(1.0 - alpha) ** (inv - 1.0)
                 / (sin_of(1.0) ** inv * w ** (inv - 1.0))
             )
-        finite = np.isfinite(draw)
-        if not finite.all():
-            bad = draw.size - int(np.count_nonzero(finite))
-            raise NonFiniteDrawError(
-                f"alpha = {alpha:g} leaves the sampler's double range: "
-                f"{bad} of {draw.size} stable draws are not finite"
-            )
+        where = f"alpha = {alpha:g} leaves the sampler's double range"
+        _check_finite(np.isfinite(draw), where, "stable draws are not finite")
         draws.append(draw)
     return draws
 
@@ -270,10 +273,16 @@ def sample_path_values(
     """Value matrix of shape (n_paths, len(grid)): independent paths, one stream.
 
     Cell increments are (t_{i+1} - t_i)^(1/alpha) times independent standard
-    draws; the first column carries the increment over (0, epsilon].
+    draws; the first column carries the increment over (0, epsilon].  Raises
+    NonFiniteDrawError, naming T and alpha, when a path overflows.
     """
     draws = _standard_stable_draws(params.alpha, seed, (int(n_paths), len(grid)))
-    return np.cumsum(draws * np.diff(grid.points, prepend=0.0) ** (1.0 / params.alpha), axis=1)
+    with np.errstate(over="ignore"):
+        values = np.cumsum(draws * np.diff(grid.points, prepend=0.0) ** (1.0 / params.alpha), axis=1)
+    # A row is nondecreasing, so it is finite where its last value is.
+    where = f"T = {grid.T:g} at alpha = {params.alpha:g}"
+    _check_finite(np.isfinite(values[:, -1]), where, "paths leave double range")
+    return values
 
 
 def sample_path(params: StableParams, grid: TimeGrid, seed: SeedSpec) -> SubordinatorPath:

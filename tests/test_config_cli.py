@@ -44,20 +44,23 @@ _NON_DEFAULT = {
     "n_replicates": 500, "master_seed": 7, "workers": 2, "output_path": "runs/x",
     "grid.levels": 20, "grid.q": 0.25, "grid.epsilon": 1e-6,
 }
-# Flags of every subcommand, then each subcommand's own, in --help order.
-_COMMON_FLAGS = ["--config", "--seed", "--replicates", "--workers", "--out"]
-_GRID_FLAGS = ["--grid-kind", "--grid-levels", "--grid-q", "--grid-epsilon"]
-_FLAGS = {
-    "laplace": ["--alpha"],
-    "cdf": [],
-    "scaling": ["--alpha", "--p", "--times"],
-    "bound-theta": [*_GRID_FLAGS, "--alpha", "--theta", "--p", "--T"],
-    "bound-exp": [*_GRID_FLAGS, "--alpha", "--lambda", "--p", "--T"],
-    "blowup": ["--alpha", "--theta", "--levels"],
-    "ibp": ["--alpha", "--theta"],
-    "classify": ["--alpha", "--theta"],
-    "verify-all": [],
+# Subcommand -> the experiment it runs.
+_COMMANDS = {
+    "laplace": "laplace_check",
+    "cdf": "cdf_check",
+    "scaling": "scaling",
+    "bound-theta": "moment_bound_theta",
+    "bound-exp": "moment_bound_exp",
+    "blowup": "blowup",
+    "ibp": "ibp_consistency",
+    "classify": "kernel_classify",
+    "verify-all": "verify_all",
 }
+
+
+def _flag(key):
+    """The CLI flag of a config key: --<key>, with grid.<name> as --grid-<name>."""
+    return {"n_replicates": "--replicates", "master_seed": "--seed"}.get(key, "--" + key.replace(".", "-"))
 
 
 def _help(command):
@@ -115,7 +118,7 @@ class TestParseConfig:
 
     def test_scalar_alpha_defaults(self):
         config = parse_config('{"experiment": "cdf_check"}')
-        assert config.alpha == 0.5
+        assert config.alpha is None  # alpha = 1/2 is the law under test, not a key
         config = parse_config('{"experiment": "scaling", "alpha": 0.6}')
         assert config.p == 0.3  # alpha / 2 default
         assert config.times == (0.25, 1.0, 4.0)
@@ -202,21 +205,24 @@ class TestRecordJson:
 
 
 class TestCli:
-    @pytest.mark.parametrize("command", sorted(_FLAGS))
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
     def test_help_lists_each_flag(self, command):
+        # --config, one flag per key the experiment reads, then --out.
         flags = re.findall(r"^  (--[\w-]+)", _help(command), re.MULTILINE)
-        assert flags == _COMMON_FLAGS + _FLAGS[command] + ["--help"]
+        assert flags[:1] == ["--config"] and flags[-2:] == ["--out", "--help"], flags
+        assert sorted(flags[1:-2]) == sorted(_flag(key) for key in _READS[_COMMANDS[command]])
 
     def test_help_defaults_are_the_config_defaults(self):
         def hinted(command, pattern):
             text = " ".join(_help(command).split())
-            return tuple(float(v) for v in re.search(pattern + r" ([\d. ]+)\.", text)[1].split())
+            match = re.search(re.escape(pattern) + r" Default: ([\d. ]+)\.", text)
+            return tuple(float(v) for v in match[1].split())
 
-        assert hinted("laplace", "Default grid:") == experiments.LAPLACE_ALPHAS
+        assert hinted("laplace", "--alpha FLOAT Stability index. Repeatable.") == experiments.LAPLACE_ALPHAS
         scaling = parse_config('{"experiment": "scaling", "alpha": 0.5}')
-        assert hinted("scaling", "Horizons; default") == scaling.times
+        assert hinted("scaling", "--times FLOAT Horizon t of S_t. Repeatable.") == scaling.times
         blowup = parse_config('{"experiment": "blowup", "alpha": 0.5, "theta": 3.0}')
-        assert hinted("blowup", "2\\^-levels; default") == (blowup.grid.levels,)
+        assert hinted("blowup", "--grid-levels INTEGER Number of grid cells.") == (blowup.grid.levels,)
 
     def test_classify_stdout_record(self):
         runner = CliRunner()
@@ -278,12 +284,12 @@ class TestCli:
             ("bound-exp --alpha 0.5 --p 0.25 --grid-levels 0", "grid.levels"),
             ("blowup --alpha 0.5 --theta 0", "theta"),
             ("blowup --alpha 0.5 --theta 3 --replicates 50", "n_replicates"),
-            ("blowup --alpha 0.5 --theta 3 --levels 12", "grid.levels"),
+            ("blowup --alpha 0.5 --theta 3 --grid-levels 12", "grid.levels"),
             ("blowup --alpha 0.5", "theta"),
             ("ibp --alpha 0.5 --theta -1", "theta"),
             ("ibp --alpha 1.5", "alpha"),
-            ("ibp --alpha 0.5 --workers 4", "workers"),  # runs serially
-            ("classify --alpha 0.5 --theta 2 --workers 3", "workers"),
+            ('ibp --alpha 0.5 --config {"workers":4}', "workers"),  # runs serially
+            ('classify --alpha 0.5 --theta 2 --config {"workers":3}', "workers"),
             ("classify --alpha 1.5 --theta 1", "alpha"),
             ("classify --alpha 0.5 --theta 0", "c"),  # the exponent's name in --help
             ("cdf --replicates 1", "n_replicates"),
@@ -311,8 +317,8 @@ class TestCli:
             # theta * |ln 2^-30| = 1247.7 > 700: epsilon^-theta leaves double range.
             ("blowup --alpha 0.5 --theta 60 --replicates 200", "theta"),
             ('ibp --alpha 0.5 --config {"p":0.1}', "p"),
-            ("classify --alpha 0.5 --theta 2 --seed 3", "master_seed"),
-            ("classify --alpha 0.5 --theta 2 --replicates 7", "n_replicates"),
+            ('classify --alpha 0.5 --theta 2 --config {"master_seed":3}', "master_seed"),
+            ('classify --alpha 0.5 --theta 2 --config {"n_replicates":7}', "n_replicates"),
         ],
     )
     def test_rejected_before_sampling(self, monkeypatch, tmp_path, args, key):
@@ -360,6 +366,38 @@ class TestCli:
         pattern = r"error: alpha = 0\.01 leaves the sampler's double range: [1-9]\d* of \d+ stable draws are not finite\n"
         assert re.fullmatch(pattern, result.output), result.output
 
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            # The path scale key^(1/alpha) overflows: refused before sampling.
+            ("bound-theta --alpha 0.5 --theta 1 --T 1e300 --replicates 100", "T"),
+            ("bound-exp --alpha 0.5 --T 1e300 --replicates 100", "T"),
+            ('ibp --alpha 0.5 --theta 1 --replicates 100 --config {"T":1e300}', "T"),
+            ("scaling --alpha 0.5 --times 1e200 --replicates 1000", "times"),
+            # The scale fits, but some scaled draws or paths overflow.
+            ("scaling --alpha 0.5 --times 1e150 --times 1 --replicates 100000", "times"),
+            ("bound-theta --alpha 0.5 --theta 1 --T 1e154 --replicates 4000", "T"),
+            ('ibp --alpha 0.5 --theta 1 --replicates 4000 --config {"T":1e154}', "T"),
+        ],
+    )
+    def test_large_horizon_is_a_named_error(self, tmp_path, args, key):
+        argv = args.split()
+        if argv[-1].startswith("{"):
+            argv[-1] = str(tmp_path / "config.json")
+            Path(argv[-1]).write_text(args.split()[-1])
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        pattern = rf"error: {key} = 1e\+\d+ [^\n]*\balpha = 0\.5\b[^\n]*\n"
+        assert re.fullmatch(pattern, result.output), result.output
+
+    @pytest.mark.parametrize("args", ["ibp --alpha 0.5 --theta 1", "blowup --alpha 0.5 --theta 3"])
+    def test_horizon_and_depth_flags(self, args):
+        argv = args.split() + ["--T", "2", "--grid-levels", "20", "--replicates", "200"]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        config = json.loads(result.output)["config"]
+        assert (config["T"], config["grid"]["levels"]) == (2.0, 20)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_ibp_nan_abel_discrepancy_fails(self, tmp_path):
@@ -385,7 +423,7 @@ class TestCli:
         [
             (["ibp"], {"alpha": 0.5, "grid": {"levels": 2000}}),
             (["bound-exp"], {"alpha": 0.5, "grid": {"kind": "geometric", "levels": 2000}}),
-            (["blowup", "--levels", "2000"], {"alpha": 0.5, "theta": 3.0}),
+            (["blowup", "--grid-levels", "2000"], {"alpha": 0.5, "theta": 3.0}),
         ],
     )
     def test_deep_grid_is_config_error(self, tmp_path, args, document):
@@ -411,7 +449,7 @@ class TestCli:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"grid": grid}))
         result = CliRunner().invoke(
-            main, ["blowup", "--alpha", "0.5", "--theta", "3", "--levels", "20",
+            main, ["blowup", "--alpha", "0.5", "--theta", "3", "--grid-levels", "20",
                    "--config", str(config_path)],
         )
         assert result.exit_code == 2, result.output
@@ -471,7 +509,7 @@ class TestCli:
         result = runner.invoke(
             main,
             ["blowup", "--alpha", "0.5", "--theta", "3.0", "--replicates", "500",
-             "--levels", "20", "--out", str(out)],
+             "--grid-levels", "20", "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
         endpoint = (tmp_path / "blow_scaled_endpoint.csv").read_text().splitlines()

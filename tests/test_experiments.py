@@ -721,7 +721,7 @@ class TestOverflowRegime:
         "scaling --alpha 0.5 --replicates 300",
         "bound-theta --alpha 0.5 --theta 1 --replicates 300",
         "bound-exp --alpha 0.5 --replicates 300",
-        "blowup --alpha 0.5 --theta 3 --replicates 200 --levels 20",
+        "blowup --alpha 0.5 --theta 3 --replicates 200 --grid-levels 20",
         "ibp --alpha 0.5 --theta 1 --replicates 300",
         "verify-all --replicates 5000",
     ],
@@ -747,7 +747,8 @@ def test_every_draw_happens_inside_the_batch_loop(monkeypatch, args):
     # kanter_inputs is the one function that draws from a stream for the sampler.
     monkeypatch.setattr(subordinator, "kanter_inputs", inputs)
     monkeypatch.setattr(experiments, "kanter_inputs", inputs)
-    result = CliRunner().invoke(main, args.split() + ["--workers", "1"])
+    workers = [] if args.startswith("ibp") else ["--workers", "1"]  # ibp reads no workers
+    result = CliRunner().invoke(main, args.split() + workers)
     assert result.exit_code in (0, 1), result.output
     assert draws, "the run drew nothing"
     assert all(draws), f"{draws.count(0)} of {len(draws)} draws outside _sample_batches"

@@ -225,6 +225,19 @@ class TestSharedDraws:
             kanter_draws((0.5, 0.01), u, w)
         assert all(np.all(np.isfinite(draws)) for draws in kanter_draws(self.ALPHAS, u, w))
 
+    def test_overflowing_paths_are_a_named_error(self):
+        # T^(1/alpha) = 1e308 fits, but the paths of the larger draws overflow.
+        params, seed = StableParams(0.5), SeedSpec(11, 4)
+        grid = TimeGrid.geometric(1e154, levels=20)
+        draws = kanter_draws((0.5,), *kanter_inputs(seed, (300, len(grid))))[0]
+        with np.errstate(over="ignore"):
+            paths = np.cumsum(draws * np.diff(grid.points, prepend=0.0) ** 2.0, axis=1)
+        bad = int(np.count_nonzero(~np.isfinite(paths).all(axis=1)))
+        assert 0 < bad < 300
+        message = f"T = 1e+154 at alpha = 0.5: {bad} of 300 paths leave double range"
+        with pytest.raises(NonFiniteDrawError, match=f"^{re.escape(message)}$"):
+            sample_path_values(params, grid, seed, 300)
+
 
 # The benchmark tracer (perfbench/tracing.py) counts a sampler call's draws by
 # binding the call to the sampler's signature and reading these parameters by
