@@ -29,6 +29,7 @@ from .integrals import (
     SingularKernel,
     _abel_discrepancies,
     _brackets_meet,
+    _cell_weights,
     _check_horizon,
     _log_power_sums,
     _needs_log_space,
@@ -47,6 +48,7 @@ from .subordinator import (
     StableParams,
     SubordinatorPath,
     TimeGrid,
+    _assemble_paths,
     _check_finite,
     deterministic_path,
     kanter_draws,
@@ -367,44 +369,37 @@ def draw_standard_samples(
     return np.concatenate(_sample_batches(task, n_replicates, master_seed, cell))
 
 
-def _moment_sums(plan: tuple, seed: SeedSpec, count: int) -> np.ndarray:
-    """One batch of paths on grids of one length, bracketed under every kernel.
+def _moment_sums(jobs: tuple, seed: SeedSpec, count: int) -> np.ndarray:
+    """One batch of paths on grids of one length, bracketed for every (alpha, grid, kernel) job.
 
-    `plan` holds (alpha, ((grid, kernels), ...)) entries.  The batch draws
-    (U, W) once; then, CHUNK_ROWS rows at a time, kanter_draws makes every
-    alpha's standard draws from one set of sines, each grid scales its alpha's
-    draws by (t_{i+1} - t_i)^(1/alpha) into paths, and each kernel brackets
-    the paths' increments.  Returns sums[k, side, row]: k counts the kernels
-    in plan order, side 0 is the lower sum and side 1 the upper.
+    The batch draws (U, W) once; then, CHUNK_ROWS rows at a time, kanter_draws
+    makes every alpha's standard draws from one set of sines, and each job
+    brackets its alpha's paths on its grid, assembling them only when its
+    (alpha, grid) differs from the previous job's.  Returns sums[k, side, row]:
+    k counts the jobs, side 0 is the lower sum and side 1 the upper.
     """
-    first_grid = plan[0][1][0][0]  # every grid of the plan has its length
-    u, w = kanter_inputs(seed, (count, len(first_grid)))
-    alphas = [alpha for alpha, _ in plan]
-    scales = [
-        [np.diff(grid.points, prepend=0.0) ** (1.0 / alpha) for grid, _ in grids]
-        for alpha, grids in plan
-    ]
-    sums = np.empty((sum(len(kernels) for _, grids in plan for _, kernels in grids), 2, count))
+    u, w = kanter_inputs(seed, (count, len(jobs[0][1])))
+    alphas = list(dict.fromkeys(alpha for alpha, _, _ in jobs))
+    sums = np.empty((len(jobs), 2, count))
     # A path or sum that overflows is caught below, once per batch.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, count, CHUNK_ROWS):
             rows = slice(start, start + CHUNK_ROWS)
-            k = 0
-            for (_, grids), draws, grid_scales in zip(plan, kanter_draws(alphas, u[rows], w[rows]), scales):
-                for (grid, kernels), scale in zip(grids, grid_scales):
-                    increments = np.diff(np.cumsum(draws * scale, axis=1), axis=1)
-                    for kernel in kernels:
-                        sums[k, :, rows] = (
-                            power_bracket_sums(grid.points, increments, kernel.theta)
-                            if isinstance(kernel, SingularKernel)
-                            else exp_bracket_sums(grid.points, increments, kernel.lam, kernel.T)
-                        )
-                        k += 1
+            draws = dict(zip(alphas, kanter_draws(alphas, u[rows], w[rows])))
+            assembled = None
+            for k, (alpha, grid, kernel) in enumerate(jobs):
+                if assembled != (alpha, grid):
+                    assembled = (alpha, grid)
+                    increments = np.diff(_assemble_paths(draws[alpha], grid, alpha), axis=1)
+                sums[k, :, rows] = (
+                    power_bracket_sums(grid.points, increments, kernel.theta)
+                    if isinstance(kernel, SingularKernel)
+                    else exp_bracket_sums(grid.points, increments, kernel.lam, kernel.T)
+                )
     finite = np.isfinite(sums).all(axis=1)  # [k, row]
     if not finite.all():
-        owners = [(alpha, grid) for alpha, grids in plan for grid, kernels in grids for _ in kernels]
         k = int(np.argmin(finite.all(axis=1)))
-        alpha, grid = owners[k]
+        alpha, grid, _ = jobs[k]
         _check_finite(finite[k], f"T = {grid.T:g} at alpha = {alpha:g}", "bracket sums leave double range")
     return sums
 
@@ -600,35 +595,27 @@ def run_moment_checks(
     Every cell keys its (U, W) draws by (master_seed, batch) alone, so cells
     with the same grid length share them (common random numbers: their
     verdicts are correlated), cells with the same alpha too share their
-    standard draws, and cells with the same grid too share their paths.  Cells
-    are grouped by grid length, then alpha, grid and kernel; each grid length
-    takes one sampling pass (_moment_sums), whose brackets are reduced and
-    released before the next pass is sampled.
+    standard draws, and cells with the same grid too share their paths.  Each
+    grid length takes one sampling pass (_moment_sums) over its distinct
+    (alpha, grid, kernel) jobs, whose brackets are reduced and released before
+    the next pass is sampled.
     """
     prepared = [_moment_cell(*cell) for cell in cells]
-    passes: dict = {}
+    grids: dict = {}
+    passes: dict = {}  # grid length -> {job: indices of its cells}
     for index, (alpha, grid, kernel, _, _) in enumerate(prepared):
-        grids = passes.setdefault(len(grid), {}).setdefault(alpha, {})
-        _, kernels = grids.setdefault(grid.points.tobytes(), (grid, {}))
-        kernels.setdefault(kernel, []).append(index)
+        grid = grids.setdefault(grid.points.tobytes(), grid)
+        passes.setdefault(len(grid), {}).setdefault((alpha, grid, kernel), []).append(index)
     reports: list = [None] * len(prepared)
-    for by_alpha in passes.values():
-        plan = tuple(
-            (alpha, tuple((grid, tuple(kernels)) for grid, kernels in grids.values()))
-            for alpha, grids in by_alpha.items()
-        )
-        members = [
-            indices
-            for grids in by_alpha.values()
-            for _, kernels in grids.values()
-            for indices in kernels.values()
-        ]
-        task = functools.partial(_moment_sums, plan)
-        parts = _sample_batches(task, n_replicates, master_seed, 0)
-        for k, indices in enumerate(members):
+    for members in passes.values():
+        # Jobs grouped by (alpha, grid) in first-appearance order: one path per group.
+        groups = list(dict.fromkeys(job[:2] for job in members))
+        jobs = tuple(sorted(members, key=lambda job: groups.index(job[:2])))
+        parts = _sample_batches(functools.partial(_moment_sums, jobs), n_replicates, master_seed, 0)
+        for k, job in enumerate(jobs):
             lower = np.concatenate([part[k, 0] for part in parts])
             upper = np.concatenate([part[k, 1] for part in parts])
-            for index in indices:
+            for index in members[job]:
                 _, _, _, p, bound = prepared[index]
                 reports[index] = _bound_report(lower, upper, p, bound)
         del parts
@@ -649,6 +636,15 @@ def _moment_cell(params: StableParams, kernel, p: float, grid: TimeGrid | None):
     _check_path_scale(params.alpha, kernel.T, "T")
     if isinstance(kernel, SingularKernel):
         _check_double_range(grid.epsilon, kernel.theta)
+    # The upper sum is at least its largest term, of p-th moment w_i^p
+    # (t_{i+1} - t_i)^(p/alpha) E S_1^p: one at the bound fails the verdict.
+    _, weights = _cell_weights(grid.points, kernel)
+    with np.errstate(over="ignore"):
+        term = np.max(weights * np.diff(grid.points) ** (1.0 / params.alpha), initial=0.0)
+    largest = float(term) ** p * frac_moment_closed_form(FracMomentQuery(params.alpha, p, 1.0))
+    if largest >= bound:
+        raise ValueError(f"grid.levels = {len(grid) - 1} is too coarse: the upper sum's largest term "
+                         f"alone has p-th moment {largest:.4g}, at or above the bound {bound:.4g}")
     return params.alpha, grid, kernel, p, bound
 
 

@@ -128,30 +128,28 @@ def _check_horizon(grid: TimeGrid, T: float) -> None:
         raise ValueError(f"kernel horizon {T} does not match grid horizon {grid.T}")
 
 
-def _bracket_sums(kernel_at_points: np.ndarray, increments: np.ndarray, *, decreasing: bool):
-    """Endpoint sums for a monotone kernel against nonnegative increments.
-
-    `kernel_at_points` holds the kernel at the n+1 grid points and
-    `increments` the n cell increments (last axis).  A decreasing kernel is
-    minorized by its right cell endpoint; an increasing kernel flips the
-    roles.  This is the single audited code path for both orientations.
-    """
-    k_left = kernel_at_points[:-1]
-    k_right = kernel_at_points[1:]
-    lo_w, up_w = (k_right, k_left) if decreasing else (k_left, k_right)
-    return increments @ lo_w, increments @ up_w
+def _cell_weights(points: np.ndarray, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper weights of the cells between `points` for a SingularKernel
+    or ExpKernel.  A decreasing kernel is minorized by its right cell endpoint;
+    an increasing kernel flips the roles.  This is the single audited code path
+    for both orientations."""
+    if isinstance(kernel, SingularKernel):
+        at_points = points**-kernel.theta
+        return at_points[1:], at_points[:-1]
+    at_points = np.exp(-kernel.lam * (kernel.T - points))
+    return at_points[:-1], at_points[1:]
 
 
 def power_bracket_sums(points: np.ndarray, increments: np.ndarray, theta: float):
     """Vectorized lower/upper sums of int t^(-theta) dS over rows of cell `increments`."""
-    kernel = points**-theta
-    return _bracket_sums(kernel, increments, decreasing=True)
+    lower, upper = _cell_weights(points, SingularKernel(theta))
+    return increments @ lower, increments @ upper
 
 
 def exp_bracket_sums(points: np.ndarray, increments: np.ndarray, lam: float, T: float):
     """Vectorized lower/upper sums of int e^(-lam (T-t)) dS over rows of cell `increments`."""
-    kernel = np.exp(-lam * (T - points))
-    return _bracket_sums(kernel, increments, decreasing=False)
+    lower, upper = _cell_weights(points, ExpKernel(lam, T))
+    return increments @ lower, increments @ upper
 
 
 def stieltjes_bracket(path: SubordinatorPath, kernel: SingularKernel) -> IntegralBracket:

@@ -225,7 +225,6 @@ def _build_bound(config: ExperimentConfig):
         "upper_std_error": report.estimate.std_error,
         "lower_mean": report.lower_estimate.mean,
         "lower_std_error": report.lower_estimate.std_error,
-        "n_replicates": report.estimate.n_replicates,
     }
     return _verdicts(moment_bound=report.passed), results, {}
 
@@ -292,8 +291,7 @@ def _build_ibp(config: ExperimentConfig):
 
 def _build_classify(config: ExperimentConfig):
     label = classify_power_kernel(config.scalar_alpha(), config.theta)
-    results = {"alpha": config.scalar_alpha(), "exponent": config.theta, "classification": label}
-    return _verdicts(classified=True), results, {}
+    return {}, {"classification": label}, {}
 
 
 # --------------------------------------------------------------------------

@@ -267,6 +267,12 @@ def sample_standard_stable_batch(params: StableParams, seed: SeedSpec, size: int
     return _standard_stable_draws(params.alpha, seed, int(size))
 
 
+def _assemble_paths(draws: np.ndarray, grid: TimeGrid, alpha: float) -> np.ndarray:
+    """The paths of sample_path_values from rows of its standard draws: scaled
+    and summed only, so the caller checks the values."""
+    return np.cumsum(draws * np.diff(grid.points, prepend=0.0) ** (1.0 / alpha), axis=1)
+
+
 def sample_path_values(
     params: StableParams, grid: TimeGrid, seed: SeedSpec, n_paths: int
 ) -> np.ndarray:
@@ -278,7 +284,7 @@ def sample_path_values(
     """
     draws = _standard_stable_draws(params.alpha, seed, (int(n_paths), len(grid)))
     with np.errstate(over="ignore"):
-        values = np.cumsum(draws * np.diff(grid.points, prepend=0.0) ** (1.0 / params.alpha), axis=1)
+        values = _assemble_paths(draws, grid, params.alpha)
     # A row is nondecreasing, so it is finite where its last value is.
     where = f"T = {grid.T:g} at alpha = {params.alpha:g}"
     _check_finite(np.isfinite(values[:, -1]), where, "paths leave double range")

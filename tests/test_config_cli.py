@@ -32,7 +32,9 @@ _READS = {
 }
 _REQUIRED = {
     "scaling": {"alpha": 0.5},
-    "moment_bound_theta": {"alpha": 0.5, "theta": 1.0},
+    # theta 0.4, not 1: at theta = 1 the uniform grid's first cell alone puts
+    # the upper sum's p-th moment above the bound, and the cell is refused.
+    "moment_bound_theta": {"alpha": 0.5, "theta": 0.4},
     "moment_bound_exp": {"alpha": 0.5},
     "blowup": {"alpha": 0.5, "theta": 3.0},
     "ibp_consistency": {"alpha": 0.5},
@@ -229,14 +231,32 @@ class TestCli:
         result = runner.invoke(main, ["classify", "--alpha", "0.5", "--theta", "2.0"])
         assert result.exit_code == 0
         record = json.loads(result.output)
-        assert record["results"]["classification"] == "limsup_infinite"
-        assert record["verdicts"] == {"classified": "pass"}
+        # Analytic: the label and nothing the config already says, no verdict.
+        assert record["results"] == {"classification": "limsup_infinite"}
+        assert record["verdicts"] == {}
 
     def test_config_error_exit_code(self):
         runner = CliRunner()
         result = runner.invoke(main, ["bound-theta", "--alpha", "0.5", "--theta", "2.5"])
         assert result.exit_code == 2
         assert "theta must lie in (0, 1/alpha): got theta=2.5, alpha=0.5" in result.output
+
+    @pytest.mark.parametrize(
+        "args, largest, bound",
+        [
+            ("bound-exp --alpha 0.5 --T 5000 --replicates 4000", "16.17", "6.539"),
+            ("bound-theta --alpha 0.5 --theta 1 --grid-kind uniform --replicates 4000", "234.2", "11.81"),
+        ],
+    )
+    def test_grid_too_coarse_for_the_bound_is_config_error(self, args, largest, bound):
+        # The upper sum is at least its largest term, whose p-th moment is at
+        # or above the bound here: the verdict could only fail.
+        result = CliRunner().invoke(main, args.split())
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            "error: grid.levels = 40 is too coarse: the upper sum's largest term alone "
+            f"has p-th moment {largest}, at or above the bound {bound}\n"
+        )
 
     def test_laplace_rejects_an_empty_alpha_list(self, tmp_path):
         # Zero cells would otherwise pass the laplace verdict on nothing.
@@ -578,6 +598,10 @@ class TestCli:
         record = json.loads(result.output)
         assert record["config"]["grid"]["kind"] == "uniform"
         assert record["verdicts"]["moment_bound"] == "pass"
+        # The record does not restate the config's replicate count.
+        assert sorted(record["results"]) == [
+            "bound_value", "lower_mean", "lower_std_error", "margin", "upper_mean", "upper_std_error"
+        ]
         explicit = parse_config('{"experiment": "moment_bound_exp", "alpha": 0.5,'
                                 ' "grid": {"kind": "geometric"}}')
         assert explicit.grid.kind == "geometric"

@@ -43,7 +43,7 @@ from stablesub import (
 )
 from stablesub.cli import main
 from stablesub.experiments import BATCH_SIZE, default_grid
-from stablesub.integrals import _brackets_meet, ibp_bracket_sums, power_bracket_sums
+from stablesub.integrals import _brackets_meet, exp_bracket_sums, ibp_bracket_sums, power_bracket_sums
 
 # Frozen with mpmath from E S_1^0.25 = Gamma(0.5)/Gamma(0.75) at alpha = 1/2.
 BOUND_THETA_REF = 11.811069891303610336  # (alpha, theta, p, T) = (0.5, 1, 0.25, 1)
@@ -260,6 +260,18 @@ class TestGroupedMomentChecks:
         with pytest.raises(ValueError):
             run_moment_checks(cells, n_replicates=200)
 
+    def test_refuses_a_grid_whose_largest_term_reaches_the_bound(self, monkeypatch):
+        # 40 uniform cells: at T = 5000 the last cell's term alone has p-th
+        # moment 16.17 against the bound 6.539; at T = 500, 5.11 stays below.
+        def never(*args):
+            raise AssertionError("sampled before validation")
+
+        monkeypatch.setattr(experiments, "kanter_inputs", never)
+        coarse = [self.CELLS[0], (StableParams(0.5), ExpKernel(lam=1.0, T=5000.0), 0.25, None)]
+        with pytest.raises(ValueError, match=r"^grid\.levels = 40 is too coarse: .* 16\.17, .* 6\.539$"):
+            run_moment_checks(coarse, n_replicates=200)
+        experiments._moment_cell(StableParams(0.5), ExpKernel(lam=1.0, T=500.0), 0.25, None)
+
     # Two grid lengths, 41 and 21 points; alpha 0.3 and 0.5, geometric and
     # uniform grids, both kernel types.
     MIXED_CELLS = [
@@ -285,9 +297,11 @@ class TestGroupedMomentChecks:
         with experiments._worker_pool(workers):
             grouped = run_moment_checks(self.MIXED_CELLS, self.N, self.SEED)
         # One sampling pass per grid length, for every alpha of that length.
-        plans = [call[0].args[0] for call in calls]
-        assert sorted(len(plan[0][1][0][0]) for plan in plans) == [21, 41]
-        assert sorted(tuple(alpha for alpha, _ in plan) for plan in plans) == [(0.3, 0.5), (0.5,)]
+        passes = [call[0].args[0] for call in calls]
+        assert sorted(len(jobs[0][1]) for jobs in passes) == [21, 41]
+        assert sorted(tuple(dict.fromkeys(alpha for alpha, _, _ in jobs)) for jobs in passes) == [
+            (0.3, 0.5), (0.5,)
+        ]
         monkeypatch.setattr(experiments, "_sample_batches", real_batches)
         for (params, kernel, p, grid), report in zip(self.MIXED_CELLS, grouped, strict=True):
             single = run_moment_check(
@@ -296,19 +310,21 @@ class TestGroupedMomentChecks:
             assert report == single
 
     def test_verify_all_samples_each_group_once_per_batch(self, monkeypatch):
-        # 18 moment-bound cells on 41 points: 1 pass, whose batches each draw
-        # (U, W) once and make the standard draws of alpha = 0.3, 0.5 and 0.7
-        # from it, which the 5 (alpha, grid) path groups share.
-        plans, inputs, draws = [], [], []
+        # 18 moment-bound cells on 41 points: 1 pass of 12 jobs, whose batches
+        # each draw (U, W) once and make the standard draws of alpha = 0.3, 0.5
+        # and 0.7 from it, and assemble the paths of each of the 5 (alpha,
+        # grid) groups once per chunk, for all of the group's jobs.
+        passes, inputs, draws, paths = [], [], [], []
         inside = []
         real_batches = experiments._sample_batches
         real_inputs = experiments.kanter_inputs
         real_draws = experiments.kanter_draws
+        real_paths = experiments._assemble_paths
         real_checks = reporting.run_moment_checks
 
         def batches(task, *args):
             if inside:
-                plans.append(task.args[0])
+                passes.append(task.args[0])
             return real_batches(task, *args)
 
         def counting_inputs(seed, shape):
@@ -322,6 +338,11 @@ class TestGroupedMomentChecks:
                 draws.append((tuple(alphas), inputs[-1][0], len(u), np.shares_memory(u, inputs[-1][2])))
             return real_draws(alphas, u, w)
 
+        def counting_paths(chunk, grid, alpha):
+            if inside:
+                paths.append((len(draws), alpha, grid))
+            return real_paths(chunk, grid, alpha)
+
         def moment_section(*args, **kwargs):
             inside.append(True)
             try:
@@ -332,28 +353,34 @@ class TestGroupedMomentChecks:
         monkeypatch.setattr(experiments, "_sample_batches", batches)
         monkeypatch.setattr(experiments, "kanter_inputs", counting_inputs)
         monkeypatch.setattr(experiments, "kanter_draws", counting_draws)
+        monkeypatch.setattr(experiments, "_assemble_paths", counting_paths)
         monkeypatch.setattr(reporting, "run_moment_checks", moment_section)
         common = ["--replicates", "5000", "--seed", "12345"]
         result = CliRunner().invoke(main, ["verify-all", *common])
         assert result.exit_code == 0, result.output
-        assert len(plans) == 1
-        groups = {
-            (alpha, "geometric" if grid.points[1] == 2.0 * grid.epsilon else "uniform", grid.T)
-            for alpha, grids in plans[0]
-            for grid, _ in grids
-        }
-        assert groups == {
+        assert len(passes) == 1 and len(passes[0]) == 12
+
+        def group(alpha, grid):
+            return alpha, "geometric" if grid.points[1] == 2.0 * grid.epsilon else "uniform", grid.T
+
+        groups = [group(alpha, grid) for alpha, grid, _ in passes[0]]
+        expected = [
             (0.3, "geometric", 1.0),
             (0.5, "geometric", 1.0),
             (0.7, "geometric", 1.0),
             (0.5, "uniform", 1.0),
             (0.5, "uniform", 5.0),
-        }
+        ]
+        # The jobs of a group sit side by side, in the groups' first-appearance order.
+        assert [g for i, g in enumerate(groups) if i == 0 or g != groups[i - 1]] == expected
         assert [(index, shape) for index, shape, _ in inputs] == [(0, (4096, 41)), (1, (904, 41))]
         assert {alphas for alphas, *_ in draws} == {(0.3, 0.5, 0.7)}
         assert all(shared for *_, shared in draws)
         for index, count in ((0, 4096), (1, 904)):
             assert sum(rows for _, batch, rows, _ in draws if batch == index) == count
+        # Each chunk assembles each group's paths once: 5 per chunk.
+        for chunk in range(1, len(draws) + 1):
+            assert [group(alpha, grid) for c, alpha, grid in paths if c == chunk] == expected
 
         # The same builders write these sections and the single records: the
         # laplace, cdf and scaling sections equal their single records, and
@@ -389,13 +416,15 @@ class TestGroupedMomentChecks:
 
 
 class TestMomentBatch:
-    # Two alphas, two grids of one length, both kernel types.
-    PLAN = (
-        (0.3, ((default_grid(SingularKernel(theta=1.5)), (SingularKernel(theta=1.5),)),)),
-        (0.5, (
-            (default_grid(SingularKernel(theta=1.0)), (SingularKernel(theta=1.0), SingularKernel(theta=1.6))),
-            (default_grid(ExpKernel(lam=1.0, T=1.0)), (ExpKernel(lam=1.0, T=1.0),)),
-        )),
+    # Two alphas, two grids of one length, both kernel types; the two alpha =
+    # 0.5 jobs on the geometric grid share its paths.
+    GEOMETRIC = default_grid(SingularKernel(theta=1.0))
+    UNIFORM = default_grid(ExpKernel(lam=1.0, T=1.0))
+    JOBS = (
+        (0.3, GEOMETRIC, SingularKernel(theta=1.5)),
+        (0.5, GEOMETRIC, SingularKernel(theta=1.0)),
+        (0.5, GEOMETRIC, SingularKernel(theta=1.6)),
+        (0.5, UNIFORM, ExpKernel(lam=1.0, T=1.0)),
     )
 
     @pytest.mark.parametrize("count", [904, 4096])
@@ -406,16 +435,19 @@ class TestMomentBatch:
         # ragged last chunk at 12 rows.
         seed = SeedSpec(505, 3)
         monkeypatch.setattr(experiments, "CHUNK_ROWS", count)
-        whole = experiments._moment_sums(self.PLAN, seed, count)
+        whole = experiments._moment_sums(self.JOBS, seed, count)
         for rows in (4, 12, 512):
             monkeypatch.setattr(experiments, "CHUNK_ROWS", rows)
-            assert np.array_equal(experiments._moment_sums(self.PLAN, seed, count), whole)
-        # Kernel 1 is alpha = 0.5, theta = 1 on its geometric grid.
-        grid = self.PLAN[1][1][0][0]
-        values = sample_path_values(StableParams(0.5), grid, seed, count)
-        lower, upper = power_bracket_sums(grid.points, np.diff(values, axis=1), 1.0)
-        assert whole.shape == (4, 2, count)
-        assert np.array_equal(whole[1, 0], lower) and np.array_equal(whole[1, 1], upper)
+            assert np.array_equal(experiments._moment_sums(self.JOBS, seed, count), whole)
+        # Every job equals its own cell's paths, bracketed on their own.
+        assert whole.shape == (len(self.JOBS), 2, count)
+        for k, (alpha, grid, kernel) in enumerate(self.JOBS):
+            increments = np.diff(sample_path_values(StableParams(alpha), grid, seed, count), axis=1)
+            if isinstance(kernel, SingularKernel):
+                lower, upper = power_bracket_sums(grid.points, increments, kernel.theta)
+            else:
+                lower, upper = exp_bracket_sums(grid.points, increments, kernel.lam, kernel.T)
+            assert np.array_equal(whole[k, 0], lower) and np.array_equal(whole[k, 1], upper), k
 
 
 @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
