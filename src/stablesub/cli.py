@@ -57,7 +57,8 @@ def _execute(experiment: str, config_path, **flags) -> None:
     try:
         text = Path(config_path).read_text(encoding="utf-8") if config_path else "{}"
         payload = parse_document(text)
-        grid = dict(_object(payload.get("grid"), "grid"))
+        grid = payload.get("grid")
+        grid = {} if grid is None else dict(_object(grid, "grid"))
         for key, value in flags.items():
             if value is not None and value != ():  # flag given
                 value = list(value) if isinstance(value, tuple) else value

@@ -146,24 +146,19 @@ def _integer(value, key: str) -> int:
     return value
 
 
-def _optional_number(value, key: str) -> float | None:
-    return None if value is None else _number(value, key)
-
-
 def _numbers(value, key: str):
     if isinstance(value, (list, tuple)):
         return tuple(_number(v, key) for v in value)
-    return _optional_number(value, key)
+    return _number(value, key)
 
 
 def _times(value, key: str):
-    if value is not None and not (isinstance(value, (list, tuple)) and value):
+    if not (isinstance(value, (list, tuple)) and value):
         raise ConfigError(f"{key} must be a nonempty list of horizons")
     return _numbers(value, key)
 
 
 def _object(value, key: str) -> dict:
-    value = value or {}
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be an object")
     return value
@@ -180,9 +175,9 @@ _KEYS = {
     "grid": ("grid", _object),
     "T": ("T", _number),
     "alpha": ("alpha", _numbers),
-    "theta": ("theta", _optional_number),
-    "p": ("p", _optional_number),
-    "lambda": ("lam", _optional_number),
+    "theta": ("theta", _number),
+    "p": ("p", _number),
+    "lambda": ("lam", _number),
     "times": ("times", _times),
     "n_replicates": ("n_replicates", _integer),
     "master_seed": ("master_seed", _integer),
@@ -193,7 +188,7 @@ _GRID_KEYS = {
     "kind": ("kind", _as_is),
     "levels": ("levels", _integer),
     "q": ("q", _number),
-    "epsilon": ("epsilon", _optional_number),
+    "epsilon": ("epsilon", _number),
 }
 
 
@@ -229,21 +224,29 @@ def config_from_mapping(payload: dict) -> ExperimentConfig:
 
 
 def _fields(payload: dict, keys: dict, defaults: dict, prefix: str) -> dict:
-    """Field values parsed through a key table, unset ones filled from `defaults`
-    (keyed by config key, each key of the table prefixed by `prefix`)."""
+    """Field values parsed through a key table, unset ones (absent or null)
+    filled from `defaults` (keyed by config key, each key of the table
+    prefixed by `prefix`)."""
     fields = {}
     for key, value in payload.items():
         if key not in keys:
             raise ConfigError(f"unknown key: {prefix}{key!r}")
-        name, parse = keys[key]
-        fields[name] = parse(value, prefix + key)
+        if value is not None:
+            name, parse = keys[key]
+            fields[name] = parse(value, prefix + key)
     for key, (name, _) in keys.items():
         default = defaults.get(prefix + key, _FIELD)
-        if fields.get(name) is None and default is not _FIELD:
+        if name not in fields and default is not _FIELD:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required field: {prefix}{key}")
             fields[name] = default(fields) if callable(default) else default
     return fields
+
+
+def default_replicates(experiment: str) -> int:
+    """The replicate count a run of `experiment` takes when none is set."""
+    default = _DEFAULTS[experiment].get("n_replicates", _FIELD)
+    return ExperimentConfig.n_replicates if default is _FIELD else default
 
 
 def validate_config(config: ExperimentConfig) -> None:

@@ -401,6 +401,7 @@ def _moment_sums(jobs: tuple, seed: SeedSpec, count: int) -> np.ndarray:
         k = int(np.argmin(finite.all(axis=1)))
         alpha, grid, _ = jobs[k]
         _check_finite(finite[k], f"T = {grid.T:g} at alpha = {alpha:g}", "bracket sums leave double range")
+    IntegralBracket.check_rows(sums[:, 0], sums[:, 1])
     return sums
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .config import ExperimentConfig, config_from_mapping, render_config
+from .config import ExperimentConfig, config_from_mapping, default_replicates, render_config
 from .experiments import (
     MomentEstimate,
     _batch_task,
@@ -253,15 +253,19 @@ def _build_blowup(config: ExperimentConfig):
         ),
     }
     if report.boundary_inconclusive:
-        # At the threshold the slope statistic carries no information; the
-        # record labels the case instead of asserting divergence numerically.
-        return {"blowup_slope_inconclusive_boundary": "pass"}, results, series
+        # At the threshold the slope statistic carries no information: the
+        # record reports the case and checks nothing.
+        return {}, results, series
     return _verdicts(blowup_slope=report.slope_matches), results, series
 
 
-def _render_ibp(report):
-    """The ibp triple that the ibp record and the verify-all section share."""
-    columns = ["grid_levels", "lower_sum", "upper_sum", "gap"]
+def _build_ibp(config: ExperimentConfig):
+    kernel = config.kernel()
+    report = run_ibp_consistency(
+        StableParams(config.scalar_alpha()), theta=kernel.theta, T=kernel.T,
+        n_paths=config.n_replicates, master_seed=config.master_seed,
+        grid=config.grid.build(config.T),
+    )
     verdicts = _verdicts(
         brackets_intersect=report.all_brackets_intersect,
         abel_identity=report.abel_identity,
@@ -273,20 +277,9 @@ def _render_ibp(report):
         "det_power_target": report.det_power_target,
         "det_exp_target": report.det_exp_target,
     }
+    columns = ["grid_levels", "lower_sum", "upper_sum", "gap"]
     rows = [list(row) for row in report.convergence_rows]
     return verdicts, results, {"bracket_convergence": {"columns": columns, "rows": rows}}
-
-
-def _build_ibp(config: ExperimentConfig):
-    kernel = config.kernel()
-    report = run_ibp_consistency(
-        StableParams(config.scalar_alpha()), theta=kernel.theta, T=kernel.T,
-        n_paths=config.n_replicates, master_seed=config.master_seed,
-        grid=config.grid.build(config.T),
-    )
-    verdicts, results, series = _render_ibp(report)
-    results["det_exp_bracket"] = list(report.det_exp_bracket)
-    return verdicts, results, series
 
 
 def _build_classify(config: ExperimentConfig):
@@ -298,13 +291,15 @@ def _build_classify(config: ExperimentConfig):
 # verify-all: the full acceptance grid in one run, as a table of sections.
 # A section maps (replicate cap, seed) to one triple per name; it is a
 # module-level function or a partial of one, so it pickles as a pool task.
+# Each section runs its experiment at the smaller of the cap and that
+# experiment's own default count.
 
 
 def _experiment_section(experiment: str, keys: dict, cap, seed):
-    """Section that runs an ordinary experiment config through its builder, at
-    up to 100k replicates."""
+    """Section that runs an ordinary experiment config through its builder."""
     config = config_from_mapping({"experiment": experiment, **keys,
-                                  "n_replicates": min(100_000, cap), "master_seed": seed})
+                                  "n_replicates": min(cap, default_replicates(experiment)),
+                                  "master_seed": seed})
     return [_BUILDERS[experiment](config)]
 
 
@@ -350,7 +345,8 @@ def _bound_grid_sections(cap, seed):
         (StableParams(alpha), SingularKernel(theta=theta, T=1.0), p, None)
         for alpha, theta, p in _THETA_GRID
     ] + [(StableParams(0.5), ExpKernel(lam=lam, T=T), 0.25, None) for lam, T in _EXP_GRID]
-    checks = run_moment_checks(cells, min(100_000, cap), seed)
+    count = min(cap, default_replicates("moment_bound_theta"), default_replicates("moment_bound_exp"))
+    checks = run_moment_checks(cells, count, seed)
     triples = []
     for keys, key_columns, section in (
         (_THETA_GRID, ["alpha", "theta", "p"], checks[: len(_THETA_GRID)]),
@@ -371,7 +367,8 @@ def _blowup_slopes_section(cap, seed):
     """Blow-up slope law at three supercritical exponents (alpha = 1/2, threshold 2)."""
     thetas = (2.5, 3.0, 4.0)
     reports = run_blowup_diagnostics(
-        StableParams(0.5), thetas, n_replicates=max(100, min(10_000, cap)), master_seed=seed
+        StableParams(0.5), thetas, n_replicates=max(100, min(cap, default_replicates("blowup"))),
+        master_seed=seed,
     )
     rows = [[theta, r.fitted_slope, r.expected_slope, r.residual] for theta, r in zip(thetas, reports)]
     matches = [r.slope_matches for r in reports]
@@ -384,7 +381,7 @@ def _stabilization_section(cap, seed):
     """Finiteness stabilization of the truncated lower sums (theta < 1/alpha)."""
     report = run_blowup_diagnostic(
         StableParams(0.5), theta=1.0, max_level=40,
-        n_replicates=max(100, min(10_000, cap)), master_seed=seed,
+        n_replicates=max(100, min(cap, default_replicates("blowup"))), master_seed=seed,
     )
     medians = report.lower_sum_medians
     at35 = medians[report.epsilons.index(2.0**-35)]
@@ -395,14 +392,6 @@ def _stabilization_section(cap, seed):
     return [(_verdicts(median_change_below_1pct=change < 0.01), results, series)]
 
 
-def _ibp_section(cap, seed):
-    """Exact identities and the dual-route bracket consistency."""
-    report = run_ibp_consistency(
-        StableParams(0.5), theta=1.0, n_paths=max(2, min(1000, cap)), master_seed=seed
-    )
-    return [_render_ibp(report)]
-
-
 _VERIFY_ALL_SECTIONS = (
     (("laplace",), functools.partial(_experiment_section, "laplace_check", {})),
     (("cdf",), functools.partial(_experiment_section, "cdf_check", {})),
@@ -411,7 +400,7 @@ _VERIFY_ALL_SECTIONS = (
     (("bound_theta_grid", "bound_exp_grid"), _bound_grid_sections),
     (("blowup_slopes",), _blowup_slopes_section),
     (("finiteness_stabilization",), _stabilization_section),
-    (("ibp",), _ibp_section),
+    (("ibp",), functools.partial(_experiment_section, "ibp_consistency", {"alpha": 0.5, "theta": 1.0})),
 )
 
 

@@ -4,7 +4,9 @@ One test per criterion; each prints a single pass/fail line (visible with
 pytest -s or on failure) in addition to its asserts.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,3 +238,36 @@ def test_criterion_11_reproducibility(tmp_path):
         a == b == c,
         "numeric records byte-identical across two runs and 1-vs-8 workers",
     )
+
+
+# The comparable record of `verify-all --seed 777 --replicates 10000`.  A change
+# that moves the record on purpose regenerates it:
+#   PYTHONPATH=src python -m stablesub.cli verify-all --seed 777 --replicates 10000 \
+#   | PYTHONPATH=src python -c "import sys, stablesub.reporting as r; print(r.comparable_record_json(sys.stdin.read()), end='')" \
+#   > tests/data/verify_all_seed777_10k.json
+RECORD_FIXTURE = Path(__file__).parent / "data" / "verify_all_seed777_10k.json"
+
+
+def _assert_matches(actual, expected, where="record"):
+    """Same keys, verdicts, strings and integers; floats within 1e-9 relative
+    or 1e-12 absolute, since BLAS kernels may move their last bits."""
+    assert type(actual) is type(expected), where
+    if isinstance(expected, dict):
+        assert sorted(actual) == sorted(expected), where
+        for key in expected:
+            _assert_matches(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), where
+        for index, (a, e) in enumerate(zip(actual, expected)):
+            _assert_matches(a, e, f"{where}[{index}]")
+    elif isinstance(expected, float):
+        assert math.isclose(actual, expected, rel_tol=1e-9, abs_tol=1e-12), (where, actual, expected)
+    else:
+        assert actual == expected, where
+
+
+def test_verify_all_record_matches_its_fixture():
+    result = CliRunner().invoke(main, ["verify-all", "--seed", "777", "--replicates", "10000"])
+    assert result.exit_code == 0, result.output
+    actual = json.loads(comparable_record_json(result.output))
+    _assert_matches(actual, json.loads(RECORD_FIXTURE.read_text()))

@@ -179,6 +179,24 @@ class TestParseConfig:
             assert (rendered["grid"] if section else rendered)[name] == value, key
             assert parse_config(render_config(config)) == config
 
+    @pytest.mark.parametrize("experiment", sorted(_READS))
+    def test_null_means_unset(self, experiment):
+        # Every key set to null parses as if it were absent: to the same
+        # config, or to the same error when the key is required.
+        def outcome(document):
+            try:
+                return config_from_mapping(document)
+            except ConfigError as exc:
+                return str(exc)
+
+        base = {"experiment": experiment, **_REQUIRED.get(experiment, {})}
+        for key in ("grid", "grid.kind", *_NON_DEFAULT):
+            section, _, name = key.rpartition(".")
+            absent = {k: v for k, v in base.items() if k != key}
+            document = dict(absent)
+            (document.setdefault("grid", {}) if section else document)[name] = None
+            assert outcome(document) == outcome(absent), key
+
     def test_workers_floor(self):
         with pytest.raises(ConfigError, match="workers must be >= 1"):
             config_from_mapping({"experiment": "cdf_check", "workers": 0})
@@ -235,6 +253,26 @@ class TestCli:
         assert record["results"] == {"classification": "limsup_infinite"}
         assert record["verdicts"] == {}
 
+    def test_blowup_at_the_threshold_records_no_verdict(self):
+        # At theta = 1/alpha the slope statistic carries no information: the
+        # record reports the case and checks nothing.
+        args = "blowup --alpha 0.5 --theta 2 --replicates 500 --grid-levels 20"
+        result = CliRunner().invoke(main, args.split())
+        assert result.exit_code == 0, result.output
+        record = json.loads(result.output)
+        assert record["results"]["boundary_inconclusive"] is True
+        assert record["verdicts"] == {}
+
+    def test_null_document_keys_take_flags_and_defaults(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"grid": None, "master_seed": None, "n_replicates": None}))
+        args = ["blowup", "--alpha", "0.5", "--theta", "3", "--grid-levels", "20", "--replicates", "200",
+                "--config", str(config_path)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        config = json.loads(result.output)["config"]
+        assert (config["grid"]["levels"], config["n_replicates"], config["master_seed"]) == (20, 200, 12345)
+
     def test_config_error_exit_code(self):
         runner = CliRunner()
         result = runner.invoke(main, ["bound-theta", "--alpha", "0.5", "--theta", "2.5"])
@@ -270,7 +308,8 @@ class TestCli:
         "text, message",
         [("not json", "error: config is not valid JSON"),
          ("[1]", "error: config must be a JSON object"),
-         ('{"grid": 5}', "error: grid must be an object")],
+         ('{"grid": 5}', "error: grid must be an object"),
+         ('{"grid": []}', "error: grid must be an object")],
     )
     def test_unreadable_config_document(self, tmp_path, text, message):
         config_path = tmp_path / "config.json"

@@ -1,11 +1,13 @@
 """Monte Carlo experiment drivers: bounds, diagnostics, classification."""
 
 import dataclasses
+import importlib.util
 import inspect
 import json
 import math
 import multiprocessing
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +200,14 @@ class TestMomentChecks:
         with pytest.raises(ValueError):
             run_moment_check(StableParams(0.5), SingularKernel(theta=1.0), 0.7, n_replicates=100)
 
+    def test_swapped_bracket_sides_end_the_run(self, monkeypatch):
+        # Swapped sides put lower > upper on every path, which the upper-side
+        # verdict alone would pass; the pass refuses them as ibp does.
+        real = experiments.power_bracket_sums
+        monkeypatch.setattr(experiments, "power_bracket_sums", lambda *args: real(*args)[::-1])
+        with pytest.raises(ValueError, match="invalid bracket"):
+            run_moment_check(StableParams(0.5), SingularKernel(theta=1.0), 0.25, n_replicates=500)
+
 
 class TestGroupedMomentChecks:
     # Mixed kernels: two alphas, a repeated power kernel at two orders, and
@@ -382,9 +392,8 @@ class TestGroupedMomentChecks:
         for chunk in range(1, len(draws) + 1):
             assert [group(alpha, grid) for c, alpha, grid in paths if c == chunk] == expected
 
-        # The same builders write these sections and the single records: the
-        # laplace, cdf and scaling sections equal their single records, and
-        # the ibp section is its record's rendered subset.
+        # The same builders write these sections and the single records, so
+        # each section equals its single record.
         record = json.loads(result.output)
         singles = {
             "laplace": ["laplace", *common],
@@ -396,11 +405,7 @@ class TestGroupedMomentChecks:
         }
         for prefix, args in singles.items():
             single = json.loads(CliRunner().invoke(main, args).output)
-            section = record["results"][prefix]
-            if prefix == "ibp":
-                assert {key: single["results"][key] for key in section} == section
-            else:
-                assert section == single["results"]
+            assert record["results"][prefix] == single["results"]
             section_verdicts = {
                 key[len(prefix) + 1 :]: verdict
                 for key, verdict in record["verdicts"].items()
@@ -514,6 +519,22 @@ def test_the_run_owns_the_worker_count():
     ]
     for _, section in reporting._VERIFY_ALL_SECTIONS:
         assert list(inspect.signature(section).parameters) == ["cap", "seed"]
+
+
+def test_the_benchmark_tracer_finds_what_it_names():
+    # perfbench/tracing.py wraps only the functions in a module's __all__ and
+    # counts some of them by name; a renamed one would zero its metric silently.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    functions = tracing.BATCH_SUMS | tracing.SERIALIZERS | {"experiments.ks_distance"}
+    for name in sorted(functions):
+        module_name, attr = name.split(".")
+        module = importlib.import_module(f"stablesub.{module_name}")
+        assert attr in module.__all__ and inspect.isfunction(getattr(module, attr)), name
+    module_name, attr = tracing.POOL_SPAN.split(".")
+    assert hasattr(importlib.import_module(f"stablesub.{module_name}"), attr)
 
 
 class TestBlowupDiagnostic:

@@ -1,0 +1,122 @@
+"""Planted defects: each row swaps one library function for a wrong version
+and names what must fail when a command runs on it.
+
+A row's expected failure is either the set of `verify-all` verdicts that
+fail (every other verdict passes) or the text of the error that ends the
+run.  The same commands pass every verdict on the real library, so a row's
+failures are the defect's.  The defects live only here.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+import stablesub.experiments as experiments
+import stablesub.integrals as integrals
+import stablesub.reporting as reporting
+import stablesub.special as special
+import stablesub.subordinator as subordinator
+from stablesub.cli import main
+
+MODULES = {module.__name__.rpartition(".")[2]: module
+           for module in (subordinator, integrals, special, experiments, reporting)}
+
+
+def _alpha_off(kanter_draws):
+    """Every stability index 3 % too large."""
+    return lambda alphas, u, w: kanter_draws([alpha * 1.03 for alpha in alphas], u, w)
+
+
+def _linear_scale(assemble_paths):
+    """Increments scaled by dt instead of dt^(1/alpha)."""
+    return lambda draws, grid, alpha: np.cumsum(draws * np.diff(grid.points, prepend=0.0), axis=1)
+
+
+def _first_cell_dropped(assemble_paths):
+    """No increment over (0, epsilon]."""
+    def assemble(draws, grid, alpha):
+        draws = draws.copy()
+        draws[:, 0] = 0.0
+        return assemble_paths(draws, grid, alpha)
+    return assemble
+
+
+def _tripled(bracket_sums):
+    return lambda *args: tuple(3.0 * side for side in bracket_sums(*args))
+
+
+def _swapped(bracket_sums):
+    return lambda *args: bracket_sums(*args)[::-1]
+
+
+def _gamma_off(gamma_fn):
+    return lambda x: gamma_fn(x) * (1.0 + 1e-5)
+
+
+# (defect, patched function, command, expected failure), each measured at the default seed.
+DEFECTS = [
+    ("alpha 3 % off", "subordinator.kanter_draws", _alpha_off, "verify-all --replicates 20000",
+     {"laplace.laplace_transform", "cdf.distribution_ks", "frac_moment_chain.mc_matches_oracle"}),
+    ("paths scaled by dt", "subordinator._assemble_paths", _linear_scale, "verify-all --replicates 3000",
+     {"blowup_slopes.slopes_match", "bound_theta_grid.all_cells_pass",
+      "finiteness_stabilization.median_change_below_1pct"}),
+    ("(0, epsilon] cell dropped", "subordinator._assemble_paths", _first_cell_dropped,
+     "verify-all --replicates 3000", {"blowup_slopes.slopes_match"}),
+    ("bracket sums tripled", "integrals.power_bracket_sums", _tripled, "verify-all --replicates 3000",
+     {"ibp.brackets_intersect", "ibp.classical_integrals"}),
+    ("gamma 1e-5 off", "special.gamma_fn", _gamma_off, "verify-all --replicates 3000",
+     {"frac_moment_chain.quadrature_agrees_closed_form"}),
+    ("bracket sides swapped", "integrals.power_bracket_sums", _swapped, "ibp --alpha 0.5 --theta 1",
+     "invalid bracket"),
+    ("bracket sides swapped", "integrals.power_bracket_sums", _swapped,
+     "bound-theta --alpha 0.5 --theta 1 --replicates 20000", "invalid bracket"),
+]
+# verify-all verdicts that no row makes fail yet.
+UNCAUGHT = {"scaling.scaling_collapse", "bound_exp_grid.all_cells_pass", "ibp.abel_identity"}
+
+
+def _verdicts(command: str) -> dict:
+    result = CliRunner().invoke(main, command.split())
+    if result.exception is not None and not isinstance(result.exception, SystemExit):
+        raise result.exception
+    return json.loads(result.output)["verdicts"]
+
+
+def _planted(monkeypatch, target: str, defect, command: str) -> dict:
+    """The verdicts of `command` with `target` replaced wherever a module binds it."""
+    module_name, _, attr = target.partition(".")
+    real = getattr(MODULES[module_name], attr)
+    wrong = defect(real)
+    for module in MODULES.values():
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, wrong)
+    # A defect may drive a median to 0, whose log warns; the verdicts tell.
+    with np.errstate(divide="ignore"):
+        return _verdicts(command)
+
+
+@pytest.mark.parametrize("command", sorted({row[3] for row in DEFECTS}))
+def test_commands_pass_on_the_real_library(command):
+    verdicts = _verdicts(command)
+    assert verdicts and set(verdicts.values()) == {"pass"}, verdicts
+
+
+@pytest.mark.parametrize("label, target, defect, command, expected", DEFECTS,
+                         ids=[f"{row[0]}: {row[3].split()[0]}" for row in DEFECTS])
+def test_planted_defect_fails(monkeypatch, label, target, defect, command, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            _planted(monkeypatch, target, defect, command)
+        return
+    verdicts = _planted(monkeypatch, target, defect, command)
+    assert {name for name, verdict in verdicts.items() if verdict == "fail"} == expected
+
+
+def test_every_verify_all_verdict_is_caught_but_the_pinned_few():
+    verdicts = set(_verdicts("verify-all --replicates 3000"))
+    caught = set().union(*(row[4] for row in DEFECTS if isinstance(row[4], set)))
+    assert caught <= verdicts
+    assert verdicts - caught == UNCAUGHT
