@@ -16,7 +16,6 @@ from stablesub import (
     TimeGrid,
     abel_identity_check,
     deterministic_path,
-    exp_kernel_integral,
     ibp_estimate,
     sample_path,
     stieltjes_bracket,
@@ -34,9 +33,9 @@ for factor in (1, 2, 4, 8, 16):
           f"  gap {bracket.gap:.5f}")
 print("  the gap halves per refinement while always containing the truth")
 
-print("\nSame anchor for the increasing kernel e^(-(1-t)): target 1 - 1/e")
+print("\nSame call for the increasing kernel e^(-(1-t)): target 1 - 1/e")
 ugrid = TimeGrid.uniform(T=1.0, levels=64)
-bracket = exp_kernel_integral(deterministic_path(ugrid), ExpKernel(lam=1.0, T=1.0))
+bracket = stieltjes_bracket(deterministic_path(ugrid), ExpKernel(lam=1.0, T=1.0))
 print(f"  [{bracket.lower:.6f}, {bracket.upper:.6f}] contains {1 - math.exp(-1):.6f}")
 
 print("\nTwo independent routes on random paths (theta = 1):")

@@ -20,9 +20,7 @@ from .experiments import (
     SlopeReport,
     classify_power_kernel,
     draw_standard_samples,
-    exp_kernel_moment_bound,
     ks_distance,
-    power_kernel_moment_bound,
     run_blowup_diagnostic,
     run_blowup_diagnostics,
     run_cdf_check,
@@ -37,8 +35,9 @@ from .integrals import (
     IntegralBracket,
     SingularKernel,
     abel_identity_check,
-    exp_kernel_integral,
+    exp_kernel_moment_bound,
     ibp_estimate,
+    power_kernel_moment_bound,
     stieltjes_bracket,
 )
 from .reporting import (

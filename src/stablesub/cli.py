@@ -1,10 +1,12 @@
 """Command-line driver: one subcommand per experiment plus verify-all.
 
-Exit status is 0 only when every verdict passes; configuration errors exit
-with status 2 and name the offending key, and so does a sampler that leaves
-double range (naming alpha).  Without --out the full JSON record
-goes to stdout; with --out the record and companion CSVs are written to files
-and a short verdict summary is printed instead.
+Exit status is 0 only when every verdict passes and 1 when one fails;
+configuration errors exit with status 2 and name the offending key, and so
+does a sampler that leaves double range (naming alpha).  Any other error that
+ends the run is an internal error: it prints one `error:` line and exits with
+status 3.  Without --out the full JSON record goes to stdout; with --out the
+record and companion CSVs are written to files and a short verdict summary is
+printed instead.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ def _execute(experiment: str, config_path, **flags) -> None:
     except (ConfigError, NonFiniteDrawError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    except Exception as exc:  # an internal error, not a failed verdict
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(3)
 
     if config.output_path:
         for name in sorted(record.verdicts):

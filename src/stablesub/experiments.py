@@ -29,20 +29,13 @@ from .integrals import (
     SingularKernel,
     _abel_discrepancies,
     _brackets_meet,
-    _cell_weights,
     _check_horizon,
     _log_power_sums,
-    _needs_log_space,
-    exp_bracket_sums,
-    exp_kernel_integral,
     ibp_bracket_sums,
-    power_bracket_sums,
     stieltjes_bracket,
 )
 from .special import FracMomentQuery, frac_moment_closed_form, levy_half_cdf
 from .subordinator import (
-    DEFAULT_GRID_LEVELS,
-    DEFAULT_GRID_Q,
     DEFAULT_MASTER_SEED,
     SeedSpec,
     StableParams,
@@ -71,11 +64,8 @@ __all__ = [
     "SlopeReport",
     "IbpConsistencyReport",
     "classify_power_kernel",
-    "default_grid",
     "draw_standard_samples",
-    "exp_kernel_moment_bound",
     "ks_distance",
-    "power_kernel_moment_bound",
     "run_blowup_diagnostic",
     "run_blowup_diagnostics",
     "run_cdf_check",
@@ -107,39 +97,7 @@ ABEL_TOLERANCE = 1e-10
 
 
 # --------------------------------------------------------------------------
-# closed-form bounds and the analytic kernel classifier
-
-
-def power_kernel_moment_bound(alpha: float, theta: float, p: float, T: float = 1.0) -> float:
-    """Closed-form majorant of E (int_0^T t^-theta dS)^p, valid for theta < 1/alpha.
-
-        (2^(p/alpha + p*theta) * E S_1^p / (2^(p/alpha) - 2^(p*theta)) + 1)
-            * T^((1/alpha - theta) * p)
-
-    with E S_1^p from the validated closed form.
-    """
-    query = FracMomentQuery(alpha, p, 1.0)  # validates alpha and p before 1/alpha
-    if not 0.0 < theta < 1.0 / alpha:
-        raise ValueError(f"theta must lie in (0, 1/alpha): got theta={theta}, alpha={alpha}")
-    if not T > 0.0:
-        raise ValueError(f"T must be > 0, got {T}")
-    moment = frac_moment_closed_form(query)
-    numerator = 2.0 ** (p / alpha + p * theta) * moment
-    denominator = 2.0 ** (p / alpha) - 2.0 ** (p * theta)
-    return (numerator / denominator + 1.0) * T ** ((1.0 / alpha - theta) * p)
-
-
-def exp_kernel_moment_bound(alpha: float, p: float, lam: float) -> float:
-    """Horizon-independent majorant of E (int_0^T e^(-lam (T-t)) dS)^p.
-
-    Equals e^(p*lam) / (e^(p*lam) - 1) * E S_1^p, evaluated in the
-    overflow-safe form E S_1^p / (1 - e^(-p*lam)).
-    """
-    query = FracMomentQuery(alpha, p, 1.0)
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    moment = frac_moment_closed_form(query)
-    return moment / -math.expm1(-p * lam)
+# the analytic kernel classifier
 
 
 def classify_power_kernel(alpha: float, c: float) -> str:
@@ -391,11 +349,7 @@ def _moment_sums(jobs: tuple, seed: SeedSpec, count: int) -> np.ndarray:
                 if assembled != (alpha, grid):
                     assembled = (alpha, grid)
                     increments = np.diff(_assemble_paths(draws[alpha], grid, alpha), axis=1)
-                sums[k, :, rows] = (
-                    power_bracket_sums(grid.points, increments, kernel.theta)
-                    if isinstance(kernel, SingularKernel)
-                    else exp_bracket_sums(grid.points, increments, kernel.lam, kernel.T)
-                )
+                sums[k, :, rows] = kernel.bracket_sums(grid.points, increments)
     finite = np.isfinite(sums).all(axis=1)  # [k, row]
     if not finite.all():
         k = int(np.argmin(finite.all(axis=1)))
@@ -421,16 +375,16 @@ def _blowup_sums(alpha: float, grid: TimeGrid, thetas: tuple, level_columns, see
     return sums
 
 
-def _ibp_sums(alpha: float, grid: TimeGrid, theta: float, seed: SeedSpec, count: int):
+def _ibp_sums(alpha: float, grid: TimeGrid, kernel: SingularKernel, seed: SeedSpec, count: int):
     """One batch: do both bracket routes meet on every row, and the rows' Abel discrepancies."""
     values = sample_path_values(StableParams(alpha), grid, seed, count)
     SubordinatorPath.check_rows(values)
-    if _needs_log_space(grid.epsilon, theta):
+    if kernel.needs_log_space(grid.epsilon):
         # Both routes reduce to the same log-space sums (see ibp_estimate).
-        direct = via_parts = _log_power_sums(grid.points, values, theta)
+        direct = via_parts = _log_power_sums(grid.points, values, kernel.theta)
     else:
-        direct = power_bracket_sums(grid.points, np.diff(values, axis=1), theta)
-        via_parts = ibp_bracket_sums(grid.points, values, theta)
+        direct = kernel.bracket_sums(grid.points, np.diff(values, axis=1))
+        via_parts = ibp_bracket_sums(grid.points, values, kernel.theta)
     IntegralBracket.check_rows(*direct)
     IntegralBracket.check_rows(*via_parts)
     meet = bool(np.all(_brackets_meet(*direct, *via_parts, ABEL_TOLERANCE)))
@@ -440,14 +394,6 @@ def _ibp_sums(alpha: float, grid: TimeGrid, theta: float, seed: SeedSpec, count:
 
 # --------------------------------------------------------------------------
 # experiment drivers
-
-
-def default_grid(kernel) -> TimeGrid:
-    """Grid matched to the kernel: dyadic refinement toward the power-kernel
-    singularity, uniform cells for the bounded exponential kernel."""
-    if isinstance(kernel, SingularKernel):
-        return TimeGrid.geometric(kernel.T, DEFAULT_GRID_LEVELS, DEFAULT_GRID_Q)
-    return TimeGrid.uniform(kernel.T, DEFAULT_GRID_LEVELS)
 
 
 def run_laplace_check(
@@ -625,21 +571,17 @@ def run_moment_checks(
 
 def _moment_cell(params: StableParams, kernel, p: float, grid: TimeGrid | None):
     """Validate one moment-bound cell: (alpha, grid, kernel, p, bound)."""
-    if isinstance(kernel, SingularKernel):
-        bound = power_kernel_moment_bound(params.alpha, kernel.theta, p, kernel.T)
-    elif isinstance(kernel, ExpKernel):
-        bound = exp_kernel_moment_bound(params.alpha, p, kernel.lam)
-    else:
+    if not isinstance(kernel, (SingularKernel, ExpKernel)):
         raise TypeError(f"unsupported kernel type: {type(kernel).__name__}")
+    bound = kernel.moment_bound(params.alpha, p)
     if grid is None:
-        grid = default_grid(kernel)
+        grid = kernel.default_grid()
     _check_horizon(grid, kernel.T)
     _check_path_scale(params.alpha, kernel.T, "T")
-    if isinstance(kernel, SingularKernel):
-        _check_double_range(grid.epsilon, kernel.theta)
+    _check_double_range(kernel, grid.epsilon)
     # The upper sum is at least its largest term, of p-th moment w_i^p
     # (t_{i+1} - t_i)^(p/alpha) E S_1^p: one at the bound fails the verdict.
-    _, weights = _cell_weights(grid.points, kernel)
+    _, weights = kernel.weights(grid.points)
     with np.errstate(over="ignore"):
         term = np.max(weights * np.diff(grid.points) ** (1.0 / params.alpha), initial=0.0)
     largest = float(term) ** p * frac_moment_closed_form(FracMomentQuery(params.alpha, p, 1.0))
@@ -655,14 +597,15 @@ def _check_path_scale(alpha: float, t: float, key: str) -> None:
         raise ValueError(f"{key} = {t:g} leaves double range at alpha = {alpha:g}: {key}^(1/alpha) overflows")
 
 
-def _check_double_range(epsilon: float, theta: float) -> None:
-    """Refuse before sampling a power kernel whose epsilon^-theta leaves double
-    range: the batched sums have no log-space form."""
-    if _needs_log_space(epsilon, theta):
+def _check_double_range(kernel, epsilon: float) -> None:
+    """Refuse before sampling a kernel whose value at epsilon leaves double
+    range (only the power kernel's epsilon^-theta can): the batched sums have
+    no log-space form."""
+    if kernel.needs_log_space(epsilon):
         raise ValueError(
             f"theta * |ln(grid epsilon)| must be <= {LOG_SPACE_THRESHOLD:g} "
             f"(epsilon^-theta leaves double range); "
-            f"got {theta * abs(math.log(epsilon)):.6g}"
+            f"got {kernel.theta * abs(math.log(epsilon)):.6g}"
         )
 
 
@@ -764,7 +707,8 @@ def _check_blowup_args(alpha: float, theta: float, n_replicates: int, max_level:
         raise ValueError(
             f"grid.levels (max_level) must be >= {BLOWUP_MIN_LEVEL + 5} for blowup, got {max_level}"
         )
-    _check_double_range(TimeGrid.geometric(T, levels=max_level, q=0.5).epsilon, theta)
+    epsilon = TimeGrid.geometric(T, levels=max_level, q=0.5).epsilon
+    _check_double_range(SingularKernel(theta, T), epsilon)
     _check_path_scale(alpha, T, "T")
 
 
@@ -836,27 +780,24 @@ def run_ibp_consistency(
     """
     kernel = SingularKernel(theta=theta, T=T)
     if grid is None:
-        grid = default_grid(kernel)
+        grid = kernel.default_grid()
     _check_horizon(grid, T)
     _check_path_scale(params.alpha, T, "T")
-    task = functools.partial(_ibp_sums, params.alpha, grid, theta)
+    task = functools.partial(_ibp_sums, params.alpha, grid, kernel)
     meets, abel = zip(*_sample_batches(task, n_paths, master_seed, 0))
     # np.max passes a NaN discrepancy through, so it fails the tolerance test.
     max_abel = float(np.max(np.concatenate(abel)))
 
-    det = deterministic_path(grid)
-    power_bracket = stieltjes_bracket(det, SingularKernel(theta=0.5, T=T))
+    fines = [grid.refined(factor) for factor in (1, 2, 4, 8)]
+    anchor = SingularKernel(theta=0.5, T=T)
+    brackets = [stieltjes_bracket(deterministic_path(fine), anchor) for fine in fines]
+    # grid.refined(1) is the grid itself: the first row brackets the classical anchor.
+    power_bracket = brackets[0]
     eps = grid.epsilon
     power_target = 2.0 * (math.sqrt(T) - math.sqrt(eps))
     exp_grid = TimeGrid.uniform(T, levels=max(len(grid) - 1, 1), epsilon=eps)
-    exp_bracket = exp_kernel_integral(deterministic_path(exp_grid), ExpKernel(lam=1.0, T=T))
+    exp_bracket = stieltjes_bracket(deterministic_path(exp_grid), ExpKernel(lam=1.0, T=T))
     exp_target = 1.0 - math.exp(-(T - eps))
-
-    rows = []
-    for factor in (1, 2, 4, 8):
-        fine = grid.refined(factor)
-        bracket = stieltjes_bracket(deterministic_path(fine), SingularKernel(theta=0.5, T=T))
-        rows.append((len(fine), bracket.lower, bracket.upper, bracket.gap))
 
     return IbpConsistencyReport(
         n_paths=int(n_paths),
@@ -870,5 +811,5 @@ def run_ibp_consistency(
         classical_integrals=bool(
             power_bracket.contains(power_target) and exp_bracket.contains(exp_target)
         ),
-        convergence_rows=tuple(rows),
+        convergence_rows=tuple((len(fine), b.lower, b.upper, b.gap) for fine, b in zip(fines, brackets)),
     )

@@ -5,6 +5,10 @@ integral over [epsilon, T]: the kernel is monotone on each grid cell and the
 integrator is nondecreasing, so evaluating the kernel at the favorable cell
 endpoint bounds the cell contribution from either side.  No jump interior to
 a cell is ever located; the bracket absorbs that uncertainty instead.
+
+Both kernels answer the same five methods, and the drivers read a kernel
+only through them: weights, bracket_sums, moment_bound, default_grid and
+needs_log_space.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .subordinator import SubordinatorPath, TimeGrid
+from .special import FracMomentQuery, frac_moment_closed_form
+from .subordinator import DEFAULT_GRID_LEVELS, DEFAULT_GRID_Q, SubordinatorPath, TimeGrid
 
 __all__ = [
     "ExpKernel",
@@ -24,10 +29,11 @@ __all__ = [
     "SingularKernel",
     "abel_identity_check",
     "exp_bracket_sums",
-    "exp_kernel_integral",
+    "exp_kernel_moment_bound",
     "ibp_bracket_sums",
     "ibp_estimate",
     "power_bracket_sums",
+    "power_kernel_moment_bound",
     "stieltjes_bracket",
 ]
 
@@ -53,6 +59,24 @@ class SingularKernel:
         if not self.T > 0.0:
             raise ValueError(f"T must be > 0, got {self.T}")
 
+    def weights(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A decreasing kernel is minorized on a cell by its right endpoint."""
+        at_points = points**-self.theta
+        return at_points[1:], at_points[:-1]
+
+    def bracket_sums(self, points: np.ndarray, increments: np.ndarray):
+        return power_bracket_sums(points, increments, self.theta)
+
+    def moment_bound(self, alpha: float, p: float) -> float:
+        return power_kernel_moment_bound(alpha, self.theta, p, self.T)
+
+    def default_grid(self) -> TimeGrid:
+        """Dyadic refinement toward the singularity at 0."""
+        return TimeGrid.geometric(self.T, DEFAULT_GRID_LEVELS, DEFAULT_GRID_Q)
+
+    def needs_log_space(self, epsilon: float) -> bool:
+        return self.theta * abs(math.log(epsilon)) > LOG_SPACE_THRESHOLD
+
 
 @dataclass(frozen=True)
 class ExpKernel:
@@ -66,6 +90,56 @@ class ExpKernel:
             raise ValueError(f"lambda must be > 0, got {self.lam}")
         if not self.T > 0.0:
             raise ValueError(f"T must be > 0, got {self.T}")
+
+    def weights(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """An increasing kernel is minorized on a cell by its left endpoint."""
+        at_points = np.exp(-self.lam * (self.T - points))
+        return at_points[:-1], at_points[1:]
+
+    def bracket_sums(self, points: np.ndarray, increments: np.ndarray):
+        return exp_bracket_sums(points, increments, self.lam, self.T)
+
+    def moment_bound(self, alpha: float, p: float) -> float:
+        return exp_kernel_moment_bound(alpha, p, self.lam)
+
+    def default_grid(self) -> TimeGrid:
+        """Uniform cells: the kernel is bounded."""
+        return TimeGrid.uniform(self.T, DEFAULT_GRID_LEVELS)
+
+    def needs_log_space(self, epsilon: float) -> bool:
+        return False  # the kernel stays in [e^(-lam T), 1]
+
+
+def power_kernel_moment_bound(alpha: float, theta: float, p: float, T: float = 1.0) -> float:
+    """Closed-form majorant of E (int_0^T t^-theta dS)^p, valid for theta < 1/alpha.
+
+        (2^(p/alpha + p*theta) * E S_1^p / (2^(p/alpha) - 2^(p*theta)) + 1)
+            * T^((1/alpha - theta) * p)
+
+    with E S_1^p from the validated closed form.
+    """
+    query = FracMomentQuery(alpha, p, 1.0)  # validates alpha and p before 1/alpha
+    if not 0.0 < theta < 1.0 / alpha:
+        raise ValueError(f"theta must lie in (0, 1/alpha): got theta={theta}, alpha={alpha}")
+    if not T > 0.0:
+        raise ValueError(f"T must be > 0, got {T}")
+    moment = frac_moment_closed_form(query)
+    numerator = 2.0 ** (p / alpha + p * theta) * moment
+    denominator = 2.0 ** (p / alpha) - 2.0 ** (p * theta)
+    return (numerator / denominator + 1.0) * T ** ((1.0 / alpha - theta) * p)
+
+
+def exp_kernel_moment_bound(alpha: float, p: float, lam: float) -> float:
+    """Horizon-independent majorant of E (int_0^T e^(-lam (T-t)) dS)^p.
+
+    Equals e^(p*lam) / (e^(p*lam) - 1) * E S_1^p, evaluated in the
+    overflow-safe form E S_1^p / (1 - e^(-p*lam)).
+    """
+    query = FracMomentQuery(alpha, p, 1.0)
+    if not lam > 0.0:
+        raise ValueError(f"lambda must be > 0, got {lam}")
+    moment = frac_moment_closed_form(query)
+    return moment / -math.expm1(-p * lam)
 
 
 @dataclass(frozen=True)
@@ -128,54 +202,30 @@ def _check_horizon(grid: TimeGrid, T: float) -> None:
         raise ValueError(f"kernel horizon {T} does not match grid horizon {grid.T}")
 
 
-def _cell_weights(points: np.ndarray, kernel) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper weights of the cells between `points` for a SingularKernel
-    or ExpKernel.  A decreasing kernel is minorized by its right cell endpoint;
-    an increasing kernel flips the roles.  This is the single audited code path
-    for both orientations."""
-    if isinstance(kernel, SingularKernel):
-        at_points = points**-kernel.theta
-        return at_points[1:], at_points[:-1]
-    at_points = np.exp(-kernel.lam * (kernel.T - points))
-    return at_points[:-1], at_points[1:]
-
-
 def power_bracket_sums(points: np.ndarray, increments: np.ndarray, theta: float):
     """Vectorized lower/upper sums of int t^(-theta) dS over rows of cell `increments`."""
-    lower, upper = _cell_weights(points, SingularKernel(theta))
+    lower, upper = SingularKernel(theta).weights(points)
     return increments @ lower, increments @ upper
 
 
 def exp_bracket_sums(points: np.ndarray, increments: np.ndarray, lam: float, T: float):
     """Vectorized lower/upper sums of int e^(-lam (T-t)) dS over rows of cell `increments`."""
-    lower, upper = _cell_weights(points, ExpKernel(lam, T))
+    lower, upper = ExpKernel(lam, T).weights(points)
     return increments @ lower, increments @ upper
 
 
-def stieltjes_bracket(path: SubordinatorPath, kernel: SingularKernel) -> IntegralBracket:
-    """Bracket of int_epsilon^T t^(-theta) dS_t from endpoint sums.
+def stieltjes_bracket(path: SubordinatorPath, kernel: SingularKernel | ExpKernel) -> IntegralBracket:
+    """Bracket of int_epsilon^T f(t) dS_t from endpoint sums, for either kernel.
 
-    Switches to log-space accumulation once epsilon^(-theta) leaves the
-    double range; the returned bracket then carries log values and the
-    log_scale flag.
+    Switches to log-space accumulation once the power kernel's
+    epsilon^(-theta) leaves the double range; the returned bracket then
+    carries log values and the log_scale flag.
     """
     _check_horizon(path.grid, kernel.T)
-    if _needs_log_space(path.grid.epsilon, kernel.theta):
+    if kernel.needs_log_space(path.grid.epsilon):
         lower, upper = _log_power_sums(path.grid.points, path.values, kernel.theta)
         return IntegralBracket(float(lower), float(upper), log_scale=True)
-    lower, upper = power_bracket_sums(path.grid.points, np.diff(path.values), kernel.theta)
-    return IntegralBracket(float(lower), float(upper))
-
-
-def exp_kernel_integral(path: SubordinatorPath, kernel: ExpKernel) -> IntegralBracket:
-    """Bracket of int_epsilon^T e^(-lam (T-t)) dS_t.
-
-    The integrand increases in t, so left endpoints give the lower sum --
-    the opposite orientation to the singular kernel.
-    """
-    _check_horizon(path.grid, kernel.T)
-    increments = np.diff(path.values)
-    lower, upper = exp_bracket_sums(path.grid.points, increments, kernel.lam, kernel.T)
+    lower, upper = kernel.bracket_sums(path.grid.points, np.diff(path.values))
     return IntegralBracket(float(lower), float(upper))
 
 
@@ -213,7 +263,7 @@ def ibp_estimate(path: SubordinatorPath, kernel: SingularKernel) -> IntegralBrac
     different arithmetic makes the intersection a real consistency check.
     """
     _check_horizon(path.grid, kernel.T)
-    if _needs_log_space(path.grid.epsilon, kernel.theta):
+    if kernel.needs_log_space(path.grid.epsilon):
         # In the overflow regime the signed boundary term cancels
         # catastrophically in log space, so fall back on the exact
         # summation-by-parts rearrangement of the same quantity.
@@ -244,10 +294,6 @@ def abel_identity_check(path: SubordinatorPath, kernel: SingularKernel) -> float
     """
     rows = _abel_discrepancies(path.grid.points, path.values[None, :], np.array([kernel.theta]))
     return float(rows[0])
-
-
-def _needs_log_space(epsilon: float, theta: float) -> bool:
-    return theta * abs(math.log(epsilon)) > LOG_SPACE_THRESHOLD
 
 
 def _log_power_sums(points: np.ndarray, values: np.ndarray, theta: float):

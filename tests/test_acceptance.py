@@ -23,7 +23,6 @@ from stablesub import (
     abel_identity_check,
     deterministic_path,
     draw_standard_samples,
-    exp_kernel_integral,
     frac_moment_closed_form,
     frac_moment_quadrature,
     ibp_estimate,
@@ -192,7 +191,7 @@ def test_criterion_09_exact_identities():
     power = stieltjes_bracket(det, SingularKernel(theta=0.5, T=1.0))
     power_ok = power.contains(2.0 * (1.0 - math.sqrt(grid.epsilon)))
     exp_grid = TimeGrid.uniform(1.0, levels=40)
-    exp_bracket = exp_kernel_integral(deterministic_path(exp_grid), ExpKernel(lam=1.0, T=1.0))
+    exp_bracket = stieltjes_bracket(deterministic_path(exp_grid), ExpKernel(lam=1.0, T=1.0))
     exp_ok = exp_bracket.contains(1.0 - math.exp(-(1.0 - exp_grid.epsilon)))
     ok = worst <= 1e-10 and power_ok and exp_ok
     report(

@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import types
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from scipy import integrate
 from click.testing import CliRunner
 
 import stablesub.experiments as experiments
+import stablesub.integrals as integrals
 import stablesub.reporting as reporting
 import stablesub.subordinator as subordinator
 from stablesub import (
@@ -44,8 +46,8 @@ from stablesub import (
     stieltjes_bracket,
 )
 from stablesub.cli import main
-from stablesub.experiments import BATCH_SIZE, default_grid
-from stablesub.integrals import _brackets_meet, exp_bracket_sums, ibp_bracket_sums, power_bracket_sums
+from stablesub.experiments import BATCH_SIZE
+from stablesub.integrals import _brackets_meet, ibp_bracket_sums, power_bracket_sums
 
 # Frozen with mpmath from E S_1^0.25 = Gamma(0.5)/Gamma(0.75) at alpha = 1/2.
 BOUND_THETA_REF = 11.811069891303610336  # (alpha, theta, p, T) = (0.5, 1, 0.25, 1)
@@ -202,9 +204,10 @@ class TestMomentChecks:
 
     def test_swapped_bracket_sides_end_the_run(self, monkeypatch):
         # Swapped sides put lower > upper on every path, which the upper-side
-        # verdict alone would pass; the pass refuses them as ibp does.
-        real = experiments.power_bracket_sums
-        monkeypatch.setattr(experiments, "power_bracket_sums", lambda *args: real(*args)[::-1])
+        # verdict alone would pass; the pass refuses them as ibp does.  The
+        # kernel reads its batch sums as an integrals global.
+        real = integrals.power_bracket_sums
+        monkeypatch.setattr(integrals, "power_bracket_sums", lambda *args: real(*args)[::-1])
         with pytest.raises(ValueError, match="invalid bracket"):
             run_moment_check(StableParams(0.5), SingularKernel(theta=1.0), 0.25, n_replicates=500)
 
@@ -242,7 +245,7 @@ class TestGroupedMomentChecks:
     def test_matches_direct_per_batch_evaluation(self):
         # Independent of the driver: sample each batch stream, bracket, reduce.
         params, kernel, p, _ = self.CELLS[0]
-        grid = default_grid(kernel)
+        grid = kernel.default_grid()
         lower, upper = [], []
         for batch, start in enumerate(range(0, self.N, BATCH_SIZE)):
             count = min(BATCH_SIZE, self.N - start)
@@ -423,8 +426,8 @@ class TestGroupedMomentChecks:
 class TestMomentBatch:
     # Two alphas, two grids of one length, both kernel types; the two alpha =
     # 0.5 jobs on the geometric grid share its paths.
-    GEOMETRIC = default_grid(SingularKernel(theta=1.0))
-    UNIFORM = default_grid(ExpKernel(lam=1.0, T=1.0))
+    GEOMETRIC = SingularKernel(theta=1.0).default_grid()
+    UNIFORM = ExpKernel(lam=1.0, T=1.0).default_grid()
     JOBS = (
         (0.3, GEOMETRIC, SingularKernel(theta=1.5)),
         (0.5, GEOMETRIC, SingularKernel(theta=1.0)),
@@ -448,11 +451,44 @@ class TestMomentBatch:
         assert whole.shape == (len(self.JOBS), 2, count)
         for k, (alpha, grid, kernel) in enumerate(self.JOBS):
             increments = np.diff(sample_path_values(StableParams(alpha), grid, seed, count), axis=1)
-            if isinstance(kernel, SingularKernel):
-                lower, upper = power_bracket_sums(grid.points, increments, kernel.theta)
-            else:
-                lower, upper = exp_bracket_sums(grid.points, increments, kernel.lam, kernel.T)
+            lower, upper = kernel.bracket_sums(grid.points, increments)
             assert np.array_equal(whole[k, 0], lower) and np.array_equal(whole[k, 1], upper), k
+
+    def test_the_pass_sums_every_chunk_through_integrals(self, monkeypatch):
+        # The benchmark tracer and the planted defects reach the batch sums at
+        # their integrals bindings, so every job of every chunk must call them there.
+        calls = {"power_bracket_sums": 0, "exp_bracket_sums": 0}
+        for name in calls:
+            real = getattr(integrals, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(integrals, name, counted)
+        count, rows = 1000, 512
+        monkeypatch.setattr(experiments, "CHUNK_ROWS", rows)
+        experiments._moment_sums(self.JOBS, SeedSpec(505, 4), count)
+        chunks = math.ceil(count / rows)
+        power_jobs = sum(isinstance(kernel, SingularKernel) for _, _, kernel in self.JOBS)
+        assert calls == {"power_bracket_sums": chunks * power_jobs,
+                         "exp_bracket_sums": chunks * (len(self.JOBS) - power_jobs)}
+
+
+@pytest.mark.parametrize("kernel, grid", [
+    (SingularKernel(theta=1.0, T=2.0), TimeGrid.geometric(2.0, 40, 0.5)),
+    (ExpKernel(lam=1.0, T=2.0), TimeGrid.uniform(2.0, 40)),
+])
+def test_kernel_protocol(monkeypatch, kernel, grid):
+    assert np.array_equal(kernel.default_grid().points, grid.points)
+    lower, upper = kernel.weights(grid.points)
+    assert lower.shape == upper.shape == (len(grid) - 1,)
+    assert np.all(lower <= upper)
+    # A look-alike that is not a kernel is refused by its type, before any draw.
+    monkeypatch.setattr(experiments, "kanter_inputs", lambda *args: pytest.fail("drew"))
+    lookalike = types.SimpleNamespace(**dataclasses.asdict(kernel))
+    with pytest.raises(TypeError, match="SimpleNamespace"):
+        run_moment_check(StableParams(0.5), lookalike, 0.25, n_replicates=500)
 
 
 @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])

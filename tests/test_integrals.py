@@ -15,7 +15,6 @@ from stablesub import (
     TimeGrid,
     abel_identity_check,
     deterministic_path,
-    exp_kernel_integral,
     frac_moment_closed_form,
     ibp_estimate,
     sample_path,
@@ -50,12 +49,11 @@ class TestKernels:
             ExpKernel(lam=0.0)
         SingularKernel(theta=0.0)  # degenerate constant kernel is allowed
 
-    def test_horizon_mismatch_rejected(self):
-        path = deterministic_path(GRID)
+    @pytest.mark.parametrize("kernel", [SingularKernel(theta=0.5, T=2.0), ExpKernel(lam=1.0, T=2.0)],
+                             ids=["power", "exp"])
+    def test_horizon_mismatch_rejected(self, kernel):
         with pytest.raises(ValueError):
-            stieltjes_bracket(path, SingularKernel(theta=0.5, T=2.0))
-        with pytest.raises(ValueError):
-            exp_kernel_integral(path, ExpKernel(lam=1.0, T=2.0))
+            stieltjes_bracket(deterministic_path(GRID), kernel)
 
 
 class TestClassicalAnchors:
@@ -81,13 +79,13 @@ class TestClassicalAnchors:
 
     def test_exp_integral_on_identity_path(self):
         grid = TimeGrid.uniform(1.0, levels=64)
-        bracket = exp_kernel_integral(deterministic_path(grid), ExpKernel(lam=1.0, T=1.0))
+        bracket = stieltjes_bracket(deterministic_path(grid), ExpKernel(lam=1.0, T=1.0))
         assert bracket.contains(1.0 - math.exp(-(1.0 - grid.epsilon)))
         assert bracket.gap < 0.02
 
     def test_exp_kernel_vanishing_rate_collapses(self):
         path = sample_path(PARAMS, GRID, SeedSpec(5, 1))
-        bracket = exp_kernel_integral(path, ExpKernel(lam=1e-12, T=1.0))
+        bracket = stieltjes_bracket(path, ExpKernel(lam=1e-12, T=1.0))
         total = path.values[-1] - path.values[0]
         assert bracket.lower == pytest.approx(total, rel=1e-9)
         assert bracket.upper == pytest.approx(total, rel=1e-9)
@@ -116,10 +114,10 @@ class TestBracketValidity:
         rng = np.random.default_rng(7)
         for path in random_paths(200):
             theta = 0.05 + 4.0 * rng.random()
-            b = stieltjes_bracket(path, SingularKernel(theta=theta, T=1.0))
-            assert b.lower <= b.upper
-            e = exp_kernel_integral(path, ExpKernel(lam=0.1 + 3.0 * rng.random(), T=1.0))
-            assert e.lower <= e.upper
+            lam = 0.1 + 3.0 * rng.random()
+            for kernel in (SingularKernel(theta=theta, T=1.0), ExpKernel(lam=lam, T=1.0)):
+                b = stieltjes_bracket(path, kernel)
+                assert b.lower <= b.upper
             t_lower, t_upper = _time_integral_sums(path.grid.points, path.values, theta)
             assert t_lower <= t_upper
 

@@ -2,9 +2,10 @@
 and names what must fail when a command runs on it.
 
 A row's expected failure is either the set of `verify-all` verdicts that
-fail (every other verdict passes) or the text of the error that ends the
-run.  The same commands pass every verdict on the real library, so a row's
-failures are the defect's.  The defects live only here.
+fail (every other verdict passes) or the text of the internal error that
+ends the run with exit status 3.  The same commands pass every verdict on
+the real library, so a row's failures are the defect's.  The defects live
+only here.
 """
 
 import json
@@ -77,15 +78,19 @@ DEFECTS = [
 UNCAUGHT = {"scaling.scaling_collapse", "bound_exp_grid.all_cells_pass", "ibp.abel_identity"}
 
 
-def _verdicts(command: str) -> dict:
+def _invoke(command: str):
     result = CliRunner().invoke(main, command.split())
     if result.exception is not None and not isinstance(result.exception, SystemExit):
         raise result.exception
-    return json.loads(result.output)["verdicts"]
+    return result
 
 
-def _planted(monkeypatch, target: str, defect, command: str) -> dict:
-    """The verdicts of `command` with `target` replaced wherever a module binds it."""
+def _verdicts(command: str) -> dict:
+    return json.loads(_invoke(command).output)["verdicts"]
+
+
+def _planted(monkeypatch, target: str, defect, command: str):
+    """The CLI result of `command` with `target` replaced wherever a module binds it."""
     module_name, _, attr = target.partition(".")
     real = getattr(MODULES[module_name], attr)
     wrong = defect(real)
@@ -95,7 +100,7 @@ def _planted(monkeypatch, target: str, defect, command: str) -> dict:
                 monkeypatch.setattr(module, name, wrong)
     # A defect may drive a median to 0, whose log warns; the verdicts tell.
     with np.errstate(divide="ignore"):
-        return _verdicts(command)
+        return _invoke(command)
 
 
 @pytest.mark.parametrize("command", sorted({row[3] for row in DEFECTS}))
@@ -107,11 +112,15 @@ def test_commands_pass_on_the_real_library(command):
 @pytest.mark.parametrize("label, target, defect, command, expected", DEFECTS,
                          ids=[f"{row[0]}: {row[3].split()[0]}" for row in DEFECTS])
 def test_planted_defect_fails(monkeypatch, label, target, defect, command, expected):
+    result = _planted(monkeypatch, target, defect, command)
     if isinstance(expected, str):
-        with pytest.raises(ValueError, match=expected):
-            _planted(monkeypatch, target, defect, command)
+        # An internal error, not a failed verdict: one error line, status 3.
+        assert result.exit_code == 3, result.output
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {expected}"), result.stderr
+        assert result.stdout == ""
         return
-    verdicts = _planted(monkeypatch, target, defect, command)
+    verdicts = json.loads(result.output)["verdicts"]
     assert {name for name, verdict in verdicts.items() if verdict == "fail"} == expected
 
 
