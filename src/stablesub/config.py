@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import experiments
@@ -253,8 +254,8 @@ def validate_config(config: ExperimentConfig) -> None:
     """Raise a ConfigError for a config that cannot run: first the checks a
     config alone can make, then the library's rules, by building what the run
     builds (each ValueError comes back as a ConfigError)."""
-    if not config.T > 0.0:
-        raise ConfigError("T must be > 0")
+    if not 0.0 < config.T < math.inf:
+        raise ConfigError(f"T must be > 0 and finite, got {config.T}")
     if config.n_replicates < 2:
         raise ConfigError("n_replicates must be >= 2")
     if config.workers < 1:
@@ -305,8 +306,7 @@ def validate_config(config: ExperimentConfig) -> None:
                                           config.grid.levels, config.T)
         elif exp == "ibp_consistency":
             StableParams(config.alpha)
-            config.kernel()
-            experiments._check_path_scale(config.alpha, config.T, "T")
+            experiments._check_kernel_grid(config.alpha, config.kernel(), grid)
         elif exp == "kernel_classify":
             experiments.classify_power_kernel(config.alpha, config.theta)
     except ValueError as exc:

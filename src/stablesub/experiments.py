@@ -23,14 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrals import (
-    LOG_SPACE_THRESHOLD,
     ExpKernel,
     IntegralBracket,
     SingularKernel,
     _abel_discrepancies,
     _brackets_meet,
+    _check_double_range,
     _check_horizon,
-    _log_power_sums,
     ibp_bracket_sums,
     stieltjes_bracket,
 )
@@ -376,15 +375,12 @@ def _blowup_sums(alpha: float, grid: TimeGrid, thetas: tuple, level_columns, see
 
 
 def _ibp_sums(alpha: float, grid: TimeGrid, kernel: SingularKernel, seed: SeedSpec, count: int):
-    """One batch: do both bracket routes meet on every row, and the rows' Abel discrepancies."""
+    """One batch: do both bracket routes meet on every row, and the rows' Abel
+    discrepancies.  Both routes are linear-scale: the run has fenced off log space."""
     values = sample_path_values(StableParams(alpha), grid, seed, count)
     SubordinatorPath.check_rows(values)
-    if kernel.needs_log_space(grid.epsilon):
-        # Both routes reduce to the same log-space sums (see ibp_estimate).
-        direct = via_parts = _log_power_sums(grid.points, values, kernel.theta)
-    else:
-        direct = kernel.bracket_sums(grid.points, np.diff(values, axis=1))
-        via_parts = ibp_bracket_sums(grid.points, values, kernel.theta)
+    direct = kernel.bracket_sums(grid.points, np.diff(values, axis=1))
+    via_parts = ibp_bracket_sums(grid.points, values, kernel.theta)
     IntegralBracket.check_rows(*direct)
     IntegralBracket.check_rows(*via_parts)
     meet = bool(np.all(_brackets_meet(*direct, *via_parts, ABEL_TOLERANCE)))
@@ -576,9 +572,7 @@ def _moment_cell(params: StableParams, kernel, p: float, grid: TimeGrid | None):
     bound = kernel.moment_bound(params.alpha, p)
     if grid is None:
         grid = kernel.default_grid()
-    _check_horizon(grid, kernel.T)
-    _check_path_scale(params.alpha, kernel.T, "T")
-    _check_double_range(kernel, grid.epsilon)
+    _check_kernel_grid(params.alpha, kernel, grid)
     # The upper sum is at least its largest term, of p-th moment w_i^p
     # (t_{i+1} - t_i)^(p/alpha) E S_1^p: one at the bound fails the verdict.
     _, weights = kernel.weights(grid.points)
@@ -597,16 +591,13 @@ def _check_path_scale(alpha: float, t: float, key: str) -> None:
         raise ValueError(f"{key} = {t:g} leaves double range at alpha = {alpha:g}: {key}^(1/alpha) overflows")
 
 
-def _check_double_range(kernel, epsilon: float) -> None:
-    """Refuse before sampling a kernel whose value at epsilon leaves double
-    range (only the power kernel's epsilon^-theta can): the batched sums have
-    no log-space form."""
-    if kernel.needs_log_space(epsilon):
-        raise ValueError(
-            f"theta * |ln(grid epsilon)| must be <= {LOG_SPACE_THRESHOLD:g} "
-            f"(epsilon^-theta leaves double range); "
-            f"got {kernel.theta * abs(math.log(epsilon)):.6g}"
-        )
+def _check_kernel_grid(alpha: float, kernel, grid: TimeGrid) -> None:
+    """Refuse before sampling what a batched driver cannot sum: a grid not ending
+    at T, a path scale T^(1/alpha) that overflows, or a kernel value at epsilon
+    out of double range (the batched sums have no log-space form)."""
+    _check_horizon(grid, kernel.T)
+    _check_path_scale(alpha, kernel.T, "T")
+    _check_double_range(kernel, grid.epsilon)
 
 
 def _bound_report(lower: np.ndarray, upper: np.ndarray, p: float, bound: float) -> BoundCheckReport:
@@ -707,9 +698,7 @@ def _check_blowup_args(alpha: float, theta: float, n_replicates: int, max_level:
         raise ValueError(
             f"grid.levels (max_level) must be >= {BLOWUP_MIN_LEVEL + 5} for blowup, got {max_level}"
         )
-    epsilon = TimeGrid.geometric(T, levels=max_level, q=0.5).epsilon
-    _check_double_range(SingularKernel(theta, T), epsilon)
-    _check_path_scale(alpha, T, "T")
+    _check_kernel_grid(alpha, SingularKernel(theta, T), TimeGrid.geometric(T, levels=max_level, q=0.5))
 
 
 def _median_with_ci(matrix: np.ndarray):
@@ -781,8 +770,7 @@ def run_ibp_consistency(
     kernel = SingularKernel(theta=theta, T=T)
     if grid is None:
         grid = kernel.default_grid()
-    _check_horizon(grid, T)
-    _check_path_scale(params.alpha, T, "T")
+    _check_kernel_grid(params.alpha, kernel, grid)
     task = functools.partial(_ibp_sums, params.alpha, grid, kernel)
     meets, abel = zip(*_sample_batches(task, n_paths, master_seed, 0))
     # np.max passes a NaN discrepancy through, so it fails the tolerance test.

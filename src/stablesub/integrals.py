@@ -42,6 +42,18 @@ __all__ = [
 LOG_SPACE_THRESHOLD = 700.0
 
 
+def _check_double_range(kernel, epsilon: float) -> None:
+    """Refuse a kernel whose value at epsilon leaves double range (only the
+    power kernel's epsilon^-theta can): every route but the endpoint sums of
+    stieltjes_bracket has no log-space form."""
+    if kernel.needs_log_space(epsilon):
+        raise ValueError(
+            f"theta * |ln(grid epsilon)| must be <= {LOG_SPACE_THRESHOLD:g} "
+            f"(epsilon^-theta leaves double range); "
+            f"got {kernel.theta * abs(math.log(epsilon)):.6g}"
+        )
+
+
 @dataclass(frozen=True)
 class SingularKernel:
     """Power kernel t^(-theta) on (0, T], decreasing in t.
@@ -54,10 +66,10 @@ class SingularKernel:
     T: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.theta >= 0.0:
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
-        if not self.T > 0.0:
-            raise ValueError(f"T must be > 0, got {self.T}")
+        if not 0.0 <= self.theta < math.inf:
+            raise ValueError(f"theta must be >= 0 and finite, got {self.theta}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be > 0 and finite, got {self.T}")
 
     def weights(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A decreasing kernel is minorized on a cell by its right endpoint."""
@@ -86,10 +98,10 @@ class ExpKernel:
     T: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.lam > 0.0:
-            raise ValueError(f"lambda must be > 0, got {self.lam}")
-        if not self.T > 0.0:
-            raise ValueError(f"T must be > 0, got {self.T}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be > 0 and finite, got {self.lam}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be > 0 and finite, got {self.T}")
 
     def weights(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """An increasing kernel is minorized on a cell by its left endpoint."""
@@ -219,7 +231,8 @@ def stieltjes_bracket(path: SubordinatorPath, kernel: SingularKernel | ExpKernel
 
     Switches to log-space accumulation once the power kernel's
     epsilon^(-theta) leaves the double range; the returned bracket then
-    carries log values and the log_scale flag.
+    carries log values and the log_scale flag.  No other estimator has a
+    log-space form.
     """
     _check_horizon(path.grid, kernel.T)
     if kernel.needs_log_space(path.grid.epsilon):
@@ -261,14 +274,11 @@ def ibp_estimate(path: SubordinatorPath, kernel: SingularKernel) -> IntegralBrac
     int t^(-theta-1) S_t dt).  This rearranges the endpoint sums exactly, so
     it must intersect stieltjes_bracket on every path; computing it through
     different arithmetic makes the intersection a real consistency check.
+    The signed boundary term has no log-space form, so a kernel whose
+    epsilon^(-theta) leaves double range is refused by _check_double_range.
     """
     _check_horizon(path.grid, kernel.T)
-    if kernel.needs_log_space(path.grid.epsilon):
-        # In the overflow regime the signed boundary term cancels
-        # catastrophically in log space, so fall back on the exact
-        # summation-by-parts rearrangement of the same quantity.
-        lower, upper = _log_power_sums(path.grid.points, path.values, kernel.theta)
-        return IntegralBracket(float(lower), float(upper), log_scale=True)
+    _check_double_range(kernel, path.grid.epsilon)
     lower, upper = ibp_bracket_sums(path.grid.points, path.values, kernel.theta)
     return IntegralBracket(float(lower), float(upper))
 

@@ -260,9 +260,8 @@ def _build_blowup(config: ExperimentConfig):
 
 
 def _build_ibp(config: ExperimentConfig):
-    kernel = config.kernel()
     report = run_ibp_consistency(
-        StableParams(config.scalar_alpha()), theta=kernel.theta, T=kernel.T,
+        StableParams(config.scalar_alpha()), theta=config.theta, T=config.T,
         n_paths=config.n_replicates, master_seed=config.master_seed,
         grid=config.grid.build(config.T),
     )

@@ -120,8 +120,8 @@ class TimeGrid:
     @classmethod
     def geometric(cls, T: float, levels: int, q: float = DEFAULT_GRID_Q) -> "TimeGrid":
         """Points T * q^k for k = levels..0, so epsilon = T * q^levels."""
-        if not T > 0.0:
-            raise ValueError(f"T must be > 0, got {T}")
+        if not 0.0 < T < math.inf:
+            raise ValueError(f"T must be > 0 and finite, got {T}")
         if not 0.0 < q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {q}")
         if levels < 1:
@@ -132,8 +132,8 @@ class TimeGrid:
     @classmethod
     def uniform(cls, T: float, levels: int, epsilon: float | None = None) -> "TimeGrid":
         """`levels` equal cells from epsilon (default T * 2^-40) up to T."""
-        if not T > 0.0:
-            raise ValueError(f"T must be > 0, got {T}")
+        if not 0.0 < T < math.inf:
+            raise ValueError(f"T must be > 0 and finite, got {T}")
         if levels < 1:
             raise ValueError(f"levels must be >= 1, got {levels}")
         eps = T * DEFAULT_GRID_Q**DEFAULT_GRID_LEVELS if epsilon is None else float(epsilon)

@@ -6,6 +6,9 @@ pytest -s or on failure) in addition to its asserts.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -247,20 +250,20 @@ def test_criterion_11_reproducibility(tmp_path):
 RECORD_FIXTURE = Path(__file__).parent / "data" / "verify_all_seed777_10k.json"
 
 
-def _assert_matches(actual, expected, where="record"):
-    """Same keys, verdicts, strings and integers; floats within 1e-9 relative
-    or 1e-12 absolute, since BLAS kernels may move their last bits."""
+def _assert_matches(actual, expected, where="record", rel_tol=1e-9):
+    """Same keys, verdicts, strings and integers; floats within `rel_tol`
+    relative or 1e-12 absolute, since BLAS kernels may move their last bits."""
     assert type(actual) is type(expected), where
     if isinstance(expected, dict):
         assert sorted(actual) == sorted(expected), where
         for key in expected:
-            _assert_matches(actual[key], expected[key], f"{where}.{key}")
+            _assert_matches(actual[key], expected[key], f"{where}.{key}", rel_tol)
     elif isinstance(expected, list):
         assert len(actual) == len(expected), where
         for index, (a, e) in enumerate(zip(actual, expected)):
-            _assert_matches(a, e, f"{where}[{index}]")
+            _assert_matches(a, e, f"{where}[{index}]", rel_tol)
     elif isinstance(expected, float):
-        assert math.isclose(actual, expected, rel_tol=1e-9, abs_tol=1e-12), (where, actual, expected)
+        assert math.isclose(actual, expected, rel_tol=rel_tol, abs_tol=1e-12), (where, actual, expected)
     else:
         assert actual == expected, where
 
@@ -270,3 +273,36 @@ def test_verify_all_record_matches_its_fixture():
     assert result.exit_code == 0, result.output
     actual = json.loads(comparable_record_json(result.output))
     _assert_matches(actual, json.loads(RECORD_FIXTURE.read_text()))
+
+
+# Settings that make numpy pick other BLAS kernels or SIMD loops.  Each moves
+# the record's last bits, so byte identity holds only within one build; the
+# verdicts, strings and integers must not move, and floats only by rounding.
+# Measured at this scale, the worst relative change is 1.1e-14 (a blowup slope
+# residual), and ibp.max_abel_discrepancy, rounding noise near 5e-16, moves by
+# 2.4e-16: both well inside 1e-12 relative or 1e-12 absolute.
+BUILD_SETTINGS = {
+    "OpenBLAS Prescott kernel": {"OPENBLAS_CORETYPE": "Prescott"},
+    "OpenBLAS Haswell kernel": {"OPENBLAS_CORETYPE": "Haswell"},
+    "no AVX-512 loops": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+SETTING_KEYS = {key for setting in BUILD_SETTINGS.values() for key in setting}
+
+
+def test_verify_all_verdicts_hold_across_blas_kernels_and_simd_targets():
+    args = ["verify-all", "--seed", "777", "--replicates", "3000"]
+    env = {key: value for key, value in os.environ.items() if key not in SETTING_KEYS}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = {
+        name: subprocess.Popen([sys.executable, "-m", "stablesub.cli", *args], env={**env, **setting},
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for name, setting in BUILD_SETTINGS.items()
+    }
+    # The reference runs in this process while the others start.
+    reference = json.loads(comparable_record_json(CliRunner().invoke(main, args).output))
+    for name, run in runs.items():
+        out, err = run.communicate(timeout=300)
+        # A failed verdict exits 1; the comparison decides.
+        assert run.returncode in (0, 1), (name, err)
+        _assert_matches(json.loads(comparable_record_json(out)), reference, name, rel_tol=1e-12)

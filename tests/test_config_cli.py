@@ -375,6 +375,19 @@ class TestCli:
             ('blowup --alpha 0.5 --theta 3 --config {"times":[2.0]}', "times"),
             # theta * |ln 2^-30| = 1247.7 > 700: epsilon^-theta leaves double range.
             ("blowup --alpha 0.5 --theta 60 --replicates 200", "theta"),
+            # ibp meets the same fence: summation by parts has no log-space form.
+            ("ibp --alpha 0.5 --theta 30 --replicates 1000", "theta"),
+            # Non-finite horizons, exponents and rates are refused by name.
+            ("ibp --alpha 0.5 --theta inf", "theta"),
+            ("bound-theta --alpha 0.5 --theta inf", "theta"),
+            ("blowup --alpha 0.5 --theta inf", "theta"),
+            ("bound-exp --alpha 0.5 --lambda inf", "lambda"),
+            ("bound-exp --alpha 0.5 --lambda nan", "lambda"),
+            ("bound-theta --alpha 0.5 --theta 1 --T inf", "T"),
+            ("bound-exp --alpha 0.5 --T inf", "T"),
+            ("blowup --alpha 0.5 --theta 3 --T inf", "T"),
+            ("ibp --alpha 0.5 --T inf", "T"),
+            ("ibp --alpha 0.5 --T nan", "T"),
             ('ibp --alpha 0.5 --config {"p":0.1}', "p"),
             ('classify --alpha 0.5 --theta 2 --config {"master_seed":3}', "master_seed"),
             ('classify --alpha 0.5 --theta 2 --config {"n_replicates":7}', "n_replicates"),

@@ -1,6 +1,7 @@
 """Bracket estimators: classical anchors, exact identities, dual-route checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,16 @@ class TestKernels:
         with pytest.raises(ValueError):
             ExpKernel(lam=0.0)
         SingularKernel(theta=0.0)  # degenerate constant kernel is allowed
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SingularKernel(theta=math.inf), "theta must be >= 0 and finite, got inf"),
+        (lambda: SingularKernel(theta=1.0, T=math.inf), "T must be > 0 and finite, got inf"),
+        (lambda: ExpKernel(lam=math.inf), "lambda must be > 0 and finite, got inf"),
+        (lambda: ExpKernel(lam=1.0, T=math.nan), "T must be > 0 and finite, got nan"),
+    ])
+    def test_non_finite_parameters_refused(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
     @pytest.mark.parametrize("kernel", [SingularKernel(theta=0.5, T=2.0), ExpKernel(lam=1.0, T=2.0)],
                              ids=["power", "exp"])
@@ -261,9 +272,12 @@ class TestRowWiseCores:
         lower, upper = _log_power_sums(GRID.points, self.VALUES, kernel.theta)
         for i, row in enumerate(self.VALUES):
             path = SubordinatorPath(grid=GRID, values=row)
-            for bracket in (stieltjes_bracket(path, kernel), ibp_estimate(path, kernel)):
-                assert bracket.log_scale
-                assert (bracket.lower, bracket.upper) == (lower[i], upper[i])
+            bracket = stieltjes_bracket(path, kernel)
+            assert bracket.log_scale
+            assert (bracket.lower, bracket.upper) == (lower[i], upper[i])
+            # Summation by parts has no log-space form: it is refused by name.
+            with pytest.raises(ValueError, match=r"theta \* \|ln\(grid epsilon\)\| must be <= 700"):
+                ibp_estimate(path, kernel)
 
     def test_log_space_zero_increments_add_nothing(self):
         values = np.array([[0.0, 0.0, 1.0, 1.0, 3.0], [2.0, 2.0, 2.0, 2.0, 2.0]])

@@ -45,6 +45,9 @@ class TestTypes:
             TimeGrid(points=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             TimeGrid.geometric(1.0, levels=40, q=1.5)
+        for build in (TimeGrid.geometric, TimeGrid.uniform):
+            with pytest.raises(ValueError, match="T must be > 0 and finite, got inf"):
+                build(math.inf, levels=40)
 
     def test_geometric_grid_shape(self):
         grid = TimeGrid.geometric(2.0, levels=10, q=0.5)
