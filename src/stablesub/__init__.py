@@ -21,12 +21,10 @@ from .experiments import (
     classify_power_kernel,
     draw_standard_samples,
     ks_distance,
-    run_blowup_diagnostic,
     run_blowup_diagnostics,
     run_cdf_check,
     run_ibp_consistency,
     run_laplace_check,
-    run_moment_check,
     run_moment_checks,
     run_scaling_check,
 )

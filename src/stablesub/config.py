@@ -302,11 +302,11 @@ def validate_config(config: ExperimentConfig) -> None:
             experiments._check_cdf_args(config.n_replicates)
         elif exp == "blowup":
             StableParams(config.alpha)
-            experiments._check_blowup_args(config.alpha, config.theta, config.n_replicates,
+            experiments._check_blowup_args(config.alpha, (config.theta,), config.n_replicates,
                                           config.grid.levels, config.T)
         elif exp == "ibp_consistency":
             StableParams(config.alpha)
-            experiments._check_kernel_grid(config.alpha, config.kernel(), grid)
+            experiments._check_ibp_grid(config.alpha, config.kernel(), grid)
         elif exp == "kernel_classify":
             experiments.classify_power_kernel(config.alpha, config.theta)
     except ValueError as exc:

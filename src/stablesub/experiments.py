@@ -65,12 +65,10 @@ __all__ = [
     "classify_power_kernel",
     "draw_standard_samples",
     "ks_distance",
-    "run_blowup_diagnostic",
     "run_blowup_diagnostics",
     "run_cdf_check",
     "run_ibp_consistency",
     "run_laplace_check",
-    "run_moment_check",
     "run_moment_checks",
     "run_scaling_check",
 ]
@@ -93,6 +91,8 @@ BLOWUP_MIN_LEVEL = 10
 # Relative slack of the ibp check: rounding, where theta = 0 shrinks both
 # brackets to a point, and the Abel identity's largest discrepancy.
 ABEL_TOLERANCE = 1e-10
+# The range of the exponents that probe the Abel identity, one drawn per path.
+ABEL_PROBE_THETAS = (0.05, 4.05)
 
 
 # --------------------------------------------------------------------------
@@ -159,11 +159,7 @@ class BoundCheckReport:
     lower_estimate: MomentEstimate
     bound_value: float
     margin: float
-    verdict: str
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
+    passed: bool
 
 
 @dataclass(frozen=True)
@@ -385,7 +381,8 @@ def _ibp_sums(alpha: float, grid: TimeGrid, kernel: SingularKernel, seed: SeedSp
     IntegralBracket.check_rows(*via_parts)
     meet = bool(np.all(_brackets_meet(*direct, *via_parts, ABEL_TOLERANCE)))
     probes = _stream(seed.master_seed, 1, seed.replicate_index).generator().random(count)
-    return meet, _abel_discrepancies(grid.points, values, 0.05 + probes * 4.0)
+    low, high = ABEL_PROBE_THETAS
+    return meet, _abel_discrepancies(grid.points, values, low + probes * (high - low))
 
 
 # --------------------------------------------------------------------------
@@ -516,18 +513,6 @@ def _check_scaling_args(alpha: float, p: float, times) -> FracMomentQuery:
     return query
 
 
-def run_moment_check(
-    params: StableParams,
-    kernel,
-    p: float,
-    n_replicates: int = 100_000,
-    master_seed: int = DEFAULT_MASTER_SEED,
-    grid: TimeGrid | None = None,
-) -> BoundCheckReport:
-    """Estimate E (bracket of the kernel integral)^p and compare to its bound."""
-    return run_moment_checks([(params, kernel, p, grid)], n_replicates, master_seed)[0]
-
-
 def run_moment_checks(
     cells,
     n_replicates: int = 100_000,
@@ -600,6 +585,14 @@ def _check_kernel_grid(alpha: float, kernel, grid: TimeGrid) -> None:
     _check_double_range(kernel, grid.epsilon)
 
 
+def _check_ibp_grid(alpha: float, kernel: SingularKernel, grid: TimeGrid) -> None:
+    """_check_kernel_grid, and the same double-range fence for the Abel probes' largest theta."""
+    _check_kernel_grid(alpha, kernel, grid)
+    if SingularKernel(ABEL_PROBE_THETAS[1], kernel.T).needs_log_space(grid.epsilon):
+        raise ValueError(f"the Abel probes' epsilon^-theta leaves double range for theta up to "
+                         f"{ABEL_PROBE_THETAS[1]:g} at grid epsilon = {grid.epsilon:g}")
+
+
 def _bound_report(lower: np.ndarray, upper: np.ndarray, p: float, bound: float) -> BoundCheckReport:
     est_upper = MomentEstimate.from_samples(upper**p)
     est_lower = MomentEstimate.from_samples(lower**p)
@@ -609,26 +602,8 @@ def _bound_report(lower: np.ndarray, upper: np.ndarray, p: float, bound: float) 
         lower_estimate=est_lower,
         bound_value=bound,
         margin=margin,
-        verdict="pass" if margin >= 0.0 else "fail",
+        passed=margin >= 0.0,
     )
-
-
-def run_blowup_diagnostic(
-    params: StableParams,
-    theta: float,
-    T: float = 1.0,
-    max_level: int = 30,
-    n_replicates: int = 10_000,
-    master_seed: int = DEFAULT_MASTER_SEED,
-) -> SlopeReport:
-    """Median growth of the scaled near-origin statistic across epsilon levels.
-
-    For epsilon = T 2^-j the statistic epsilon^(-theta) S_epsilon has median
-    proportional to epsilon^(1/alpha - theta); the report fits the log-log
-    slope against log(1/epsilon) and compares it with theta - 1/alpha.
-    Medians, not means: the raw integrals have infinite expectation.
-    """
-    return run_blowup_diagnostics(params, (theta,), T, max_level, n_replicates, master_seed)[0]
 
 
 def run_blowup_diagnostics(
@@ -641,15 +616,15 @@ def run_blowup_diagnostics(
 ) -> list[SlopeReport]:
     """Blow-up diagnostics for several exponents, in order, on one set of paths.
 
-    Every exponent keys its paths by (master_seed, batch) alone, so the
-    diagnostics share them: each batch is sampled once and reduced under
-    every theta.
+    For epsilon = T 2^-j the statistic epsilon^(-theta) S_epsilon has median
+    proportional to epsilon^(1/alpha - theta); each report fits the log-log
+    slope of its medians against log(1/epsilon) and compares it with
+    theta - 1/alpha.  Medians, not means: the raw integrals have infinite
+    expectation.  Every exponent keys its paths by (master_seed, batch)
+    alone, so the diagnostics share them: each batch is sampled once and
+    reduced under every theta.
     """
-    if not thetas:
-        raise ValueError("thetas must be nonempty")
-    for theta in thetas:
-        _check_blowup_args(params.alpha, theta, n_replicates, max_level, T)
-    grid = TimeGrid.geometric(T, levels=max_level, q=0.5)
+    grid = _check_blowup_args(params.alpha, tuple(thetas), n_replicates, max_level, T)
     levels = np.arange(BLOWUP_MIN_LEVEL, max_level + 1)
     level_columns = max_level - levels  # grid index of epsilon_j = T * 2^-j
     task = functools.partial(_blowup_sums, params.alpha, grid, tuple(thetas), level_columns)
@@ -689,16 +664,21 @@ def _slope_report(alpha: float, theta: float, epsilons, endpoint, lower_sums) ->
     )
 
 
-def _check_blowup_args(alpha: float, theta: float, n_replicates: int, max_level: int, T: float) -> None:
+def _check_blowup_args(alpha: float, thetas: tuple, n_replicates: int, max_level: int, T: float) -> TimeGrid:
+    """Validate a blowup run before sampling; returns the grid it samples on."""
+    if not thetas:
+        raise ValueError("thetas must be nonempty")
     if n_replicates < 100:
         raise ValueError("n_replicates must be at least 100 for stable medians")
-    if not theta > 0.0:
-        raise ValueError(f"theta must be > 0, got {theta}")
     if max_level < BLOWUP_MIN_LEVEL + 5:  # the slope fit takes at least six levels
-        raise ValueError(
-            f"grid.levels (max_level) must be >= {BLOWUP_MIN_LEVEL + 5} for blowup, got {max_level}"
-        )
-    _check_kernel_grid(alpha, SingularKernel(theta, T), TimeGrid.geometric(T, levels=max_level, q=0.5))
+        raise ValueError(f"grid.levels (max_level) must be >= {BLOWUP_MIN_LEVEL + 5} "
+                         f"for blowup, got {max_level}")
+    grid = TimeGrid.geometric(T, levels=max_level, q=0.5)
+    for theta in thetas:
+        if not theta > 0.0:
+            raise ValueError(f"theta must be > 0, got {theta}")
+        _check_kernel_grid(alpha, SingularKernel(theta, T), grid)
+    return grid
 
 
 def _median_with_ci(matrix: np.ndarray):
@@ -762,15 +742,15 @@ def run_ibp_consistency(
     boundary-plus-time-integral bracket must intersect (up to ABEL_TOLERANCE
     of their magnitude, which absorbs rounding where theta = 0 shrinks both
     to a point), and the discrete summation-by-parts identity must hold to
-    rounding accuracy, each with an independently drawn exponent.  Paths are
-    sampled and checked one batch at a time.  Deterministic-path anchors pin
-    the estimators to classical integrals, and a midpoint-refinement sweep
-    records how the deterministic bracket tightens.
+    rounding accuracy, each with an exponent drawn from ABEL_PROBE_THETAS.
+    Paths are sampled and checked one batch at a time.  Deterministic-path
+    anchors pin the estimators to classical integrals, and a
+    midpoint-refinement sweep records how the deterministic bracket tightens.
     """
     kernel = SingularKernel(theta=theta, T=T)
     if grid is None:
         grid = kernel.default_grid()
-    _check_kernel_grid(params.alpha, kernel, grid)
+    _check_ibp_grid(params.alpha, kernel, grid)
     task = functools.partial(_ibp_sums, params.alpha, grid, kernel)
     meets, abel = zip(*_sample_batches(task, n_paths, master_seed, 0))
     # np.max passes a NaN discrepancy through, so it fails the tolerance test.
@@ -785,7 +765,7 @@ def run_ibp_consistency(
     power_target = 2.0 * (math.sqrt(T) - math.sqrt(eps))
     exp_grid = TimeGrid.uniform(T, levels=max(len(grid) - 1, 1), epsilon=eps)
     exp_bracket = stieltjes_bracket(deterministic_path(exp_grid), ExpKernel(lam=1.0, T=T))
-    exp_target = 1.0 - math.exp(-(T - eps))
+    exp_target = -math.expm1(-(T - eps))
 
     return IbpConsistencyReport(
         n_paths=int(n_paths),

@@ -24,12 +24,10 @@ from .experiments import (
     _worker_pool,
     classify_power_kernel,
     draw_standard_samples,
-    run_blowup_diagnostic,
     run_blowup_diagnostics,
     run_cdf_check,
     run_ibp_consistency,
     run_laplace_check,
-    run_moment_check,
     run_moment_checks,
     run_scaling_check,
 )
@@ -217,7 +215,7 @@ def _build_scaling(config: ExperimentConfig):
 def _build_bound(config: ExperimentConfig):
     params = StableParams(config.scalar_alpha())
     grid = config.grid.build(config.T)
-    report = run_moment_check(params, config.kernel(), p=config.p, grid=grid, **_sampling(config))
+    report = run_moment_checks([(params, config.kernel(), config.p, grid)], **_sampling(config))[0]
     results = {
         "bound_value": report.bound_value,
         "margin": report.margin,
@@ -230,10 +228,10 @@ def _build_bound(config: ExperimentConfig):
 
 
 def _build_blowup(config: ExperimentConfig):
-    report = run_blowup_diagnostic(
-        StableParams(config.scalar_alpha()), theta=config.theta, T=config.T,
+    report = run_blowup_diagnostics(
+        StableParams(config.scalar_alpha()), (config.theta,), T=config.T,
         max_level=config.grid.levels, **_sampling(config),
-    )
+    )[0]
     results = {
         "fitted_slope": report.fitted_slope,
         "expected_slope": report.expected_slope,
@@ -378,10 +376,10 @@ def _blowup_slopes_section(cap, seed):
 
 def _stabilization_section(cap, seed):
     """Finiteness stabilization of the truncated lower sums (theta < 1/alpha)."""
-    report = run_blowup_diagnostic(
-        StableParams(0.5), theta=1.0, max_level=40,
+    report = run_blowup_diagnostics(
+        StableParams(0.5), (1.0,), max_level=40,
         n_replicates=max(100, min(cap, default_replicates("blowup"))), master_seed=seed,
-    )
+    )[0]
     medians = report.lower_sum_medians
     at35 = medians[report.epsilons.index(2.0**-35)]
     at40 = medians[report.epsilons.index(2.0**-40)]

@@ -29,7 +29,7 @@ from stablesub import (
     frac_moment_closed_form,
     frac_moment_quadrature,
     ibp_estimate,
-    run_blowup_diagnostic,
+    run_blowup_diagnostics,
     run_cdf_check,
     run_laplace_check,
     run_moment_checks,
@@ -112,7 +112,7 @@ EXP_CELLS = [(lam, T) for lam in (0.5, 1.0, 2.0) for T in (1.0, 5.0)]
 @pytest.fixture(scope="module")
 def bound_reports():
     """The reports of criteria 5 and 6 from one run_moment_checks call, whose
-    18 cells share one sampling pass; each report equals its run_moment_check."""
+    18 cells share one sampling pass; each report equals its one-cell call."""
     cells = [(StableParams(alpha), SingularKernel(theta=theta, T=1.0), p, None)
              for alpha, theta, p in THETA_CELLS]
     cells += [(StableParams(0.5), ExpKernel(lam=lam, T=T), 0.25, None) for lam, T in EXP_CELLS]
@@ -156,21 +156,19 @@ def test_criterion_06_exponential_kernel_moment_bound(bound_reports):
 def test_criterion_07_blowup_slope_law():
     details = []
     ok = True
-    for gap in (0.5, 1.0, 2.0):
-        theta = 2.0 + gap  # alpha = 0.5 so the threshold sits at 2
-        rep = run_blowup_diagnostic(
-            StableParams(0.5), theta=theta, max_level=30,
-            n_replicates=10_000, master_seed=SEED,
-        )
+    thetas = tuple(2.0 + gap for gap in (0.5, 1.0, 2.0))  # alpha = 0.5 so the threshold sits at 2
+    reports = run_blowup_diagnostics(
+        StableParams(0.5), thetas, max_level=30, n_replicates=10_000, master_seed=SEED,
+    )
+    for theta, rep in zip(thetas, reports, strict=True):
         ok &= abs(rep.fitted_slope - rep.expected_slope) <= 0.1
         details.append(f"theta={theta}: {rep.fitted_slope:.3f} vs {rep.expected_slope}")
     report("criterion 7 (blow-up slope law)", ok, "; ".join(details))
 
 
 def test_criterion_08_finiteness_stabilization():
-    rep = run_blowup_diagnostic(
-        StableParams(0.5), theta=1.0, max_level=40,
-        n_replicates=10_000, master_seed=SEED,
+    [rep] = run_blowup_diagnostics(
+        StableParams(0.5), (1.0,), max_level=40, n_replicates=10_000, master_seed=SEED,
     )
     med = dict(zip(rep.epsilons, rep.lower_sum_medians))
     change = abs(med[2.0**-40] - med[2.0**-35]) / med[2.0**-35]

@@ -388,6 +388,11 @@ class TestCli:
             ("blowup --alpha 0.5 --theta 3 --T inf", "T"),
             ("ibp --alpha 0.5 --T inf", "T"),
             ("ibp --alpha 0.5 --T nan", "T"),
+            # theta = 1/2 fits, but the Abel probes' 4.05 * |ln epsilon| exceeds 700.
+            ("ibp --alpha 0.5 --T 1e-70 --replicates 100", "Abel probes"),
+            ("ibp --alpha 0.5 --T 1e-300 --replicates 100", "Abel probes"),
+            ('ibp --alpha 0.5 --theta 1 --config {"grid":{"levels":300}}', "Abel probes"),
+            ('ibp --alpha 0.5 --theta 1 --replicates 4000 --config {"T":1e154}', "Abel probes"),
             ('ibp --alpha 0.5 --config {"p":0.1}', "p"),
             ('classify --alpha 0.5 --theta 2 --config {"master_seed":3}', "master_seed"),
             ('classify --alpha 0.5 --theta 2 --config {"n_replicates":7}', "n_replicates"),
@@ -449,7 +454,7 @@ class TestCli:
             # The scale fits, but some scaled draws or paths overflow.
             ("scaling --alpha 0.5 --times 1e150 --times 1 --replicates 100000", "times"),
             ("bound-theta --alpha 0.5 --theta 1 --T 1e154 --replicates 4000", "T"),
-            ('ibp --alpha 0.5 --theta 1 --replicates 4000 --config {"T":1e154}', "T"),
+            ('ibp --alpha 0.5 --theta 1 --replicates 4000 --config {"T":1e154,"grid":{"epsilon":1e70}}', "T"),
         ],
     )
     def test_large_horizon_is_a_named_error(self, tmp_path, args, key):
@@ -470,17 +475,30 @@ class TestCli:
         config = json.loads(result.output)["config"]
         assert (config["T"], config["grid"]["levels"]) == (2.0, 20)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_ibp_nan_abel_discrepancy_fails(self, tmp_path):
-        # On 300 dyadic levels 11 of the 50 Abel probes overflow to NaN.
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"grid": {"levels": 300}}))
-        runner = CliRunner()
-        result = runner.invoke(
+    @pytest.mark.parametrize("T", ["1e-9", "1e-60"])
+    def test_small_horizon_passes_every_ibp_verdict(self, T):
+        # The exponential anchor's target 1 - e^-(T - epsilon) is computed without cancellation.
+        result = CliRunner().invoke(main, ["ibp", "--alpha", "0.5", "--T", T, "--replicates", "100"])
+        assert result.exit_code == 0, result.output
+        verdicts = json.loads(result.output)["verdicts"]
+        names = ["abel_identity", "brackets_intersect", "classical_integrals"]
+        assert verdicts == dict.fromkeys(names, "pass")
+
+    def test_ibp_nan_abel_discrepancy_fails(self, monkeypatch, tmp_path):
+        # The probe fence refuses every grid whose probes overflow, so a NaN
+        # discrepancy is planted in one row.
+        real = experiments._abel_discrepancies
+
+        def one_nan(*args):
+            discrepancies = real(*args)
+            discrepancies[7] = math.nan
+            return discrepancies
+
+        monkeypatch.setattr(experiments, "_abel_discrepancies", one_nan)
+        result = CliRunner().invoke(
             main,
             ["ibp", "--alpha", "0.5", "--theta", "1", "--replicates", "50", "--seed", "12345",
-             "--config", str(config_path), "--out", str(tmp_path / "ibp")],
+             "--out", str(tmp_path / "ibp")],
         )
         assert result.exit_code == 1
         assert "[FAIL] abel_identity" in result.output

@@ -33,12 +33,10 @@ from stablesub import (
     exp_kernel_moment_bound,
     ibp_estimate,
     power_kernel_moment_bound,
-    run_blowup_diagnostic,
     run_blowup_diagnostics,
     run_cdf_check,
     run_ibp_consistency,
     run_laplace_check,
-    run_moment_check,
     run_moment_checks,
     run_scaling_check,
     sample_path_values,
@@ -171,11 +169,11 @@ class TestMomentEstimate:
 
 class TestMomentChecks:
     def test_power_kernel_verdict_and_sides(self):
-        report = run_moment_check(
-            StableParams(0.5), SingularKernel(theta=1.0, T=1.0), 0.25,
+        [report] = run_moment_checks(
+            [(StableParams(0.5), SingularKernel(theta=1.0, T=1.0), 0.25, None)],
             n_replicates=20_000, master_seed=501,
         )
-        assert report.verdict == "pass"
+        assert report.passed
         assert report.bound_value == pytest.approx(BOUND_THETA_REF, rel=1e-12)
         # x^p is monotone, so the bracket sides stay ordered in the mean
         assert report.lower_estimate.mean <= report.estimate.mean
@@ -183,24 +181,24 @@ class TestMomentChecks:
         assert report.estimate.mean - report.lower_estimate.mean < report.margin
 
     def test_exp_kernel_verdict(self):
-        report = run_moment_check(
-            StableParams(0.5), ExpKernel(lam=1.0, T=1.0), 0.25,
+        [report] = run_moment_checks(
+            [(StableParams(0.5), ExpKernel(lam=1.0, T=1.0), 0.25, None)],
             n_replicates=20_000, master_seed=502,
         )
-        assert report.verdict == "pass"
+        assert report.passed
         assert report.bound_value == pytest.approx(BOUND_EXP_REF, rel=1e-12)
 
     def test_worker_count_does_not_change_numbers(self):
-        kwargs = dict(p=0.25, n_replicates=12_000, master_seed=503)
-        one = run_moment_check(StableParams(0.5), SingularKernel(theta=1.0, T=1.0), **kwargs)
+        cells = [(StableParams(0.5), SingularKernel(theta=1.0, T=1.0), 0.25, None)]
+        [one] = run_moment_checks(cells, n_replicates=12_000, master_seed=503)
         with experiments._worker_pool(4):
-            many = run_moment_check(StableParams(0.5), SingularKernel(theta=1.0, T=1.0), **kwargs)
+            [many] = run_moment_checks(cells, n_replicates=12_000, master_seed=503)
         assert one.estimate.mean == many.estimate.mean
         assert one.estimate.std_error == many.estimate.std_error
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
-            run_moment_check(StableParams(0.5), SingularKernel(theta=1.0), 0.7, n_replicates=100)
+            run_moment_checks([(StableParams(0.5), SingularKernel(theta=1.0), 0.7, None)], n_replicates=100)
 
     def test_swapped_bracket_sides_end_the_run(self, monkeypatch):
         # Swapped sides put lower > upper on every path, which the upper-side
@@ -209,7 +207,7 @@ class TestMomentChecks:
         real = integrals.power_bracket_sums
         monkeypatch.setattr(integrals, "power_bracket_sums", lambda *args: real(*args)[::-1])
         with pytest.raises(ValueError, match="invalid bracket"):
-            run_moment_check(StableParams(0.5), SingularKernel(theta=1.0), 0.25, n_replicates=500)
+            run_moment_checks([(StableParams(0.5), SingularKernel(theta=1.0), 0.25, None)], n_replicates=500)
 
 
 class TestGroupedMomentChecks:
@@ -232,10 +230,8 @@ class TestGroupedMomentChecks:
         with experiments._worker_pool(workers):
             grouped = run_moment_checks(self.CELLS, self.N, self.SEED)
         assert len(grouped) == len(self.CELLS)
-        for (params, kernel, p, grid), report in zip(self.CELLS, grouped):
-            single = run_moment_check(
-                params, kernel, p, n_replicates=self.N, master_seed=self.SEED, grid=grid
-            )
+        for cell, report in zip(self.CELLS, grouped):
+            [single] = run_moment_checks([cell], self.N, self.SEED)
             assert report.estimate.mean == single.estimate.mean
             assert report.estimate.std_error == single.estimate.std_error
             assert report.lower_estimate.mean == single.lower_estimate.mean
@@ -316,10 +312,8 @@ class TestGroupedMomentChecks:
             (0.3, 0.5), (0.5,)
         ]
         monkeypatch.setattr(experiments, "_sample_batches", real_batches)
-        for (params, kernel, p, grid), report in zip(self.MIXED_CELLS, grouped, strict=True):
-            single = run_moment_check(
-                params, kernel, p, n_replicates=self.N, master_seed=self.SEED, grid=grid
-            )
+        for cell, report in zip(self.MIXED_CELLS, grouped, strict=True):
+            [single] = run_moment_checks([cell], self.N, self.SEED)
             assert report == single
 
     def test_verify_all_samples_each_group_once_per_batch(self, monkeypatch):
@@ -488,7 +482,7 @@ def test_kernel_protocol(monkeypatch, kernel, grid):
     monkeypatch.setattr(experiments, "kanter_inputs", lambda *args: pytest.fail("drew"))
     lookalike = types.SimpleNamespace(**dataclasses.asdict(kernel))
     with pytest.raises(TypeError, match="SimpleNamespace"):
-        run_moment_check(StableParams(0.5), lookalike, 0.25, n_replicates=500)
+        run_moment_checks([(StableParams(0.5), lookalike, 0.25, None)], n_replicates=500)
 
 
 @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
@@ -575,9 +569,7 @@ def test_the_benchmark_tracer_finds_what_it_names():
 
 class TestBlowupDiagnostic:
     def test_supercritical_slope(self):
-        report = run_blowup_diagnostic(
-            StableParams(0.5), theta=3.0, n_replicates=2000, master_seed=601
-        )
+        [report] = run_blowup_diagnostics(StableParams(0.5), (3.0,), n_replicates=2000, master_seed=601)
         assert report.expected_slope == pytest.approx(1.0)
         assert abs(report.fitted_slope - 1.0) <= 0.1
         assert report.slope_matches
@@ -589,16 +581,13 @@ class TestBlowupDiagnostic:
         assert report.epsilons[-1] == pytest.approx(2.0**-30)
 
     def test_boundary_flagged_inconclusive(self):
-        report = run_blowup_diagnostic(
-            StableParams(0.5), theta=2.0, n_replicates=500, master_seed=602
-        )
+        [report] = run_blowup_diagnostics(StableParams(0.5), (2.0,), n_replicates=500, master_seed=602)
         assert report.boundary_inconclusive
         assert report.expected_slope == pytest.approx(0.0)
 
     def test_subcritical_lower_sums_stabilize(self):
-        report = run_blowup_diagnostic(
-            StableParams(0.5), theta=1.0, max_level=40,
-            n_replicates=2000, master_seed=603,
+        [report] = run_blowup_diagnostics(
+            StableParams(0.5), (1.0,), max_level=40, n_replicates=2000, master_seed=603,
         )
         assert abs(report.lower_sum_slope) <= 0.02
         med = dict(zip(report.epsilons, report.lower_sum_medians))
@@ -609,7 +598,30 @@ class TestBlowupDiagnostic:
 
     def test_median_replicate_floor(self):
         with pytest.raises(ValueError):
-            run_blowup_diagnostic(StableParams(0.5), theta=3.0, n_replicates=50)
+            run_blowup_diagnostics(StableParams(0.5), (3.0,), n_replicates=50)
+
+
+class TestGroupedBlowupDiagnostics:
+    # Three supercritical exponents on one set of paths; 5000 replicates span two batches.
+    THETAS = (2.5, 3.0, 4.0)
+    N = 5000
+    SEED = 604
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grouped_reports_equal_one_theta_reports(self, monkeypatch, workers):
+        grids = []
+        real_geometric = TimeGrid.geometric
+        monkeypatch.setattr(TimeGrid, "geometric",
+                            lambda *args, **kw: grids.append(args) or real_geometric(*args, **kw))
+        with experiments._worker_pool(workers):
+            grouped = run_blowup_diagnostics(StableParams(0.5), self.THETAS, n_replicates=self.N,
+                                             master_seed=self.SEED)
+        assert len(grids) == 1  # the arguments are checked, and the grid built, once per call
+        for theta, report in zip(self.THETAS, grouped, strict=True):
+            [single] = run_blowup_diagnostics(StableParams(0.5), (theta,), n_replicates=self.N,
+                                              master_seed=self.SEED)
+            for field in dataclasses.fields(report):
+                assert getattr(report, field.name) == getattr(single, field.name), (theta, field.name)
 
 
 class TestDistributionChecks:
@@ -688,16 +700,21 @@ class TestIbpConsistency:
         gaps = [row[3] for row in report.convergence_rows]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
-    def test_nan_abel_discrepancy_fails(self):
-        # On 300 dyadic levels t^-theta overflows for probe exponents above
-        # about 3.4, so some Abel discrepancies are NaN.
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = run_ibp_consistency(
-                StableParams(0.5), theta=1.0, n_paths=50, master_seed=12345,
-                grid=TimeGrid.geometric(1.0, levels=300, q=0.5),
-            )
+    def test_nan_abel_discrepancy_fails(self, monkeypatch):
+        # The probe fence refuses every grid whose probes overflow, so a NaN
+        # discrepancy is planted: one row of one batch.
+        real = experiments._abel_discrepancies
+
+        def one_nan(*args):
+            discrepancies = real(*args)
+            discrepancies[7] = math.nan
+            return discrepancies
+
+        monkeypatch.setattr(experiments, "_abel_discrepancies", one_nan)
+        report = run_ibp_consistency(StableParams(0.5), theta=1.0, n_paths=50, master_seed=12345)
         assert math.isnan(report.max_abel_discrepancy)
-        assert not report.passed
+        assert not report.abel_identity and not report.passed
+        assert report.all_brackets_intersect and report.classical_integrals
 
     @pytest.mark.parametrize("n_paths", [1, 4095, 4097, 9000])
     def test_chunked_driver_matches_per_path_reference(self, n_paths):
@@ -786,7 +803,8 @@ class TestOverflowRegime:
         monkeypatch.setattr(experiments, "kanter_inputs", no_sampling)
         # theta * |ln 2^-40| = 831.8 > 700: epsilon^-theta leaves double range.
         with pytest.raises(ValueError, match=r"theta \* \|ln\(grid epsilon\)\| must be <= 700"):
-            run_moment_check(StableParams(0.03), SingularKernel(theta=30.0), 0.01, n_replicates=100)
+            run_moment_checks([(StableParams(0.03), SingularKernel(theta=30.0), 0.01, None)],
+                              n_replicates=100)
 
     def test_blowup_rejects_before_sampling(self, monkeypatch):
         def no_sampling(*args):
@@ -798,8 +816,16 @@ class TestOverflowRegime:
             run_blowup_diagnostics(StableParams(0.5), (3.0, 60.0), n_replicates=200)
         # epsilon = T * 2^-max_level = 2^-60: theta * |ln epsilon| = 831.8.
         with pytest.raises(ValueError, match="must be <= 700"):
-            run_blowup_diagnostic(StableParams(0.5), theta=20.0, T=2.0**-20, max_level=40,
-                                  n_replicates=200)
+            run_blowup_diagnostics(StableParams(0.5), (20.0,), T=2.0**-20, max_level=40,
+                                   n_replicates=200)
+
+    @pytest.mark.parametrize("T, levels", [(1e-70, 40), (1e-300, 40), (1.0, 300), (1e154, 40)])
+    def test_ibp_rejects_abel_probe_overflow_before_sampling(self, monkeypatch, T, levels):
+        monkeypatch.setattr(subordinator, "kanter_inputs", lambda *args: pytest.fail("drew"))
+        # theta = 1/2 fits, but the probes' 4.05 * |ln epsilon| exceeds 700.
+        grid = TimeGrid.geometric(T, levels=levels, q=0.5)
+        with pytest.raises(ValueError, match=r"Abel probes' .* for theta up to 4\.05 at grid epsilon"):
+            run_ibp_consistency(StableParams(0.5), T=T, n_paths=100, grid=grid)
 
 
 @pytest.mark.parametrize(
