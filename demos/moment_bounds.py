@@ -12,10 +12,8 @@ from stablesub import (
     FracMomentQuery,
     SingularKernel,
     StableParams,
-    exp_kernel_moment_bound,
     frac_moment_closed_form,
     frac_moment_quadrature,
-    power_kernel_moment_bound,
     run_moment_checks,
 )
 
@@ -29,8 +27,9 @@ print(f"  closed form {closed:.10f}   quadrature {quad:.10f}   "
 
 params = StableParams(0.5)
 print("\nPower kernel t^-1 on (0, 1], p = 1/4 (threshold at theta = 2):")
-bound = power_kernel_moment_bound(alpha=0.5, theta=1.0, p=0.25, T=1.0)
-[report] = run_moment_checks([(params, SingularKernel(theta=1.0, T=1.0), 0.25, None)],
+kernel = SingularKernel(theta=1.0, T=1.0)
+bound = kernel.moment_bound(alpha=0.5, p=0.25)
+[report] = run_moment_checks([(params, kernel, 0.25, None)],
                              n_replicates=50_000, master_seed=99)
 print(f"  closed-form bound  {bound:.4f}")
 print(f"  MC upper bracket   {report.estimate.mean:.4f} +- {report.estimate.std_error:.4f}")
@@ -39,7 +38,7 @@ print(f"  verdict: {'pass' if report.passed else 'fail'} (margin {report.margin:
 
 print("\nThe bound scales as T^((1/alpha - theta) p):")
 for T in (1.0, 4.0):
-    print(f"  T={T}: bound {power_kernel_moment_bound(0.5, 1.0, 0.25, T):.4f}")
+    print(f"  T={T}: bound {SingularKernel(1.0, T).moment_bound(0.5, 0.25):.4f}")
 
 print("\nExponential kernel e^(-lam (T-t)): the bound is horizon-free.")
 lams = (0.5, 1.0, 2.0)
@@ -47,6 +46,6 @@ lams = (0.5, 1.0, 2.0)
 reports = run_moment_checks([(params, ExpKernel(lam=lam, T=5.0), 0.25, None) for lam in lams],
                             n_replicates=50_000, master_seed=99)
 for lam, report in zip(lams, reports):
-    bound = exp_kernel_moment_bound(alpha=0.5, p=0.25, lam=lam)
+    bound = ExpKernel(lam=lam).moment_bound(alpha=0.5, p=0.25)
     print(f"  lam={lam}: bound {bound:.4f}   MC upper {report.estimate.mean:.4f}"
           f"   verdict {'pass' if report.passed else 'fail'}")

@@ -33,9 +33,7 @@ from .integrals import (
     IntegralBracket,
     SingularKernel,
     abel_identity_check,
-    exp_kernel_moment_bound,
     ibp_estimate,
-    power_kernel_moment_bound,
     stieltjes_bracket,
 )
 from .reporting import (

@@ -504,12 +504,12 @@ def run_scaling_check(
 def _check_scaling_args(alpha: float, p: float, times) -> FracMomentQuery:
     """Validate the scaling check's arguments; returns the query of E S_1^p."""
     query = FracMomentQuery(alpha, p, 1.0)
-    if not times:
-        raise ValueError("times must be nonempty")
     for t in times:
         if not t > 0.0:
             raise ValueError(f"times must be positive, got {t}")
         _check_path_scale(alpha, t, "times")
+    if len(set(times)) < 2:  # one horizon compares with nothing: a pass on nothing
+        raise ValueError(f"times must hold at least two distinct horizons, got {list(times)}")
     return query
 
 
@@ -571,14 +571,17 @@ def _moment_cell(params: StableParams, kernel, p: float, grid: TimeGrid | None):
 
 
 def _check_path_scale(alpha: float, t: float, key: str) -> None:
-    """Refuse before sampling a horizon `key` = t > 0 whose path scale t^(1/alpha) overflows."""
-    if math.log(t) / alpha > math.log(sys.float_info.max):
-        raise ValueError(f"{key} = {t:g} leaves double range at alpha = {alpha:g}: {key}^(1/alpha) overflows")
+    """Refuse before sampling a horizon `key` = t > 0 whose path scale t^(1/alpha)
+    overflows, or underflows below the smallest normal double."""
+    log_scale = math.log(t) / alpha
+    if not math.log(sys.float_info.min) <= log_scale <= math.log(sys.float_info.max):
+        fault = "overflows" if log_scale > 0.0 else "underflows"
+        raise ValueError(f"{key} = {t:g} leaves double range at alpha = {alpha:g}: {key}^(1/alpha) {fault}")
 
 
 def _check_kernel_grid(alpha: float, kernel, grid: TimeGrid) -> None:
     """Refuse before sampling what a batched driver cannot sum: a grid not ending
-    at T, a path scale T^(1/alpha) that overflows, or a kernel value at epsilon
+    at T, a path scale T^(1/alpha) out of double range, or a kernel value at epsilon
     out of double range (the batched sums have no log-space form)."""
     _check_horizon(grid, kernel.T)
     _check_path_scale(alpha, kernel.T, "T")

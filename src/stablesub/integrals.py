@@ -29,11 +29,9 @@ __all__ = [
     "SingularKernel",
     "abel_identity_check",
     "exp_bracket_sums",
-    "exp_kernel_moment_bound",
     "ibp_bracket_sums",
     "ibp_estimate",
     "power_bracket_sums",
-    "power_kernel_moment_bound",
     "stieltjes_bracket",
 ]
 
@@ -80,7 +78,22 @@ class SingularKernel:
         return power_bracket_sums(points, increments, self.theta)
 
     def moment_bound(self, alpha: float, p: float) -> float:
-        return power_kernel_moment_bound(alpha, self.theta, p, self.T)
+        """Closed-form majorant of E (int_0^T t^-theta dS)^p, valid for theta in (0, 1/alpha):
+
+            (2^(p/alpha + p*theta) * E S_1^p / (2^(p/alpha) - 2^(p*theta)) + 1)
+                * T^((1/alpha - theta) * p)
+
+        with E S_1^p from the validated closed form.
+        """
+        moment = frac_moment_closed_form(FracMomentQuery(alpha, p, 1.0))  # checks alpha before 1/alpha
+        if not 0.0 < self.theta < 1.0 / alpha:
+            raise ValueError(f"theta must lie in (0, 1/alpha): got theta={self.theta}, alpha={alpha}")
+        numerator = 2.0 ** (p / alpha + p * self.theta) * moment
+        denominator = 2.0 ** (p / alpha) - 2.0 ** (p * self.theta)
+        bound = (numerator / denominator + 1.0) * self.T ** ((1.0 / alpha - self.theta) * p)
+        if not math.isfinite(bound):
+            raise ValueError(f"T = {self.T:g} at alpha = {alpha:g}, p = {p:g}: the moment bound overflows")
+        return bound
 
     def default_grid(self) -> TimeGrid:
         """Dyadic refinement toward the singularity at 0."""
@@ -112,7 +125,15 @@ class ExpKernel:
         return exp_bracket_sums(points, increments, self.lam, self.T)
 
     def moment_bound(self, alpha: float, p: float) -> float:
-        return exp_kernel_moment_bound(alpha, p, self.lam)
+        """Horizon-independent majorant of E (int_0^T e^(-lam (T-t)) dS)^p.
+
+        Equals e^(p*lam) / (e^(p*lam) - 1) * E S_1^p, evaluated in the
+        overflow-safe form E S_1^p / (1 - e^(-p*lam)).
+        """
+        bound = frac_moment_closed_form(FracMomentQuery(alpha, p, 1.0)) / -math.expm1(-p * self.lam)
+        if not math.isfinite(bound):
+            raise ValueError(f"lambda = {self.lam} is too small at p = {p:g}: the moment bound overflows")
+        return bound
 
     def default_grid(self) -> TimeGrid:
         """Uniform cells: the kernel is bounded."""
@@ -120,38 +141,6 @@ class ExpKernel:
 
     def needs_log_space(self, epsilon: float) -> bool:
         return False  # the kernel stays in [e^(-lam T), 1]
-
-
-def power_kernel_moment_bound(alpha: float, theta: float, p: float, T: float = 1.0) -> float:
-    """Closed-form majorant of E (int_0^T t^-theta dS)^p, valid for theta < 1/alpha.
-
-        (2^(p/alpha + p*theta) * E S_1^p / (2^(p/alpha) - 2^(p*theta)) + 1)
-            * T^((1/alpha - theta) * p)
-
-    with E S_1^p from the validated closed form.
-    """
-    query = FracMomentQuery(alpha, p, 1.0)  # validates alpha and p before 1/alpha
-    if not 0.0 < theta < 1.0 / alpha:
-        raise ValueError(f"theta must lie in (0, 1/alpha): got theta={theta}, alpha={alpha}")
-    if not T > 0.0:
-        raise ValueError(f"T must be > 0, got {T}")
-    moment = frac_moment_closed_form(query)
-    numerator = 2.0 ** (p / alpha + p * theta) * moment
-    denominator = 2.0 ** (p / alpha) - 2.0 ** (p * theta)
-    return (numerator / denominator + 1.0) * T ** ((1.0 / alpha - theta) * p)
-
-
-def exp_kernel_moment_bound(alpha: float, p: float, lam: float) -> float:
-    """Horizon-independent majorant of E (int_0^T e^(-lam (T-t)) dS)^p.
-
-    Equals e^(p*lam) / (e^(p*lam) - 1) * E S_1^p, evaluated in the
-    overflow-safe form E S_1^p / (1 - e^(-p*lam)).
-    """
-    query = FracMomentQuery(alpha, p, 1.0)
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    moment = frac_moment_closed_form(query)
-    return moment / -math.expm1(-p * lam)
 
 
 @dataclass(frozen=True)

@@ -326,6 +326,9 @@ class TestCli:
             ("scaling --alpha 0.5 --p 0.6", "p"),
             ("scaling --alpha 0.5 --p -0.1", "p"),
             ("scaling --alpha 0.5 --times 1 --times -1", "times"),
+            # One horizon, or one repeated, compares with nothing.
+            ("scaling --alpha 0.5 --times 1", "times"),
+            ("scaling --alpha 0.5 --times 1 --times 1", "times"),
             ("scaling", "alpha"),
             ("bound-theta --alpha 0.5 --theta 2.5", "theta"),
             ("bound-theta --alpha 0.5 --theta 0", "theta"),
@@ -383,6 +386,8 @@ class TestCli:
             ("blowup --alpha 0.5 --theta inf", "theta"),
             ("bound-exp --alpha 0.5 --lambda inf", "lambda"),
             ("bound-exp --alpha 0.5 --lambda nan", "lambda"),
+            # E S_1^p / (1 - e^(-p lambda)) overflows once p lambda is subnormal.
+            ("bound-exp --alpha 0.5 --lambda 1e-320", "lambda"),
             ("bound-theta --alpha 0.5 --theta 1 --T inf", "T"),
             ("bound-exp --alpha 0.5 --T inf", "T"),
             ("blowup --alpha 0.5 --theta 3 --T inf", "T"),
@@ -390,7 +395,14 @@ class TestCli:
             ("ibp --alpha 0.5 --T nan", "T"),
             # theta = 1/2 fits, but the Abel probes' 4.05 * |ln epsilon| exceeds 700.
             ("ibp --alpha 0.5 --T 1e-70 --replicates 100", "Abel probes"),
-            ("ibp --alpha 0.5 --T 1e-300 --replicates 100", "Abel probes"),
+            ("ibp --alpha 0.5 --T 1e-100 --replicates 100", "Abel probes"),
+            # The path scale key^(1/alpha) underflows below the smallest normal double.
+            ("ibp --alpha 0.5 --T 1e-300 --replicates 100", "T"),
+            ("bound-exp --alpha 0.5 --T 1e-300 --replicates 100", "T"),
+            ("bound-theta --alpha 0.5 --theta 0.1 --T 1e-300 --replicates 100", "T"),
+            ("blowup --alpha 0.5 --theta 3 --T 1e-300", "T"),
+            ("scaling --alpha 0.5 --times 1e-300 --times 1 --replicates 100", "times"),
+            ("scaling --alpha 0.5 --times 1 --times 1e-170 --replicates 100", "times"),
             ('ibp --alpha 0.5 --theta 1 --config {"grid":{"levels":300}}', "Abel probes"),
             ('ibp --alpha 0.5 --theta 1 --replicates 4000 --config {"T":1e154}', "Abel probes"),
             ('ibp --alpha 0.5 --config {"p":0.1}', "p"),
@@ -467,6 +479,12 @@ class TestCli:
         pattern = rf"error: {key} = 1e\+\d+ [^\n]*\balpha = 0\.5\b[^\n]*\n"
         assert re.fullmatch(pattern, result.output), result.output
 
+    def test_smallest_scaling_horizon_that_fits_runs(self):
+        # 1e-150^(1/alpha) = 1e-300 is still a normal double.
+        args = "scaling --alpha 0.5 --times 1e-150 --times 1 --replicates 1000"
+        result = CliRunner().invoke(main, args.split())
+        assert result.exit_code == 0, result.output
+
     @pytest.mark.parametrize("args", ["ibp --alpha 0.5 --theta 1", "blowup --alpha 0.5 --theta 3"])
     def test_horizon_and_depth_flags(self, args):
         argv = args.split() + ["--T", "2", "--grid-levels", "20", "--replicates", "200"]
@@ -475,7 +493,7 @@ class TestCli:
         config = json.loads(result.output)["config"]
         assert (config["T"], config["grid"]["levels"]) == (2.0, 20)
 
-    @pytest.mark.parametrize("T", ["1e-9", "1e-60"])
+    @pytest.mark.parametrize("T", ["1e-9", "1e-60", "1e-63"])
     def test_small_horizon_passes_every_ibp_verdict(self, T):
         # The exponential anchor's target 1 - e^-(T - epsilon) is computed without cancellation.
         result = CliRunner().invoke(main, ["ibp", "--alpha", "0.5", "--T", T, "--replicates", "100"])

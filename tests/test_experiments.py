@@ -30,9 +30,7 @@ from stablesub import (
     TimeGrid,
     abel_identity_check,
     classify_power_kernel,
-    exp_kernel_moment_bound,
     ibp_estimate,
-    power_kernel_moment_bound,
     run_blowup_diagnostics,
     run_cdf_check,
     run_ibp_consistency,
@@ -75,50 +73,61 @@ def power_integral_diverges(alpha: float, c: float, shells: int = 12, shell_fact
 
 class TestClosedFormBounds:
     def test_power_kernel_reference_cell(self):
-        value = power_kernel_moment_bound(0.5, 1.0, 0.25, 1.0)
+        value = SingularKernel(1.0).moment_bound(0.5, 0.25)
         assert value == pytest.approx(BOUND_THETA_REF, rel=1e-12)
 
     def test_power_kernel_horizon_factor(self):
         # horizon enters only through T^((1/alpha - theta) p)
-        base = power_kernel_moment_bound(0.5, 1.0, 0.25, 1.0)
-        value = power_kernel_moment_bound(0.5, 1.0, 0.25, 4.0)
+        base = SingularKernel(1.0).moment_bound(0.5, 0.25)
+        value = SingularKernel(1.0, T=4.0).moment_bound(0.5, 0.25)
         assert value == pytest.approx(base * 4.0 ** ((2.0 - 1.0) * 0.25), rel=1e-12)
         assert value == pytest.approx(base * math.sqrt(2.0), rel=1e-12)
 
     def test_power_kernel_explodes_at_threshold(self):
-        previous = power_kernel_moment_bound(0.5, 1.0, 0.25, 1.0)
+        previous = SingularKernel(1.0).moment_bound(0.5, 0.25)
         for theta in (1.9, 1.99, 1.999):
-            current = power_kernel_moment_bound(0.5, theta, 0.25, 1.0)
+            current = SingularKernel(theta).moment_bound(0.5, 0.25)
             assert current > previous
             previous = current
-        assert power_kernel_moment_bound(0.5, 1.999999, 0.25, 1.0) > 1e5
+        assert SingularKernel(1.999999).moment_bound(0.5, 0.25) > 1e5
 
     def test_power_kernel_domain(self):
         with pytest.raises(ValueError):
-            power_kernel_moment_bound(0.5, 2.0, 0.25, 1.0)  # theta == 1/alpha
+            SingularKernel(2.0).moment_bound(0.5, 0.25)  # theta == 1/alpha
         with pytest.raises(ValueError):
-            power_kernel_moment_bound(0.5, 2.5, 0.25, 1.0)
+            SingularKernel(2.5).moment_bound(0.5, 0.25)
         with pytest.raises(ValueError):
-            power_kernel_moment_bound(0.5, 1.0, 0.5, 1.0)  # p == alpha
+            SingularKernel(1.0).moment_bound(0.5, 0.5)  # p == alpha
         with pytest.raises(ValueError):
-            power_kernel_moment_bound(1.5, 1.0, 0.25, 1.0)
+            SingularKernel(1.0).moment_bound(1.5, 0.25)
         # alpha = 0 is rejected before theta is compared with 1/alpha.
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
-            power_kernel_moment_bound(0.0, 1.0, 0.25, 1.0)
+            SingularKernel(1.0).moment_bound(0.0, 0.25)
+        # The constant kernel theta = 0 has no bound of this form.
+        with pytest.raises(ValueError, match=r"theta must lie in \(0, 1/alpha\)"):
+            SingularKernel(0.0).moment_bound(0.5, 0.25)
+
+    def test_power_kernel_bound_overflow_names_T(self):
+        # T^((1/alpha - theta) p) = e^709.6 fits, but the constant factor ~5 does not.
+        with pytest.raises(ValueError, match=r"^T = 1\.6e\+308 at alpha = 0\.9999, p = 0\.9998: .*"):
+            SingularKernel(0.001, T=1.6e308).moment_bound(0.9999, 0.9998)
 
     def test_exp_kernel_reference_cell(self):
-        assert exp_kernel_moment_bound(0.5, 0.25, 1.0) == pytest.approx(BOUND_EXP_REF, rel=1e-12)
+        assert ExpKernel(1.0).moment_bound(0.5, 0.25) == pytest.approx(BOUND_EXP_REF, rel=1e-12)
 
     def test_exp_kernel_limits(self):
         moment = 1.4464090846320771425
-        assert exp_kernel_moment_bound(0.5, 0.25, 300.0) == pytest.approx(moment, rel=1e-12)
-        assert exp_kernel_moment_bound(0.5, 0.25, 1e-8) > 1e7
+        assert ExpKernel(300.0).moment_bound(0.5, 0.25) == pytest.approx(moment, rel=1e-12)
+        assert ExpKernel(1e-8).moment_bound(0.5, 0.25) > 1e7
 
     def test_exp_kernel_domain(self):
+        with pytest.raises(ValueError, match="lambda must be > 0"):
+            ExpKernel(0.0)
         with pytest.raises(ValueError):
-            exp_kernel_moment_bound(0.5, 0.25, 0.0)
-        with pytest.raises(ValueError):
-            exp_kernel_moment_bound(0.5, 0.6, 1.0)
+            ExpKernel(1.0).moment_bound(0.5, 0.6)
+        # E S_1^p / (p lambda) overflows once p lambda is subnormal.
+        with pytest.raises(ValueError, match=r"^lambda = 1e-320 is too small at p = 0\.25: .* overflows$"):
+            ExpKernel(1e-320).moment_bound(0.5, 0.25)
 
 
 class TestClassifier:
@@ -819,13 +828,34 @@ class TestOverflowRegime:
             run_blowup_diagnostics(StableParams(0.5), (20.0,), T=2.0**-20, max_level=40,
                                    n_replicates=200)
 
-    @pytest.mark.parametrize("T, levels", [(1e-70, 40), (1e-300, 40), (1.0, 300), (1e154, 40)])
+    @pytest.mark.parametrize("T, levels", [(1e-70, 40), (1e-100, 40), (1.0, 300), (1e154, 40)])
     def test_ibp_rejects_abel_probe_overflow_before_sampling(self, monkeypatch, T, levels):
         monkeypatch.setattr(subordinator, "kanter_inputs", lambda *args: pytest.fail("drew"))
         # theta = 1/2 fits, but the probes' 4.05 * |ln epsilon| exceeds 700.
         grid = TimeGrid.geometric(T, levels=levels, q=0.5)
         with pytest.raises(ValueError, match=r"Abel probes' .* for theta up to 4\.05 at grid epsilon"):
             run_ibp_consistency(StableParams(0.5), T=T, n_paths=100, grid=grid)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: run_ibp_consistency(StableParams(0.5), T=1e-300, n_paths=100,
+                                        grid=TimeGrid.geometric(1e-300, levels=40, q=0.5)),
+            lambda: run_moment_checks([(StableParams(0.5), SingularKernel(0.1, T=1e-300), 0.25, None)],
+                                      n_replicates=100),
+            lambda: run_moment_checks([(StableParams(0.5), ExpKernel(1.0, T=1e-300), 0.25, None)],
+                                      n_replicates=100),
+            lambda: run_blowup_diagnostics(StableParams(0.5), (3.0,), T=1e-300, n_replicates=200),
+            lambda: run_scaling_check(StableParams(0.5), 0.25, times=(1e-300, 1.0), n_replicates=100),
+        ],
+        ids=["ibp", "power moment cell", "exp moment cell", "blowup", "scaling"],
+    )
+    def test_underflowing_path_scale_is_refused_before_sampling(self, monkeypatch, run):
+        # 1e-300^(1/alpha) = 1e-600 underflows: every increment would be 0.
+        monkeypatch.setattr(subordinator, "kanter_inputs", lambda *args: pytest.fail("drew"))
+        monkeypatch.setattr(experiments, "kanter_inputs", lambda *args: pytest.fail("drew"))
+        with pytest.raises(ValueError, match=r"= 1e-300 leaves double range at alpha = 0\.5: .* underflows$"):
+            run()
 
 
 @pytest.mark.parametrize(

@@ -68,11 +68,12 @@ def _abel_off_by_one(abel_discrepancies):
     return discrepancies
 
 
-def _third(moment_bound):
-    """A bound three times too small.  On the default 40-cell grids the
-    largest single term's p-th moment stays below 0.14 of the true bound, so
-    the cells still run and the verdict, not the grid check, must catch it."""
-    return lambda *args: moment_bound(*args) / 3.0
+def _bound_over(divisor: float):
+    """A moment bound `divisor` times too small.  The largest single term's
+    p-th moment on the default 40-cell grids stays below the wrong bound
+    (below 0.14 of the true exponential bound), so the cells still run and
+    the verdict, not the grid check, must catch it."""
+    return lambda moment_bound: lambda *args: moment_bound(*args) / divisor
 
 
 # (defect, patched function, command, expected failure), each measured at the default seed.
@@ -90,8 +91,11 @@ DEFECTS = [
      {"frac_moment_chain.quadrature_agrees_closed_form"}),
     ("Abel sum off by one", "integrals._abel_discrepancies", _abel_off_by_one,
      "verify-all --replicates 3000", {"ibp.abel_identity"}),
-    ("exp bound a third", "integrals.exp_kernel_moment_bound", _third, "verify-all --replicates 3000",
-     {"bound_exp_grid.all_cells_pass"}),
+    ("exp bound a third", "integrals.ExpKernel.moment_bound", _bound_over(3.0),
+     "verify-all --replicates 3000", {"bound_exp_grid.all_cells_pass"}),
+    # A third is not caught here, and a tenth trips the grid check (exit 3).
+    ("power bound a fifth", "integrals.SingularKernel.moment_bound", _bound_over(5.0),
+     "verify-all --replicates 3000", {"bound_theta_grid.all_cells_pass"}),
     ("bracket sides swapped", "integrals.power_bracket_sums", _swapped, "ibp --alpha 0.5 --theta 1",
      "invalid bracket"),
     ("bracket sides swapped", "integrals.power_bracket_sums", _swapped,
@@ -113,14 +117,20 @@ def _verdicts(command: str) -> dict:
 
 
 def _planted(monkeypatch, target: str, defect, command: str):
-    """The CLI result of `command` with `target` replaced wherever a module binds it."""
+    """The CLI result of `command` with `target` replaced wherever a module
+    binds it, or on its class when `target` is "module.Class.method"."""
     module_name, _, attr = target.partition(".")
-    real = getattr(MODULES[module_name], attr)
-    wrong = defect(real)
-    for module in MODULES.values():
-        for name, value in list(vars(module).items()):
-            if value is real:
-                monkeypatch.setattr(module, name, wrong)
+    class_name, _, method = attr.rpartition(".")
+    if class_name:
+        owner = getattr(MODULES[module_name], class_name)
+        monkeypatch.setattr(owner, method, defect(vars(owner)[method]))
+    else:
+        real = getattr(MODULES[module_name], attr)
+        wrong = defect(real)
+        for module in MODULES.values():
+            for name, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, name, wrong)
     # A defect may drive a median to 0, whose log warns; the verdicts tell.
     with np.errstate(divide="ignore"):
         return _invoke(command)
