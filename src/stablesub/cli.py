@@ -36,7 +36,7 @@ _FLAGS = {
     "grid.epsilon": ("--grid-epsilon", float, "First grid point."),
     "n_replicates": ("--replicates", int, "Replicate count."),
     "master_seed": ("--seed", int, "Master seed."),
-    "workers": ("--workers", int, "Parallel worker processes."),
+    "workers": ("--workers", int, "Parallel worker processes, at most one per usable CPU."),
 }
 
 # Subcommand -> (experiment, help).

@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -129,8 +130,8 @@ class MomentEstimate:
     def __post_init__(self) -> None:
         if self.n_replicates < 2:
             raise ValueError("n_replicates must be >= 2")
-        if not self.std_error >= 0.0:
-            raise ValueError("std_error must be >= 0")
+        if not 0.0 <= self.std_error < math.inf:
+            raise ValueError(f"std_error must be finite and >= 0, got {self.std_error}")
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "MomentEstimate":
@@ -138,11 +139,15 @@ class MomentEstimate:
         n = samples.size
         if n < 2:
             raise ValueError("need at least 2 replicates")
-        return cls(
-            mean=float(samples.mean()),
-            std_error=float(samples.std(ddof=1) / math.sqrt(n)),
-            n_replicates=n,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = samples.mean(), samples.std(ddof=1)
+        if not (np.isfinite(mean) and np.isfinite(std)):
+            # The sum or the squares left double range: reduce the samples
+            # divided by their largest magnitude, then scale back.
+            scale = np.max(np.abs(samples))
+            unit = samples / scale
+            mean, std = scale * unit.mean(), scale * unit.std(ddof=1)
+        return cls(mean=float(mean), std_error=float(std / math.sqrt(n)), n_replicates=n)
 
 
 @dataclass(frozen=True)
@@ -266,18 +271,25 @@ def _forget_run_pool() -> None:
     _RUN_POOL = None
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 @contextlib.contextmanager
 def _worker_pool(workers: int):
     """Run every _pool_map call inside the block on `workers` processes.
 
-    One process pool is built on entry (none for a single worker: the tasks
-    run serially) and shut down, its workers joined, on exit.
+    One process pool, of at most one process per usable CPU, is built on entry
+    (none for a single worker: the tasks run serially) and shut down, its
+    workers joined, on exit.
     """
     global _RUN_POOL
     outer = _RUN_POOL
-    with (ProcessPoolExecutor(max_workers=workers, initializer=_forget_run_pool)
+    size = min(workers, _usable_cpus())
+    with (ProcessPoolExecutor(max_workers=size, initializer=_forget_run_pool)
           if workers > 1 else contextlib.nullcontext()) as pool:
-        _RUN_POOL = None if pool is None else (workers, pool)
+        _RUN_POOL = None if pool is None else (size, pool)
         try:
             yield
         finally:
@@ -438,7 +450,7 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
     theoretical = cdf(ordered)
     grid_hi = np.arange(1, n + 1) / n
     grid_lo = np.arange(0, n) / n
-    return float(max(np.max(grid_hi - theoretical), np.max(theoretical - grid_lo)))
+    return float(np.max(np.maximum(grid_hi - theoretical, theoretical - grid_lo)))
 
 
 def run_cdf_check(
@@ -485,12 +497,11 @@ def run_scaling_check(
         norm = t ** (p / params.alpha)
         normalized.append(est.mean / norm)
         errors.append(est.std_error / norm)
-    max_sigmas = 0.0
-    for i in range(len(times)):
-        for j in range(i + 1, len(times)):
-            combined = math.hypot(errors[i], errors[j])
-            if combined > 0.0:
-                max_sigmas = max(max_sigmas, abs(normalized[i] - normalized[j]) / combined)
+    i, j = np.triu_indices(len(times), 1)  # every pair of horizons
+    combined = np.array([math.hypot(errors[a], errors[b]) for a, b in zip(i, j)])
+    # np.max passes a NaN through, and a zero combined error gives an infinite distance: both fail.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        max_sigmas = float(np.max(np.abs(np.take(normalized, i) - np.take(normalized, j)) / combined))
     return ScalingCheckReport(
         times=tuple(float(t) for t in times),
         normalized_means=tuple(normalized),
@@ -681,6 +692,16 @@ def _check_blowup_args(alpha: float, thetas: tuple, n_replicates: int, max_level
         if not theta > 0.0:
             raise ValueError(f"theta must be > 0, got {theta}")
         _check_kernel_grid(alpha, SingularKernel(theta, T), grid)
+    # The slopes take logarithms of medians: refuse a level whose factors leave the normal range.
+    log_min = math.log(sys.float_info.min)
+    if math.log(grid.epsilon) / alpha < log_min:
+        raise ValueError(f"grid.levels = {max_level} is too deep at alpha = {alpha:g}: the path "
+                         f"scale epsilon^(1/alpha) underflows at epsilon = {grid.epsilon:g}")
+    coarsest = grid.points[max_level - BLOWUP_MIN_LEVEL]  # epsilon = T * 2^-BLOWUP_MIN_LEVEL
+    theta = max(thetas)
+    if -theta * math.log(coarsest) < log_min:
+        raise ValueError(f"T = {T:g} is too large for theta = {theta:g}: epsilon^-theta "
+                         f"underflows at the coarsest level epsilon = {coarsest:g}")
     return grid
 
 

@@ -37,6 +37,8 @@ _LANCZOS_COEFFS = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+# The relative error frac_moment_quadrature must reach; QUADPACK stops near 3e-12.
+QUADRATURE_REL_TOL = 1e-8
 
 
 def gamma_fn(x: float) -> float:
@@ -97,7 +99,7 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
-def frac_moment_quadrature(q: FracMomentQuery, rel_tol: float = 1e-8) -> float:
+def frac_moment_quadrature(q: FracMomentQuery) -> float:
     """E S_t^p by direct numerical integration of the Laplace transform.
 
     Uses the identity, valid for p in (0, 1) and X >= 0,
@@ -127,9 +129,9 @@ def frac_moment_quadrature(q: FracMomentQuery, rel_tol: float = 1e-8) -> float:
     part2 = integrate.quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=500, full_output=1)
     total = part1[0] + part2[0]
     achieved = (part1[1] + part2[1]) / total if total > 0.0 else math.inf
-    if not achieved <= rel_tol:
+    if not achieved <= QUADRATURE_REL_TOL:
         raise QuadratureError(
-            f"quadrature for {q} reached relative error {achieved:.3e} (target {rel_tol:.1e})",
+            f"quadrature for {q} reached relative error {achieved:.3e} (target {QUADRATURE_REL_TOL:.1e})",
             achieved=achieved,
         )
     # math.gamma rather than gamma_fn keeps this route independent of the

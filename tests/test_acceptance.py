@@ -67,14 +67,14 @@ def test_criterion_02_half_stable_distribution_oracle():
 
 
 def test_criterion_03_fractional_moment_oracle_chain():
-    worst = 0.0
+    differences = []
     for alpha in (0.3, 0.5, 0.7, 0.9):
         for p in (alpha / 4.0, alpha / 2.0, 3.0 * alpha / 4.0):
             for t in (0.25, 1.0, 4.0):
                 query = FracMomentQuery(alpha, p, t)
                 closed = frac_moment_closed_form(query)
-                quad = frac_moment_quadrature(query)
-                worst = max(worst, abs(quad - closed) / closed)
+                differences.append(abs(frac_moment_quadrature(query) - closed) / closed)
+    worst = np.max(differences)  # a NaN cell fails the criterion
     # own substream (cell 3) so this heavy-tailed statistic is drawn
     # independently of the other criteria
     draws = draw_standard_samples(0.5, 1_000_000, SEED, cell=3)
@@ -183,11 +183,12 @@ def test_criterion_09_exact_identities():
     grid = TimeGrid.geometric(1.0, levels=40, q=0.5)
     values = sample_path_values(StableParams(0.5), grid, SeedSpec(SEED, 9), 1000)
     rng = np.random.default_rng(SEED)
-    worst = 0.0
+    discrepancies = []
     for row in values:
         path = SubordinatorPath(grid=grid, values=row)
         theta = 0.05 + 4.0 * rng.random()
-        worst = max(worst, abel_identity_check(path, SingularKernel(theta=theta, T=1.0)))
+        discrepancies.append(abel_identity_check(path, SingularKernel(theta=theta, T=1.0)))
+    worst = np.max(discrepancies)  # a NaN discrepancy fails the criterion
     det = deterministic_path(grid)
     power = stieltjes_bracket(det, SingularKernel(theta=0.5, T=1.0))
     power_ok = power.contains(2.0 * (1.0 - math.sqrt(grid.epsilon)))

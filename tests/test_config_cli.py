@@ -401,6 +401,11 @@ class TestCli:
             ("bound-exp --alpha 0.5 --T 1e-300 --replicates 100", "T"),
             ("bound-theta --alpha 0.5 --theta 0.1 --T 1e-300 --replicates 100", "T"),
             ("blowup --alpha 0.5 --theta 3 --T 1e-300", "T"),
+            # blowup takes logarithms of its medians: (2^-600)^(1/alpha) underflows at the
+            # deepest level, and (T 2^-10)^-theta at the coarsest, so the medians would be 0.
+            ("blowup --alpha 0.5 --theta 1 --grid-levels 600 --replicates 100", "grid.levels"),
+            ("blowup --alpha 0.5 --theta 1 --grid-levels 512 --replicates 100", "grid.levels"),
+            ("blowup --alpha 0.323 --theta 8.87 --T 2.48e83 --grid-levels 200 --replicates 100", "T"),
             ("scaling --alpha 0.5 --times 1e-300 --times 1 --replicates 100", "times"),
             ("scaling --alpha 0.5 --times 1 --times 1e-170 --replicates 100", "times"),
             ('ibp --alpha 0.5 --theta 1 --config {"grid":{"levels":300}}', "Abel probes"),
@@ -479,11 +484,34 @@ class TestCli:
         pattern = rf"error: {key} = 1e\+\d+ [^\n]*\balpha = 0\.5\b[^\n]*\n"
         assert re.fullmatch(pattern, result.output), result.output
 
+    def test_moments_whose_squares_overflow_reduce_finitely(self):
+        # The p-th powers reach 1e160, so their squares leave double range: the
+        # standard errors come from the samples scaled by their largest value.
+        args = "bound-theta --alpha 0.9999 --p 0.9998 --theta 0.001 --T 1e160 --replicates 100"
+        result = CliRunner().invoke(main, args.split())
+        assert result.exit_code == 0, result.output
+        results = json.loads(result.output)["results"]
+        assert all(math.isfinite(value) for value in results.values()), results
+        args = "scaling --alpha 0.9999 --p 0.9998 --times 1e100 --times 1e160 --replicates 100"
+        result = CliRunner().invoke(main, args.split())
+        assert result.exit_code == 0, result.output
+        record = json.loads(result.output)
+        assert [math.isfinite(float(row[2])) for row in record["series"]["scaling"]["rows"]] == [True, True]
+        assert math.isfinite(record["results"]["max_deviation_sigmas"])
+
     def test_smallest_scaling_horizon_that_fits_runs(self):
         # 1e-150^(1/alpha) = 1e-300 is still a normal double.
         args = "scaling --alpha 0.5 --times 1e-150 --times 1 --replicates 1000"
         result = CliRunner().invoke(main, args.split())
         assert result.exit_code == 0, result.output
+
+    def test_deepest_blowup_grid_that_fits_runs(self):
+        # (2^-511)^(1/alpha) = 2^-1022 is the smallest normal double.
+        args = "blowup --alpha 0.5 --theta 1 --grid-levels 511 --replicates 100"
+        result = CliRunner().invoke(main, args.split())
+        assert result.exit_code == 0, result.output
+        results = json.loads(result.output)["results"]
+        assert all(math.isfinite(results[key]) for key in ("fitted_slope", "residual", "lower_sum_slope"))
 
     @pytest.mark.parametrize("args", ["ibp --alpha 0.5 --theta 1", "blowup --alpha 0.5 --theta 3"])
     def test_horizon_and_depth_flags(self, args):

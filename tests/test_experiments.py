@@ -8,6 +8,7 @@ import math
 import multiprocessing
 import os
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,25 @@ class TestMomentEstimate:
     def test_validation(self):
         with pytest.raises(ValueError):
             MomentEstimate.from_samples(np.array([1.0]))
+        for std_error in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match="std_error must be finite and >= 0"):
+                MomentEstimate(mean=1.0, std_error=std_error, n_replicates=10)
+
+    def test_plain_reduction_where_it_fits(self):
+        samples = np.random.default_rng(7).pareto(0.6, 1000)
+        est = MomentEstimate.from_samples(samples)
+        assert est.mean == samples.mean()
+        assert est.std_error == samples.std(ddof=1) / math.sqrt(samples.size)
+
+    def test_squares_past_double_range_are_scaled_first(self):
+        # Squares of 1e160 overflow: the reduction falls back to the samples
+        # divided by their largest magnitude, with no RuntimeWarning.
+        base = np.linspace(1.0, 3.0, 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = MomentEstimate.from_samples(1e160 * base)
+        assert est.mean == pytest.approx(1e160 * base.mean(), rel=1e-14)
+        assert est.std_error == pytest.approx(1e160 * base.std(ddof=1) / 10.0, rel=1e-14)
 
 
 class TestMomentChecks:
@@ -511,9 +531,30 @@ def test_one_process_pool_per_run(monkeypatch, workers, pools):
     args = ["verify-all", "--replicates", "5000", "--workers", str(workers)]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
-    assert started == [workers] * pools
+    assert started == [min(workers, experiments._usable_cpus())] * pools
     assert joined == [True] * pools
     assert multiprocessing.active_children() == []
+
+
+def test_workers_stop_at_the_cpus(monkeypatch):
+    # A forked pool starts all its processes at the first task, so a pool
+    # sized by --workers alone would fork 100 000.  The spy refuses such a
+    # pool before it starts a process.
+    cpus = experiments._usable_cpus()
+    sizes = []
+
+    class CpuBoundPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, max_workers=None, **kwargs):
+            if max_workers > cpus:
+                raise AssertionError(f"a pool of {max_workers} processes on {cpus} CPUs")
+            sizes.append(max_workers)
+            super().__init__(*args, max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CpuBoundPool)
+    result = CliRunner().invoke(main, ["verify-all", "--replicates", "5000", "--workers", "100000"])
+    assert result.exit_code == 0, result.output
+    assert sizes == [cpus]
+    assert json.loads(result.output)["config"]["workers"] == 100_000
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -654,6 +695,38 @@ class TestDistributionChecks:
         assert report.reference == pytest.approx(1.4464090846320771425, rel=1e-12)
         for mean in report.normalized_means:
             assert mean == pytest.approx(report.reference, rel=0.03)
+
+    def test_zero_standard_errors_fail_scaling(self, monkeypatch):
+        # Constant draws give every horizon a zero standard error: a pair of
+        # them has no combined error to measure against, so it fails.
+        monkeypatch.setattr(experiments, "draw_standard_samples", lambda alpha, n, *args: np.ones(n))
+        report = run_scaling_check(StableParams(0.5), 0.25, n_replicates=1000)
+        assert report.std_errors == (0.0, 0.0, 0.0)
+        assert not report.max_deviation_sigmas <= 3.0
+        assert not report.passed
+
+    def test_nan_mean_at_one_horizon_fails_scaling(self, monkeypatch):
+        real = MomentEstimate.from_samples.__func__
+        calls = []
+
+        def from_samples(cls, samples):
+            calls.append(None)
+            est = real(cls, samples)
+            return dataclasses.replace(est, mean=math.nan) if len(calls) == 2 else est
+
+        monkeypatch.setattr(MomentEstimate, "from_samples", classmethod(from_samples))
+        report = run_scaling_check(StableParams(0.5), 0.25, n_replicates=1000)
+        assert math.isnan(report.normalized_means[1])
+        assert math.isnan(report.max_deviation_sigmas)
+        assert not report.passed
+
+    def test_nan_quadrature_cell_fails_oracle_chain(self, monkeypatch):
+        real = reporting.frac_moment_quadrature
+        monkeypatch.setattr(reporting, "frac_moment_quadrature",
+                            lambda q: math.nan if (q.alpha, q.t) == (0.3, 0.25) else real(q))
+        [(verdicts, results, _)] = reporting._oracle_chain_section(1000, 12345)
+        assert math.isnan(results["max_relative_difference"])
+        assert verdicts["quadrature_agrees_closed_form"] == "fail"
 
     def test_scaling_rejects_bad_order_before_sampling(self, monkeypatch):
         def never(*args):

@@ -1,0 +1,68 @@
+"""The refusal contract, as a property: a run is refused before sampling, or
+its record holds only finite numbers and it raises no numerical warning."""
+
+import math
+import warnings
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from stablesub import ConfigError
+from stablesub.config import config_from_mapping
+from stablesub.reporting import run
+from stablesub.subordinator import NonFiniteDrawError
+
+EXPERIMENTS = ("moment_bound_theta", "moment_bound_exp", "blowup", "ibp_consistency", "scaling")
+
+
+@st.composite
+def configs(draw):
+    """A config document of one sampling experiment, with only the keys its run reads."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    alpha = draw(st.floats(0.05, 0.95))
+    payload = {"experiment": experiment, "alpha": alpha, "n_replicates": draw(st.integers(50, 200))}
+    horizon = 10.0 ** draw(st.floats(-150.0, 150.0))
+    if experiment == "scaling":
+        payload["times"] = [horizon, 10.0 ** draw(st.floats(-150.0, 150.0))]
+    else:
+        payload["T"] = horizon
+        payload["grid"] = {"levels": draw(st.integers(1, 600))}
+    if experiment in ("moment_bound_theta", "blowup", "ibp_consistency"):
+        # theta * alpha in [0, 2]: below, at and above the threshold theta = 1/alpha.
+        payload["theta"] = draw(st.floats(0.0, 2.0)) / alpha
+    if experiment != "blowup" and experiment != "ibp_consistency":
+        payload["p"] = alpha * draw(st.floats(0.05, 0.95))
+    if experiment == "moment_bound_exp":
+        payload["lambda"] = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return payload
+
+
+def _numbers(value):
+    """Every float of a record block, however deeply nested."""
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _numbers(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, float):
+        yield value
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(configs())
+# The statistic's medians underflow to 0 at the deepest level of the first and
+# at the coarsest level of the second: both are refused before sampling.
+@example({"experiment": "blowup", "alpha": 0.5, "theta": 1.0, "T": 1.0,
+          "grid": {"levels": 600}, "n_replicates": 100})
+@example({"experiment": "blowup", "alpha": 0.323, "theta": 8.87, "T": 2.48e83,
+          "grid": {"levels": 200}, "n_replicates": 100})
+def test_refused_or_finite(payload):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            record = run(config_from_mapping(payload))
+        except (ConfigError, NonFiniteDrawError):
+            return
+    numbers = list(_numbers([record.results, record.series]))
+    assert all(math.isfinite(number) for number in numbers), record.results

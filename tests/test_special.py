@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from stablesub import special
 from stablesub import (
     FracMomentQuery,
     QuadratureError,
@@ -62,11 +63,20 @@ class TestFracMoment:
         with pytest.raises(ValueError):
             FracMomentQuery(alpha=0.5, p=0.25, t=0.0)
 
-    def test_quadrature_error_carries_achieved_accuracy(self):
-        # QUADPACK stops near 3e-12 relative error; 1e-30 is out of reach.
-        with pytest.raises(QuadratureError, match="reached relative error") as info:
-            frac_moment_quadrature(FracMomentQuery(0.5, 0.25), rel_tol=1e-30)
-        assert 1e-30 < info.value.achieved < 1e-10
+    def test_quadrature_error_carries_achieved_accuracy(self, monkeypatch):
+        # Each half-line part reports an error estimate of 1e-6 of its value,
+        # so the total reaches relative error 1e-6, above QUADRATURE_REL_TOL.
+        real_quad = special.integrate.quad
+
+        def coarse_quad(*args, **kwargs):
+            value, _, *rest = real_quad(*args, **kwargs)
+            return (value, 1e-6 * value, *rest)
+
+        monkeypatch.setattr(special.integrate, "quad", coarse_quad)
+        with pytest.raises(QuadratureError, match="reached relative error 1.000e-06") as info:
+            frac_moment_quadrature(FracMomentQuery(0.5, 0.25))
+        assert info.value.achieved == pytest.approx(1e-6, rel=1e-12)
+        assert info.value.achieved > special.QUADRATURE_REL_TOL
 
     def test_closed_form_reference_cell(self):
         q = FracMomentQuery(0.5, 0.25, 1.0)
