@@ -1,10 +1,11 @@
 """Experiment configuration: parsing, validation, defaults, rendering.
 
-Configs are flat JSON documents with an optional nested "grid" object, parsed
-through one key table, with each experiment's defaults in one table.  The
-parameter rules (alpha in (0, 1), 0 < p < alpha, theta < 1/alpha, ...) are the
-library's own: validation builds the objects a run builds.  Every error names
-the offending key so the CLI can fail actionably.
+Configs are flat JSON documents with an optional nested "grid" object.  Each
+key is declared once, on its field, and each experiment once, as a row of
+_EXPERIMENTS; the CLI is built from both.  The parameter rules (alpha in
+(0, 1), 0 < p < alpha, theta < 1/alpha, ...) are the library's own: validation
+builds the objects a run builds.  Every error names the offending key so the
+CLI can fail actionably.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import experiments
 from .integrals import ExpKernel, SingularKernel
@@ -31,108 +33,11 @@ __all__ = [
 ]
 
 DEFAULT_REPLICATES = 100_000
+_GRID_KINDS = ("geometric", "uniform")
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending key."""
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    """Grid shape: geometric refinement toward 0 by default.
-
-    For geometric grids an explicit epsilon fixes the ratio via
-    q = (epsilon/T)^(1/levels); otherwise epsilon = T * q^levels
-    (T * 2^-40 with the defaults).
-    """
-
-    kind: str = "geometric"
-    levels: int = DEFAULT_GRID_LEVELS
-    q: float = DEFAULT_GRID_Q
-    epsilon: float | None = None
-
-    def build(self, T: float) -> TimeGrid:
-        if self.kind == "uniform":
-            return TimeGrid.uniform(T, self.levels, self.epsilon)
-        if self.epsilon is not None:
-            ratio = (self.epsilon / T) ** (1.0 / self.levels)
-            return TimeGrid.geometric(T, self.levels, ratio)
-        return TimeGrid.geometric(T, self.levels, self.q)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated parameters of one experiment run.
-
-    A rendered config plus the recorded master seed is sufficient to re-run
-    the experiment exactly.
-    """
-
-    experiment: str
-    alpha: float | tuple[float, ...] | None = None
-    theta: float | None = None
-    p: float | None = None
-    lam: float | None = None
-    T: float = 1.0
-    times: tuple[float, ...] | None = None
-    grid: GridConfig = field(default_factory=GridConfig)
-    n_replicates: int = DEFAULT_REPLICATES
-    master_seed: int = DEFAULT_MASTER_SEED
-    workers: int = 1
-    output_path: str | None = None
-
-    def alphas(self) -> tuple[float, ...]:
-        """Alpha grid: a scalar becomes a singleton."""
-        return self.alpha if isinstance(self.alpha, tuple) else (self.alpha,)
-
-    def scalar_alpha(self) -> float:
-        if not isinstance(self.alpha, float):
-            raise ConfigError(f"{self.experiment} requires a scalar alpha")
-        return self.alpha
-
-    def kernel(self) -> SingularKernel | ExpKernel:
-        """The kernel the run integrates: t^(-theta), or e^(-lambda (T - t))."""
-        if self.experiment == "moment_bound_exp":
-            return ExpKernel(lam=self.lam, T=self.T)
-        return SingularKernel(theta=self.theta, T=self.T)
-
-
-def _half_alpha(fields: dict) -> float | None:
-    alpha = fields.get("alpha")
-    return alpha / 2.0 if isinstance(alpha, float) else None
-
-
-_REQUIRED = object()  # a field the experiment cannot run without
-_FIELD = object()  # a field read with its ExperimentConfig or GridConfig default
-_SAMPLING = {"n_replicates": _FIELD, "master_seed": _FIELD, "workers": _FIELD}
-_GRID = {"grid.kind": _FIELD, "grid.levels": _FIELD, "grid.q": _FIELD, "grid.epsilon": _FIELD}
-
-# Per experiment, every config key its run reads besides output_path (a key
-# of the grid object as "grid.<name>"), with the default that fills it when
-# unset (absent or null): _FIELD, _REQUIRED, a value, or a callable of the
-# fields parsed so far.  A key an entry does not list keeps its field default,
-# so a record never echoes a setting its run did not use.  The CLI gives each
-# subcommand one flag per key of its entry.
-_DEFAULTS = {
-    "laplace_check": {"alpha": experiments.LAPLACE_ALPHAS, **_SAMPLING},
-    # alpha = 1/2 is the law under test, not a setting.
-    "cdf_check": _SAMPLING,
-    "scaling": {"alpha": _REQUIRED, "p": _half_alpha, "times": (0.25, 1.0, 4.0), **_SAMPLING},
-    "moment_bound_theta": {"alpha": _REQUIRED, "theta": _REQUIRED, "p": _half_alpha, "T": _FIELD,
-                           **_GRID, **_SAMPLING},
-    # The bounded exponential kernel has no singularity to resolve.
-    "moment_bound_exp": {"alpha": _REQUIRED, "p": _half_alpha, "lambda": 1.0, "T": _FIELD,
-                         **_GRID, "grid.kind": "uniform", **_SAMPLING},
-    # The diagnostic halves its grid down to T * 2^-levels: it reads only the depth.
-    "blowup": {"alpha": _REQUIRED, "theta": _REQUIRED, "T": _FIELD, "grid.levels": 30,
-               **_SAMPLING, "n_replicates": 10_000},
-    # Runs serially: no workers.
-    "ibp_consistency": {"alpha": _REQUIRED, "theta": 0.5, "T": _FIELD, **_GRID,
-                        "n_replicates": 1000, "master_seed": _FIELD},
-    "kernel_classify": {"alpha": _REQUIRED, "theta": _REQUIRED},
-    "verify_all": _SAMPLING,
-}
-EXPERIMENTS = tuple(_DEFAULTS)
 
 
 def _number(value, key: str) -> float:
@@ -169,28 +74,159 @@ def _as_is(value, key: str):
     return value
 
 
-# Config key -> (field name, parser(value, key)), in the order unread keys
-# are reported: the grid's, then T, then the rest.
-_KEYS = {
-    "experiment": ("experiment", _as_is),
-    "grid": ("grid", _object),
-    "T": ("T", _number),
-    "alpha": ("alpha", _numbers),
-    "theta": ("theta", _number),
-    "p": ("p", _number),
-    "lambda": ("lam", _number),
-    "times": ("times", _times),
-    "n_replicates": ("n_replicates", _integer),
-    "master_seed": ("master_seed", _integer),
-    "workers": ("workers", _integer),
-    "output_path": ("output_path", _as_is),
-}
-_GRID_KEYS = {
-    "kind": ("kind", _as_is),
-    "levels": ("levels", _integer),
-    "q": ("q", _number),
-    "epsilon": ("epsilon", _number),
-}
+def _key(default=dataclasses.MISSING, *, parse, help="", flag=None, choices=None, key=None, **kwargs):
+    """A field that is a config key (named `key` where not the field's name),
+    parsed by `parse(value, key)`.  A key with `help` is a setting: the CLI
+    gives it the flag `flag`, or else --<key> (a grid key as --grid-<name>)."""
+    metadata = {"parse": parse, "help": help, "flag": flag, "choices": choices, "key": key}
+    return field(default=default, metadata=metadata, **kwargs)
+
+
+@dataclass(frozen=True)
+class GridConfig:
+    """Grid shape: geometric refinement toward 0 by default.
+
+    For geometric grids an explicit epsilon fixes the ratio via
+    q = (epsilon/T)^(1/levels); otherwise epsilon = T * q^levels
+    (T * 2^-40 with the defaults).
+    """
+
+    kind: str = _key("geometric", parse=_as_is, help="Grid kind.", choices=_GRID_KINDS)
+    levels: int = _key(DEFAULT_GRID_LEVELS, parse=_integer, help="Number of grid cells.")
+    q: float = _key(DEFAULT_GRID_Q, parse=_number, help="Ratio of a geometric grid.")
+    epsilon: float | None = _key(None, parse=_number, help="First grid point.")
+
+    def build(self, T: float) -> TimeGrid:
+        if self.kind == "uniform":
+            return TimeGrid.uniform(T, self.levels, self.epsilon)
+        if self.epsilon is not None:
+            ratio = (self.epsilon / T) ** (1.0 / self.levels)
+            return TimeGrid.geometric(T, self.levels, ratio)
+        return TimeGrid.geometric(T, self.levels, self.q)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Validated parameters of one experiment run.
+
+    A rendered config plus the recorded master seed is sufficient to re-run
+    the experiment exactly.  The fields come in the order their unread
+    settings are reported, after the grid's: T, then the rest.
+    """
+
+    experiment: str = _key(parse=_as_is)
+    T: float = _key(1.0, parse=_number, help="Horizon T: the grid ends there.")
+    alpha: float | tuple[float, ...] | None = _key(None, parse=_numbers, help="Stability index.")
+    theta: float | None = _key(None, parse=_number, help="Kernel exponent.")
+    p: float | None = _key(None, parse=_number, help="Moment order.")
+    lam: float | None = _key(None, parse=_number, key="lambda",
+                             help="Rate of the kernel e^(-lambda (T - t)).")
+    times: tuple[float, ...] | None = _key(None, parse=_times, help="Horizon t of S_t.")
+    grid: GridConfig = _key(parse=_object, default_factory=GridConfig)
+    n_replicates: int = _key(DEFAULT_REPLICATES, parse=_integer, flag="--replicates", help="Replicate count.")
+    master_seed: int = _key(DEFAULT_MASTER_SEED, parse=_integer, flag="--seed", help="Master seed.")
+    workers: int = _key(1, parse=_integer, help="Parallel worker processes, at most one per usable CPU.")
+    output_path: str | None = _key(None, parse=_as_is)
+
+    def alphas(self) -> tuple[float, ...]:
+        """Alpha grid: a scalar becomes a singleton."""
+        return self.alpha if isinstance(self.alpha, tuple) else (self.alpha,)
+
+    def scalar_alpha(self) -> float:
+        if not isinstance(self.alpha, float):
+            raise ConfigError(f"{self.experiment} requires a scalar alpha")
+        return self.alpha
+
+    def kernel(self) -> SingularKernel | ExpKernel:
+        """The kernel the run integrates: t^(-theta), or e^(-lambda (T - t))."""
+        if self.experiment == "moment_bound_exp":
+            return ExpKernel(lam=self.lam, T=self.T)
+        return SingularKernel(theta=self.theta, T=self.T)
+
+
+# Config key -> field; a key of the grid object as "grid.<name>".
+_KEYS = {spec.metadata["key"] or spec.name: spec for spec in dataclasses.fields(ExperimentConfig)}
+_GRID_KEYS = {"grid." + spec.name: spec for spec in dataclasses.fields(GridConfig)}
+# Every setting, in the order unread ones are reported: the grid's, then T, then the rest.
+_SETTINGS = {key: spec for key, spec in {**_GRID_KEYS, **_KEYS}.items() if spec.metadata["help"]}
+
+
+def _half_alpha(fields: dict) -> float | None:
+    alpha = fields.get("alpha")
+    return alpha / 2.0 if isinstance(alpha, float) else None
+
+
+class _Experiment(NamedTuple):
+    """One experiment: its subcommand and that command's help; every key its
+    run reads besides output_path (a grid key as "grid.<name>"), with the
+    default that fills it when unset (absent or null): _FIELD, _REQUIRED, a
+    value, or a callable of the fields parsed so far; and the check that
+    refuses before any draw what the run refuses, given the config and its
+    grid (built if the run reads a grid key).  A key the row does not list
+    keeps its field default, so a record never echoes a setting its run did
+    not use."""
+
+    name: str
+    command: str
+    summary: str
+    reads: dict
+    check: Callable[[ExperimentConfig, TimeGrid | GridConfig], object]
+
+
+_REQUIRED = object()  # a field the experiment cannot run without
+_FIELD = object()  # a field read with its ExperimentConfig or GridConfig default
+_SAMPLING = {"n_replicates": _FIELD, "master_seed": _FIELD, "workers": _FIELD}
+_GRID = {"grid.kind": _FIELD, "grid.levels": _FIELD, "grid.q": _FIELD, "grid.epsilon": _FIELD}
+
+_EXPERIMENTS = {row.name: row for row in (
+    _Experiment("laplace_check", "laplace",
+                "Laplace-transform fidelity of the sampler over an (alpha, lambda) grid.",
+                {"alpha": experiments.LAPLACE_ALPHAS, **_SAMPLING},
+                lambda config, grid: experiments._check_laplace_args(config.alphas(), config.n_replicates)),
+    # alpha = 1/2 is the law under test, not a setting.
+    _Experiment("cdf_check", "cdf",
+                "Kolmogorov-Smirnov check of alpha = 1/2 draws against the closed-form CDF.",
+                _SAMPLING, lambda config, grid: experiments._check_cdf_args(config.n_replicates)),
+    _Experiment("scaling", "scaling",
+                "Self-similarity collapse of normalized fractional moments across horizons.",
+                {"alpha": _REQUIRED, "p": _half_alpha, "times": (0.25, 1.0, 4.0), **_SAMPLING},
+                lambda config, grid: experiments._check_scaling_args(config.alpha, config.p, config.times)),
+    _Experiment("moment_bound_theta", "bound-theta",
+                "Power-kernel moment bound check: MC mean of the bracketed integral^p vs bound.",
+                {"alpha": _REQUIRED, "theta": _REQUIRED, "p": _half_alpha, "T": _FIELD, **_GRID, **_SAMPLING},
+                lambda config, grid: experiments._moment_cell(StableParams(config.alpha), config.kernel(),
+                                                              config.p, grid)),
+    # The bounded exponential kernel has no singularity to resolve.
+    _Experiment("moment_bound_exp", "bound-exp",
+                "Exponential-kernel moment bound check (kernel e^(-lambda (T-t))).",
+                {"alpha": _REQUIRED, "p": _half_alpha, "lambda": 1.0, "T": _FIELD,
+                 **_GRID, "grid.kind": "uniform", **_SAMPLING},
+                lambda config, grid: experiments._moment_cell(StableParams(config.alpha), config.kernel(),
+                                                              config.p, grid)),
+    # The diagnostic halves its grid down to T * 2^-levels: it reads only the depth.
+    _Experiment("blowup", "blowup", "Blow-up diagnostic: log-log slope of scaled near-origin medians.",
+                {"alpha": _REQUIRED, "theta": _REQUIRED, "T": _FIELD, "grid.levels": 30,
+                 **_SAMPLING, "n_replicates": 10_000},
+                lambda config, grid: experiments._check_blowup_args(
+                    StableParams(config.alpha).alpha, (config.theta,), config.n_replicates,
+                    config.grid.levels, config.T)),
+    # Runs serially: no workers.
+    _Experiment("ibp_consistency", "ibp",
+                "Dual-route bracket consistency and exact summation-by-parts identity.",
+                {"alpha": _REQUIRED, "theta": 0.5, "T": _FIELD, **_GRID,
+                 "n_replicates": 1000, "master_seed": _FIELD},
+                lambda config, grid: experiments._check_ibp_grid(StableParams(config.alpha).alpha,
+                                                                 config.kernel(), grid)),
+    _Experiment("kernel_classify", "classify",
+                "Analytic short-time classification of S_t against the power t^c, c = --theta.",
+                {"alpha": _REQUIRED, "theta": _REQUIRED},
+                lambda config, grid: experiments.classify_power_kernel(config.alpha, config.theta)),
+    # verify-all runs cdf_check, so it takes that check.
+    _Experiment("verify_all", "verify-all",
+                "Run the full acceptance grid; nonzero exit if any verdict fails.",
+                _SAMPLING, lambda config, grid: experiments._check_cdf_args(config.n_replicates)),
+)}
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def parse_document(text: str) -> dict:
@@ -216,7 +252,7 @@ def config_from_mapping(payload: dict) -> ExperimentConfig:
         raise ConfigError("missing required field: experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {', '.join(EXPERIMENTS)}; got {experiment!r}")
-    defaults = _DEFAULTS[experiment]
+    defaults = _EXPERIMENTS[experiment].reads
     fields = _fields(payload, _KEYS, defaults, "")
     fields["grid"] = GridConfig(**_fields(fields.get("grid", {}), _GRID_KEYS, defaults, "grid."))
     config = ExperimentConfig(**fields)
@@ -225,28 +261,28 @@ def config_from_mapping(payload: dict) -> ExperimentConfig:
 
 
 def _fields(payload: dict, keys: dict, defaults: dict, prefix: str) -> dict:
-    """Field values parsed through a key table, unset ones (absent or null)
-    filled from `defaults` (keyed by config key, each key of the table
-    prefixed by `prefix`)."""
+    """Field values of `payload` parsed through `keys` (config key -> field,
+    each key prefixed by `prefix`), unset ones (absent or null) filled from
+    `defaults` (keyed by config key)."""
     fields = {}
     for key, value in payload.items():
-        if key not in keys:
+        if prefix + key not in keys:
             raise ConfigError(f"unknown key: {prefix}{key!r}")
         if value is not None:
-            name, parse = keys[key]
-            fields[name] = parse(value, prefix + key)
-    for key, (name, _) in keys.items():
-        default = defaults.get(prefix + key, _FIELD)
-        if name not in fields and default is not _FIELD:
+            spec = keys[prefix + key]
+            fields[spec.name] = spec.metadata["parse"](value, prefix + key)
+    for key, spec in keys.items():
+        default = defaults.get(key, _FIELD)
+        if spec.name not in fields and default is not _FIELD:
             if default is _REQUIRED:
-                raise ConfigError(f"missing required field: {prefix}{key}")
-            fields[name] = default(fields) if callable(default) else default
+                raise ConfigError(f"missing required field: {key}")
+            fields[spec.name] = default(fields) if callable(default) else default
     return fields
 
 
 def default_replicates(experiment: str) -> int:
     """The replicate count a run of `experiment` takes when none is set."""
-    default = _DEFAULTS[experiment].get("n_replicates", _FIELD)
+    default = _EXPERIMENTS[experiment].reads.get("n_replicates", _FIELD)
     return ExperimentConfig.n_replicates if default is _FIELD else default
 
 
@@ -262,8 +298,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("workers must be >= 1")
 
     grid = config.grid
-    if grid.kind not in ("geometric", "uniform"):
-        raise ConfigError(f"grid.kind must be 'geometric' or 'uniform', got {grid.kind!r}")
+    if grid.kind not in _GRID_KINDS:
+        raise ConfigError(f"grid.kind must be {' or '.join(map(repr, _GRID_KINDS))}, got {grid.kind!r}")
     if grid.levels < 1:
         raise ConfigError("grid.levels must be >= 1")
     if not 0.0 < grid.q < 1.0:
@@ -271,20 +307,17 @@ def validate_config(config: ExperimentConfig) -> None:
     if grid.epsilon is not None and not 0.0 < grid.epsilon < config.T:
         raise ConfigError("grid.epsilon must lie in (0, T)")
 
-    exp = config.experiment
-    reads = _DEFAULTS[exp]  # every other key must keep its default
-    unread = [(f"grid.{key}", grid, name) for key, (name, _) in _GRID_KEYS.items()]
-    unread += [(key, config, name) for key, (name, _) in _KEYS.items()
-               if key not in ("experiment", "grid", "output_path")]
-    for key, owner, name in unread:
-        if key not in reads and getattr(owner, name) != getattr(type(owner), name):
-            raise ConfigError(f"{key} must keep its default for {exp}, got {getattr(owner, name)!r}")
-    if "alpha" in reads and not isinstance(reads["alpha"], tuple):
+    row = _EXPERIMENTS[config.experiment]
+    for key, spec in _SETTINGS.items():  # a setting the run does not read keeps its default
+        value = getattr(grid if key in _GRID_KEYS else config, spec.name)
+        if key not in row.reads and value != spec.default:
+            raise ConfigError(f"{key} must keep its default for {row.name}, got {value!r}")
+    if "alpha" in row.reads and not isinstance(row.reads["alpha"], tuple):
         config.scalar_alpha()
     if grid.q != GridConfig().q and (grid.kind == "uniform" or grid.epsilon is not None):
         # Only a geometric grid without an explicit epsilon reads its ratio.
         raise ConfigError(f"grid.q is read only by a geometric grid without grid.epsilon, got {grid.q!r}")
-    if any(key.startswith("grid.") for key in reads):
+    if any(key in _GRID_KEYS for key in row.reads):
         try:
             grid = grid.build(config.T)
         except ValueError as exc:
@@ -292,23 +325,7 @@ def validate_config(config: ExperimentConfig) -> None:
 
     try:  # build what the run builds, or run the argument checks of its experiment
         SeedSpec(config.master_seed)
-        if exp == "laplace_check":
-            experiments._check_laplace_args(config.alphas(), config.n_replicates)
-        elif exp == "scaling":
-            experiments._check_scaling_args(config.alpha, config.p, config.times)
-        elif exp in ("moment_bound_theta", "moment_bound_exp"):
-            experiments._moment_cell(StableParams(config.alpha), config.kernel(), config.p, grid)
-        elif exp in ("cdf_check", "verify_all"):  # verify-all runs cdf_check
-            experiments._check_cdf_args(config.n_replicates)
-        elif exp == "blowup":
-            StableParams(config.alpha)
-            experiments._check_blowup_args(config.alpha, (config.theta,), config.n_replicates,
-                                          config.grid.levels, config.T)
-        elif exp == "ibp_consistency":
-            StableParams(config.alpha)
-            experiments._check_ibp_grid(config.alpha, config.kernel(), grid)
-        elif exp == "kernel_classify":
-            experiments.classify_power_kernel(config.alpha, config.theta)
+        row.check(config, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

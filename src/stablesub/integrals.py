@@ -289,8 +289,11 @@ def abel_identity_check(path: SubordinatorPath, kernel: SingularKernel) -> float
 
     sum f(t_i) dS_i + sum S_{t_{i+1}} df_i telescopes to f(T) S_T -
     f(epsilon) S_epsilon exactly; anything beyond rounding noise indicates an
-    indexing bug.  Returns |defect| / (sum of term magnitudes).
+    indexing bug.  Returns |defect| / (sum of term magnitudes).  Refuses what
+    ibp_estimate refuses: its terms too leave double range with epsilon^(-theta).
     """
+    _check_horizon(path.grid, kernel.T)
+    _check_double_range(kernel, path.grid.epsilon)
     rows = _abel_discrepancies(path.grid.points, path.values[None, :], np.array([kernel.theta]))
     return float(rows[0])
 

@@ -9,10 +9,12 @@ import pytest
 from click.testing import CliRunner
 
 import stablesub.experiments as experiments
+import stablesub.reporting as reporting
 import stablesub.subordinator as subordinator
 from stablesub import ConfigError, parse_config, render_config
 from stablesub.cli import main
-from stablesub.config import config_from_mapping
+from stablesub.config import _EXPERIMENTS, _GRID_KEYS, _KEYS, EXPERIMENTS, config_from_mapping
+from stablesub.config import __all__ as config_all
 from stablesub.reporting import ResultRecord, comparable_record_json, record_to_json
 
 
@@ -200,6 +202,25 @@ class TestParseConfig:
     def test_workers_floor(self):
         with pytest.raises(ConfigError, match="workers must be >= 1"):
             config_from_mapping({"experiment": "cdf_check", "workers": 0})
+
+
+class TestTables:
+    """Each key is declared on its field and each experiment as one row; the
+    CLI and the report builders are generated from or checked against them."""
+
+    def test_every_key_a_row_reads_is_a_field_with_parser_and_help(self):
+        fields = {**_GRID_KEYS, **_KEYS}
+        for row in _EXPERIMENTS.values():
+            for key in row.reads:
+                assert callable(fields[key].metadata["parse"]), (row.name, key)
+                assert fields[key].metadata["help"], (row.name, key)
+
+    def test_rows_and_builders_name_the_same_experiments(self):
+        assert set(_EXPERIMENTS) == set(reporting._BUILDERS)
+
+    def test_experiments_is_the_public_tuple_of_names(self):
+        assert "EXPERIMENTS" in config_all
+        assert EXPERIMENTS == tuple(_READS) == tuple(_EXPERIMENTS)
 
 
 class TestRecordJson:

@@ -2,9 +2,12 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stablesub import (
     ExpKernel,
@@ -23,6 +26,7 @@ from stablesub import (
     stieltjes_bracket,
 )
 from stablesub.integrals import (
+    LOG_SPACE_THRESHOLD,
     IntegralBracket,
     _abel_discrepancies,
     _brackets_meet,
@@ -357,3 +361,56 @@ class TestDyadicBlocks:
         infinite = moment * 2.0 ** (theta * p) / (1.0 - 2.0 ** (p * (theta - 1.0 / alpha)))
         assert abs(mean - truncated) <= 4.0 * se
         assert mean - 3.0 * se <= infinite
+
+
+# --------------------------------------------------------------------------
+# The per-path estimators as a property: on every path the sampler builds,
+# each one answers, or refuses by name where epsilon^(-theta) leaves double
+# range (only stieltjes_bracket has a log-space form).  T spans 1e-3..1e3;
+# far smaller horizons push path values into subnormals, where the 1e-10
+# Abel tolerance is not pinned.
+
+FENCE = re.escape(f"theta * |ln(grid epsilon)| must be <= {LOG_SPACE_THRESHOLD:g}")
+
+
+@st.composite
+def path_cases(draw):
+    """(alpha, theta in [0, 1/alpha), lambda, grid, seed) of one path and its kernels."""
+    alpha = draw(st.floats(0.05, 0.95))
+    theta = draw(st.floats(0.0, 1.0, exclude_max=True)) / alpha
+    lam = 10.0 ** draw(st.floats(-3.0, 3.0))
+    T, levels = 10.0 ** draw(st.floats(-3.0, 3.0)), draw(st.integers(1, 1000))
+    geometric = draw(st.booleans())
+    grid = TimeGrid.geometric(T, levels) if geometric else TimeGrid.uniform(T, levels)
+    return alpha, theta, lam, grid, SeedSpec(draw(st.integers(0, 2**32)), 0)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(path_cases())
+# theta |ln epsilon| ~ 1040: abel_identity_check once returned nan here.
+@example((0.5, 1.5, 1.0, TimeGrid.geometric(1.0, 1000), SeedSpec(7, 0)))
+def test_per_path_estimators_answer_or_refuse_by_name(case):
+    alpha, theta, lam, grid, seed = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = sample_path(StableParams(alpha), grid, seed)
+        power = SingularKernel(theta, grid.T)
+        for kernel in (power, ExpKernel(lam, grid.T)):
+            bracket = stieltjes_bracket(path, kernel)
+            assert bracket.log_scale == kernel.needs_log_space(grid.epsilon)
+            assert math.isfinite(bracket.lower) and bracket.lower <= bracket.upper < math.inf
+        if power.needs_log_space(grid.epsilon):
+            for estimator in (ibp_estimate, abel_identity_check):
+                with pytest.raises(ValueError, match=FENCE):
+                    estimator(path, power)
+        else:
+            via_parts = ibp_estimate(path, power)
+            assert math.isfinite(via_parts.lower) and via_parts.lower <= via_parts.upper < math.inf
+            assert abel_identity_check(path, power) <= 1e-10
+
+
+@pytest.mark.xfail(strict=True, reason="the discrepancy's scale counts the boundary term after its "
+                   "cancellation, so rounding in f(T) S_T - f(epsilon) S_epsilon reads as a defect")
+def test_abel_discrepancy_at_tiny_theta_is_rounding_noise():
+    path = sample_path(StableParams(0.0625), TimeGrid.geometric(1.0, 1), SeedSpec(0, 0))
+    assert abel_identity_check(path, SingularKernel(1.6e-8, 1.0)) <= 1e-10

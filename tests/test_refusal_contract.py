@@ -1,9 +1,12 @@
 """The refusal contract, as a property: a run is refused before sampling, or
-its record holds only finite numbers and it raises no numerical warning."""
+its record holds only finite numbers and it raises no numerical warning.  A
+default run meets no floating-point exception at all, underflow included."""
 
 import math
 import warnings
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -66,3 +69,24 @@ def test_refused_or_finite(payload):
             return
     numbers = list(_numbers([record.results, record.series]))
     assert all(math.isfinite(number) for number in numbers), record.results
+
+
+# Each subcommand's default run, given its required keys, at a small replicate count.
+DEFAULT_RUNS = [
+    {"experiment": "laplace_check", "n_replicates": 2000},
+    {"experiment": "cdf_check", "n_replicates": 2000},
+    {"experiment": "scaling", "alpha": 0.5, "n_replicates": 2000},
+    {"experiment": "moment_bound_theta", "alpha": 0.5, "theta": 1.0, "n_replicates": 2000},
+    {"experiment": "moment_bound_exp", "alpha": 0.5, "n_replicates": 2000},
+    {"experiment": "blowup", "alpha": 0.5, "theta": 3.0, "n_replicates": 2000},
+    {"experiment": "ibp_consistency", "alpha": 0.5},
+    {"experiment": "kernel_classify", "alpha": 0.5, "theta": 2.0},
+    {"experiment": "verify_all", "n_replicates": 3000, "workers": 1},
+]
+
+
+@pytest.mark.parametrize("payload", DEFAULT_RUNS, ids=[run["experiment"] for run in DEFAULT_RUNS])
+def test_default_run_raises_no_floating_point_exception(payload):
+    with np.errstate(all="raise"):
+        record = run(config_from_mapping(payload))
+    assert record.passed
