@@ -132,14 +132,9 @@ class ExperimentConfig:
         """Alpha grid: a scalar becomes a singleton."""
         return self.alpha if isinstance(self.alpha, tuple) else (self.alpha,)
 
-    def scalar_alpha(self) -> float:
-        if not isinstance(self.alpha, float):
-            raise ConfigError(f"{self.experiment} requires a scalar alpha")
-        return self.alpha
-
     def kernel(self) -> SingularKernel | ExpKernel:
-        """The kernel the run integrates: t^(-theta), or e^(-lambda (T - t))."""
-        if self.experiment == "moment_bound_exp":
+        """The kernel the run integrates: e^(-lambda (T - t)) if lambda is set, else t^(-theta)."""
+        if self.lam is not None:
             return ExpKernel(lam=self.lam, T=self.T)
         return SingularKernel(theta=self.theta, T=self.T)
 
@@ -154,6 +149,10 @@ _SETTINGS = {key: spec for key, spec in {**_GRID_KEYS, **_KEYS}.items() if spec.
 def _half_alpha(fields: dict) -> float | None:
     alpha = fields.get("alpha")
     return alpha / 2.0 if isinstance(alpha, float) else None
+
+
+def _check_moment(config: ExperimentConfig, grid: TimeGrid) -> None:
+    experiments._moment_cell(StableParams(config.alpha), config.kernel(), config.p, grid)
 
 
 class _Experiment(NamedTuple):
@@ -194,15 +193,13 @@ _EXPERIMENTS = {row.name: row for row in (
     _Experiment("moment_bound_theta", "bound-theta",
                 "Power-kernel moment bound check: MC mean of the bracketed integral^p vs bound.",
                 {"alpha": _REQUIRED, "theta": _REQUIRED, "p": _half_alpha, "T": _FIELD, **_GRID, **_SAMPLING},
-                lambda config, grid: experiments._moment_cell(StableParams(config.alpha), config.kernel(),
-                                                              config.p, grid)),
+                _check_moment),
     # The bounded exponential kernel has no singularity to resolve.
     _Experiment("moment_bound_exp", "bound-exp",
                 "Exponential-kernel moment bound check (kernel e^(-lambda (T-t))).",
                 {"alpha": _REQUIRED, "p": _half_alpha, "lambda": 1.0, "T": _FIELD,
                  **_GRID, "grid.kind": "uniform", **_SAMPLING},
-                lambda config, grid: experiments._moment_cell(StableParams(config.alpha), config.kernel(),
-                                                              config.p, grid)),
+                _check_moment),
     # The diagnostic halves its grid down to T * 2^-levels: it reads only the depth.
     _Experiment("blowup", "blowup", "Blow-up diagnostic: log-log slope of scaled near-origin medians.",
                 {"alpha": _REQUIRED, "theta": _REQUIRED, "T": _FIELD, "grid.levels": 30,
@@ -312,8 +309,8 @@ def validate_config(config: ExperimentConfig) -> None:
         value = getattr(grid if key in _GRID_KEYS else config, spec.name)
         if key not in row.reads and value != spec.default:
             raise ConfigError(f"{key} must keep its default for {row.name}, got {value!r}")
-    if "alpha" in row.reads and not isinstance(row.reads["alpha"], tuple):
-        config.scalar_alpha()
+    if isinstance(config.alpha, tuple) and not isinstance(row.reads["alpha"], tuple):  # a grid of alphas
+        raise ConfigError(f"{row.name} requires a scalar alpha")
     if grid.q != GridConfig().q and (grid.kind == "uniform" or grid.epsilon is not None):
         # Only a geometric grid without an explicit epsilon reads its ratio.
         raise ConfigError(f"grid.q is read only by a geometric grid without grid.epsilon, got {grid.q!r}")
@@ -332,6 +329,5 @@ def validate_config(config: ExperimentConfig) -> None:
 
 def render_config(config: ExperimentConfig) -> str:
     """Canonical JSON rendering; parse_config(render_config(c)) == c."""
-    payload = dataclasses.asdict(config)
-    payload["lambda"] = payload.pop("lam")
-    return json.dumps(payload, sort_keys=True, indent=2)
+    fields = dataclasses.asdict(config)
+    return json.dumps({key: fields[spec.name] for key, spec in _KEYS.items()}, sort_keys=True, indent=2)

@@ -281,14 +281,14 @@ def _worker_pool(workers: int):
     """Run every _pool_map call inside the block on `workers` processes.
 
     One process pool, of at most one process per usable CPU, is built on entry
-    (none for a single worker: the tasks run serially) and shut down, its
-    workers joined, on exit.
+    (none where that leaves one process: the tasks run serially) and shut
+    down, its workers joined, on exit.
     """
     global _RUN_POOL
     outer = _RUN_POOL
     size = min(workers, _usable_cpus())
     with (ProcessPoolExecutor(max_workers=size, initializer=_forget_run_pool)
-          if workers > 1 else contextlib.nullcontext()) as pool:
+          if size > 1 else contextlib.nullcontext()) as pool:
         _RUN_POOL = None if pool is None else (size, pool)
         try:
             yield
@@ -339,9 +339,9 @@ def _moment_sums(jobs: tuple, seed: SeedSpec, count: int) -> np.ndarray:
 
     The batch draws (U, W) once; then, CHUNK_ROWS rows at a time, kanter_draws
     makes every alpha's standard draws from one set of sines, and each job
-    brackets its alpha's paths on its grid, assembling them only when its
-    (alpha, grid) differs from the previous job's.  Returns sums[k, side, row]:
-    k counts the jobs, side 0 is the lower sum and side 1 the upper.
+    brackets its alpha's paths on its grid, assembled once per (alpha, grid).
+    Returns sums[k, side, row]: k counts the jobs, side 0 is the lower sum
+    and side 1 the upper.
     """
     u, w = kanter_inputs(seed, (count, len(jobs[0][1])))
     alphas = list(dict.fromkeys(alpha for alpha, _, _ in jobs))
@@ -351,12 +351,11 @@ def _moment_sums(jobs: tuple, seed: SeedSpec, count: int) -> np.ndarray:
         for start in range(0, count, CHUNK_ROWS):
             rows = slice(start, start + CHUNK_ROWS)
             draws = dict(zip(alphas, kanter_draws(alphas, u[rows], w[rows])))
-            assembled = None
+            increments = {}  # (alpha, grid) -> the chunk's path increments
             for k, (alpha, grid, kernel) in enumerate(jobs):
-                if assembled != (alpha, grid):
-                    assembled = (alpha, grid)
-                    increments = np.diff(_assemble_paths(draws[alpha], grid, alpha), axis=1)
-                sums[k, :, rows] = kernel.bracket_sums(grid.points, increments)
+                if (alpha, grid) not in increments:
+                    increments[alpha, grid] = np.diff(_assemble_paths(draws[alpha], grid, alpha), axis=1)
+                sums[k, :, rows] = kernel.bracket_sums(grid.points, increments[alpha, grid])
     finite = np.isfinite(sums).all(axis=1)  # [k, row]
     if not finite.all():
         k = int(np.argmin(finite.all(axis=1)))
@@ -548,14 +547,11 @@ def run_moment_checks(
         passes.setdefault(len(grid), {}).setdefault((alpha, grid, kernel), []).append(index)
     reports: list = [None] * len(prepared)
     for members in passes.values():
-        # Jobs grouped by (alpha, grid) in first-appearance order: one path per group.
-        groups = list(dict.fromkeys(job[:2] for job in members))
-        jobs = tuple(sorted(members, key=lambda job: groups.index(job[:2])))
-        parts = _sample_batches(functools.partial(_moment_sums, jobs), n_replicates, master_seed, 0)
-        for k, job in enumerate(jobs):
+        parts = _sample_batches(functools.partial(_moment_sums, tuple(members)), n_replicates, master_seed, 0)
+        for k, indices in enumerate(members.values()):
             lower = np.concatenate([part[k, 0] for part in parts])
             upper = np.concatenate([part[k, 1] for part in parts])
-            for index in members[job]:
+            for index in indices:
                 _, _, _, p, bound = prepared[index]
                 reports[index] = _bound_report(lower, upper, p, bound)
         del parts

@@ -204,7 +204,7 @@ def _build_cdf(config: ExperimentConfig):
 
 
 def _build_scaling(config: ExperimentConfig):
-    params = StableParams(config.scalar_alpha())
+    params = StableParams(config.alpha)
     report = run_scaling_check(params, p=config.p, times=config.times, **_sampling(config))
     columns = ["t", "normalized_moment", "std_error"]
     return (
@@ -215,7 +215,7 @@ def _build_scaling(config: ExperimentConfig):
 
 
 def _build_bound(config: ExperimentConfig):
-    params = StableParams(config.scalar_alpha())
+    params = StableParams(config.alpha)
     grid = config.grid.build(config.T)
     report = run_moment_checks([(params, config.kernel(), config.p, grid)], **_sampling(config))[0]
     results = {
@@ -231,7 +231,7 @@ def _build_bound(config: ExperimentConfig):
 
 def _build_blowup(config: ExperimentConfig):
     report = run_blowup_diagnostics(
-        StableParams(config.scalar_alpha()), (config.theta,), T=config.T,
+        StableParams(config.alpha), (config.theta,), T=config.T,
         max_level=config.grid.levels, **_sampling(config),
     )[0]
     results = {
@@ -261,7 +261,7 @@ def _build_blowup(config: ExperimentConfig):
 
 def _build_ibp(config: ExperimentConfig):
     report = run_ibp_consistency(
-        StableParams(config.scalar_alpha()), theta=config.theta, T=config.T,
+        StableParams(config.alpha), theta=config.theta, T=config.T,
         n_paths=config.n_replicates, master_seed=config.master_seed,
         grid=config.grid.build(config.T),
     )
@@ -282,7 +282,7 @@ def _build_ibp(config: ExperimentConfig):
 
 
 def _build_classify(config: ExperimentConfig):
-    label = classify_power_kernel(config.scalar_alpha(), config.theta)
+    label = classify_power_kernel(config.alpha, config.theta)
     return {}, {"classification": label}, {}
 
 
@@ -291,7 +291,8 @@ def _build_classify(config: ExperimentConfig):
 # A section maps (replicate cap, seed) to one triple per name; it is a
 # module-level function or a partial of one, so it pickles as a pool task.
 # Each section runs its experiment at the smaller of the cap and that
-# experiment's own default count.
+# experiment's own default count, with two exceptions: the blowup sections
+# draw at least 100 paths, and the oracle chain draws min(1 000 000, 10 x cap).
 
 
 def _experiment_section(experiment: str, keys: dict, cap, seed):

@@ -15,6 +15,7 @@ from stablesub import ConfigError, parse_config, render_config
 from stablesub.cli import main
 from stablesub.config import _EXPERIMENTS, _GRID_KEYS, _KEYS, EXPERIMENTS, config_from_mapping
 from stablesub.config import __all__ as config_all
+from stablesub.integrals import ExpKernel, SingularKernel
 from stablesub.reporting import ResultRecord, comparable_record_json, record_to_json
 
 
@@ -126,6 +127,16 @@ class TestParseConfig:
         config = parse_config('{"experiment": "scaling", "alpha": 0.6}')
         assert config.p == 0.3  # alpha / 2 default
         assert config.times == (0.25, 1.0, 4.0)
+
+    def test_kernel_follows_lambda(self):
+        # Only bound-exp reads lambda (default 1); every other run keeps it unset.
+        config = parse_config('{"experiment": "moment_bound_exp", "alpha": 0.5, "T": 3.0}')
+        assert config.kernel() == ExpKernel(lam=1.0, T=3.0)
+        for document in ('{"experiment": "moment_bound_theta", "alpha": 0.5, "theta": 1.2}',
+                         '{"experiment": "ibp_consistency", "alpha": 0.5}'):
+            config = parse_config(document)
+            assert config.lam is None
+            assert config.kernel() == SingularKernel(theta=config.theta, T=1.0)
 
     def test_round_trip(self):
         documents = [
@@ -397,6 +408,15 @@ class TestCli:
             ('bound-theta --alpha 0.5 --theta 1 --config {"lambda":2.0}', "lambda"),
             ('bound-exp --alpha 0.5 --config {"theta":1.0}', "theta"),
             ('blowup --alpha 0.5 --theta 3 --config {"times":[2.0]}', "times"),
+            # Only bound-exp reads lambda, so only its kernel is e^(-lambda (T - t)).
+            ('ibp --alpha 0.5 --config {"lambda":2.0}', "lambda"),
+            # Every experiment but laplace takes one alpha.
+            ('scaling --config {"alpha":[0.3,0.5]}', "alpha"),
+            ('bound-theta --theta 1 --config {"alpha":[0.3,0.5]}', "alpha"),
+            ('bound-exp --config {"alpha":[0.3,0.5]}', "alpha"),
+            ('blowup --theta 3 --config {"alpha":[0.3,0.5]}', "alpha"),
+            ('ibp --config {"alpha":[0.3,0.5]}', "alpha"),
+            ('classify --theta 2 --config {"alpha":[0.3,0.5]}', "alpha"),
             # theta * |ln 2^-30| = 1247.7 > 700: epsilon^-theta leaves double range.
             ("blowup --alpha 0.5 --theta 60 --replicates 200", "theta"),
             # ibp meets the same fence: summation by parts has no log-space form.

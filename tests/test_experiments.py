@@ -45,6 +45,7 @@ from stablesub import (
 from stablesub.cli import main
 from stablesub.experiments import BATCH_SIZE
 from stablesub.integrals import _brackets_meet, ibp_bracket_sums, power_bracket_sums
+from stablesub.reporting import comparable_record_json
 
 # Frozen with mpmath from E S_1^0.25 = Gamma(0.5)/Gamma(0.75) at alpha = 1/2.
 BOUND_THETA_REF = 11.811069891303610336  # (alpha, theta, p, T) = (0.5, 1, 0.25, 1)
@@ -407,8 +408,8 @@ class TestGroupedMomentChecks:
             (0.5, "uniform", 1.0),
             (0.5, "uniform", 5.0),
         ]
-        # The jobs of a group sit side by side, in the groups' first-appearance order.
-        assert [g for i, g in enumerate(groups) if i == 0 or g != groups[i - 1]] == expected
+        # The jobs keep the cells' order, so the groups come in first-appearance order.
+        assert list(dict.fromkeys(groups)) == expected
         assert [(index, shape) for index, shape, _ in inputs] == [(0, (4096, 41)), (1, (904, 41))]
         assert {alphas for alphas, *_ in draws} == {(0.3, 0.5, 0.7)}
         assert all(shared for *_, shared in draws)
@@ -514,8 +515,11 @@ def test_kernel_protocol(monkeypatch, kernel, grid):
         run_moment_checks([(StableParams(0.5), lookalike, 0.25, None)], n_replicates=500)
 
 
-@pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
-def test_one_process_pool_per_run(monkeypatch, workers, pools):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_process_pool_per_run(monkeypatch, workers):
+    # A pool where two tasks can run at once: more than one worker and CPU.
+    size = min(workers, experiments._usable_cpus())
+    pools = 1 if size > 1 else 0
     started, joined = [], []
 
     class CountingPool(experiments.ProcessPoolExecutor):
@@ -531,9 +535,25 @@ def test_one_process_pool_per_run(monkeypatch, workers, pools):
     args = ["verify-all", "--replicates", "5000", "--workers", str(workers)]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
-    assert started == [min(workers, experiments._usable_cpus())] * pools
+    assert started == [size] * pools
     assert joined == [True] * pools
     assert multiprocessing.active_children() == []
+
+
+def test_no_pool_on_one_cpu(monkeypatch):
+    # On one usable CPU a pool of one process would only queue the tasks that
+    # this process runs serially anyway: --workers 2 runs as --workers 1.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool started on one CPU")
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", refuse)
+    runs = {}
+    for workers in ("1", "2"):
+        result = CliRunner().invoke(main, ["verify-all", "--replicates", "5000", "--workers", workers])
+        assert result.exit_code == 0, result.output
+        runs[workers] = comparable_record_json(result.output)
+    assert runs["2"] == runs["1"]
 
 
 def test_workers_stop_at_the_cpus(monkeypatch):
@@ -553,7 +573,7 @@ def test_workers_stop_at_the_cpus(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CpuBoundPool)
     result = CliRunner().invoke(main, ["verify-all", "--replicates", "5000", "--workers", "100000"])
     assert result.exit_code == 0, result.output
-    assert sizes == [cpus]
+    assert sizes == [cpus] * (cpus > 1)
     assert json.loads(result.output)["config"]["workers"] == 100_000
 
 

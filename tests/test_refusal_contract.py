@@ -3,6 +3,7 @@ its record holds only finite numbers and it raises no numerical warning.  A
 default run meets no floating-point exception at all, underflow included."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -40,6 +41,20 @@ def configs(draw):
     return payload
 
 
+@st.composite
+def unsampled_grid_configs(draw):
+    """A config document of laplace, cdf or classify: the runs `configs` does not draw."""
+    experiment = draw(st.sampled_from(("laplace_check", "cdf_check", "kernel_classify")))
+    if experiment == "laplace_check":
+        alphas = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        return {"experiment": experiment, "alpha": draw(st.lists(alphas, min_size=1, max_size=3)),
+                "n_replicates": draw(st.integers(2, 200))}
+    if experiment == "cdf_check":
+        return {"experiment": experiment, "n_replicates": draw(st.integers(1, 200))}
+    return {"experiment": experiment, "alpha": draw(st.floats(0.0, 1.2, exclude_min=True)),
+            "theta": 10.0 ** draw(st.floats(-5.0, 5.0))}
+
+
 def _numbers(value):
     """Every float of a record block, however deeply nested."""
     if isinstance(value, dict):
@@ -61,11 +76,25 @@ def _numbers(value):
 @example({"experiment": "blowup", "alpha": 0.323, "theta": 8.87, "T": 2.48e83,
           "grid": {"levels": 200}, "n_replicates": 100})
 def test_refused_or_finite(payload):
+    _assert_refused_or_finite(payload)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(unsampled_grid_configs())
+def test_refused_or_finite_without_a_grid(payload):
+    _assert_refused_or_finite(payload)
+
+
+def _assert_refused_or_finite(payload):
+    """The run is refused by an error that names one of its keys, or its
+    record holds only finite numbers and it raises no RuntimeWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
             record = run(config_from_mapping(payload))
-        except (ConfigError, NonFiniteDrawError):
+        except (ConfigError, NonFiniteDrawError) as exc:
+            words = set(re.findall(r"\w+", str(exc)))
+            assert any(key in words for key in payload if key != "experiment"), str(exc)
             return
     numbers = list(_numbers([record.results, record.series]))
     assert all(math.isfinite(number) for number in numbers), record.results
