@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .special import FracMomentQuery, frac_moment_closed_form
 from .subordinator import DEFAULT_GRID_LEVELS, DEFAULT_GRID_Q, SubordinatorPath, TimeGrid
@@ -307,6 +306,25 @@ def _log_power_sums(points: np.ndarray, values: np.ndarray, theta: float):
     log_t = np.log(points)
     with np.errstate(divide="ignore"):
         log_inc = np.log(np.diff(values, axis=-1))
-    lower = logsumexp(-theta * log_t[1:] + log_inc, axis=-1)
-    upper = logsumexp(-theta * log_t[:-1] + log_inc, axis=-1)
+    lower = _logsumexp(-theta * log_t[1:] + log_inc)
+    upper = _logsumexp(-theta * log_t[:-1] + log_inc)
     return lower, upper
+
+
+# scipy.special.logsumexp (scipy 1.17) for real input, transcribed.
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis of a real array.
+
+    The ties at the maximum leave the sum and enter as their count m, giving
+    log1p(s / m) + log(m) + max, with log(sum(exp(a))) where that is not finite
+    (a row of -inf, or an infinite maximum).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.sum(np.exp(a), axis=-1))
+        a_max = np.max(a, axis=-1, keepdims=True)
+        at_max = a == a_max
+        m = np.sum(at_max, axis=-1, keepdims=True, dtype=a.dtype)
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[..., 0]
+    return np.where(np.isfinite(out), out, direct)

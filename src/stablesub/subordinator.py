@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 __all__ = [
     "NonFiniteDrawError",
@@ -84,9 +85,9 @@ class SeedSpec:
             if not (isinstance(value, (int, np.integer)) and 0 <= int(value) < _TWO64):
                 raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         key = np.array([self.master_seed, self.replicate_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return Generator(Philox(key=key))
 
 
 @dataclass(frozen=True, eq=False)

@@ -288,11 +288,17 @@ BUILD_SETTINGS = {
 SETTING_KEYS = {key for setting in BUILD_SETTINGS.values() for key in setting}
 
 
-def test_verify_all_verdicts_hold_across_blas_kernels_and_simd_targets():
-    args = ["verify-all", "--seed", "777", "--replicates", "3000"]
+def _child_env():
+    """This environment without the build settings, with the package's source first on the path."""
     env = {key: value for key, value in os.environ.items() if key not in SETTING_KEYS}
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_verify_all_verdicts_hold_across_blas_kernels_and_simd_targets():
+    args = ["verify-all", "--seed", "777", "--replicates", "3000"]
+    env = _child_env()
     runs = {
         name: subprocess.Popen([sys.executable, "-m", "stablesub.cli", *args], env={**env, **setting},
                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
@@ -305,3 +311,42 @@ def test_verify_all_verdicts_hold_across_blas_kernels_and_simd_targets():
         # A failed verdict exits 1; the comparison decides.
         assert run.returncode in (0, 1), (name, err)
         _assert_matches(json.loads(comparable_record_json(out)), reference, name, rel_tol=1e-12)
+
+
+# Prepended to a child's code: every import of scipy or a submodule fails.
+BLOCK_SCIPY = """
+import sys
+
+class _BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+sys.meta_path.insert(0, _BlockScipy())
+"""
+
+
+def test_cli_imports_without_scipy():
+    code = (
+        "try:\n    import scipy\nexcept ImportError:\n    print('blocked')\n"
+        "import stablesub.cli\n"
+        "print(sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy'))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", BLOCK_SCIPY + code], env=_child_env(),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["blocked", "[]"]
+
+
+def test_verify_all_without_scipy_gives_the_same_record():
+    # Byte identity holds within one build, so the child is compared byte for
+    # byte with this process, and with the fixture as across builds.
+    args = ["verify-all", "--replicates", "10000", "--seed", "777", "--workers", "1"]
+    child = subprocess.Popen([sys.executable, "-c", BLOCK_SCIPY + "from stablesub.cli import main\nmain()", *args],
+                             env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    reference = CliRunner().invoke(main, args)
+    out, err = child.communicate(timeout=300)
+    assert child.returncode == 0, err
+    assert comparable_record_json(out) == comparable_record_json(reference.output)
+    _assert_matches(json.loads(comparable_record_json(out)), json.loads(RECORD_FIXTURE.read_text()))

@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +32,7 @@ from stablesub.integrals import (
     _abel_discrepancies,
     _brackets_meet,
     _log_power_sums,
+    _logsumexp,
     _time_integral_sums,
     ibp_bracket_sums,
 )
@@ -337,6 +339,39 @@ class TestLogSpaceGuard:
         path = sample_path(PARAMS, GRID, SeedSpec(6, 7))
         bracket = stieltjes_bracket(path, SingularKernel(theta=5.0, T=1.0))
         assert not bracket.log_scale
+
+
+class TestLogSumExp:
+    """_logsumexp against mpmath; scipy is no reference, its algorithm changed after 1.13."""
+
+    @staticmethod
+    def reference(row):
+        with mp.workdps(40):
+            return float(mp.log(mp.fsum(mp.exp(mp.mpf(float(v))) for v in row if v != -np.inf)))
+
+    def test_against_mpmath(self):
+        rng = np.random.default_rng(17)
+        for scale in (1.0, 30.0, 700.0):
+            rows = rng.normal(0.0, scale, (40, 25))
+            rows[rng.random(rows.shape) < 0.2] = -np.inf
+            rows[::4, :3] = rows[::4, :1]  # ties at the maximum, among others
+            rows[1::4] = np.round(rows[1::4])
+            rows[:, 0] = np.maximum(rows[:, 0], 0.0)  # a finite entry in every row
+            for value, row in zip(_logsumexp(rows), rows):
+                ref = self.reference(row)
+                assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref)), (row, value, ref)
+
+    def test_all_minus_inf_row(self):
+        rows = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, -np.inf]])
+        assert _logsumexp(rows).tolist() == [-np.inf, 0.0]
+
+    def test_ties(self):
+        assert _logsumexp(np.full((1, 3), 5.0))[0] == np.log(3.0) + 5.0
+        value = _logsumexp(np.array([[2.0, 2.0, 1.0, 2.0]]))[0]
+        assert value == pytest.approx(self.reference([2.0, 2.0, 1.0, 2.0]), rel=1e-15)
+
+    def test_infinite_maximum(self):
+        assert _logsumexp(np.array([[np.inf, 0.0, np.inf]]))[0] == np.inf
 
 
 class TestDyadicBlocks:
