@@ -19,7 +19,7 @@ import click
 
 from .config import _EXPERIMENTS, _SETTINGS, ConfigError, _integer, _object
 from .config import config_from_mapping, parse_document
-from .reporting import record_to_json, run
+from .reporting import record_to_json, run, write_record
 from .subordinator import NonFiniteDrawError
 
 
@@ -39,6 +39,7 @@ def _execute(experiment: str, config_path, **flags) -> None:
         payload.update(experiment=experiment, grid=grid)
         config = config_from_mapping(payload)
         record = run(config)
+        written = write_record(record, Path(config.output_path)) if config.output_path else None
     except (ConfigError, NonFiniteDrawError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
@@ -46,10 +47,10 @@ def _execute(experiment: str, config_path, **flags) -> None:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)
 
-    if config.output_path:
+    if written:
         for name in sorted(record.verdicts):
             click.echo(f"[{record.verdicts[name].upper()}] {name}")
-        click.echo(f"record written to {Path(config.output_path).with_suffix('.json')}")
+        click.echo(f"record written to {written[0]}")
     else:
         click.echo(record_to_json(record), nl=False)
     sys.exit(0 if record.passed else 1)

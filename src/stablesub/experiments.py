@@ -704,9 +704,10 @@ def _check_blowup_args(alpha: float, thetas: tuple, n_replicates: int, max_level
 
 def _median_with_ci(matrix: np.ndarray):
     """Column medians with distribution-free ~95% order-statistic intervals."""
-    ordered = np.sort(matrix, axis=0)
+    ordered = np.sort(matrix, axis=0)  # a NaN sorts last and makes its column's median NaN
     n = ordered.shape[0]
-    med = np.median(ordered, axis=0)
+    middle = ordered[n // 2] if n % 2 else (ordered[n // 2 - 1] + ordered[n // 2]) / 2.0
+    med = np.where(np.isnan(ordered[-1]), np.nan, middle)
     half_width = 0.98 * math.sqrt(n)  # 1.96 * sqrt(n) / 2
     lo = max(0, int(math.floor(n / 2 - half_width)))
     hi = min(n - 1, int(math.ceil(n / 2 + half_width)))

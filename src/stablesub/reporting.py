@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, config_from_mapping, default_replicates, render_config
+from .config import _KEYS, ConfigError, ExperimentConfig, config_from_mapping, default_replicates, render_config
 from .experiments import (
     MomentEstimate,
     _batch_task,
@@ -33,7 +33,6 @@ from .experiments import (
     run_moment_checks,
     run_scaling_check,
 )
-from .integrals import ExpKernel, SingularKernel
 from .special import FracMomentQuery, frac_moment_closed_form, frac_moment_quadrature
 from .subordinator import StableParams
 
@@ -66,18 +65,17 @@ class ResultRecord:
 
 
 def run(config: ExperimentConfig) -> ResultRecord:
-    """Dispatch an experiment, assemble its record, and persist it if requested.
+    """Dispatch an experiment and assemble its record.
 
-    Persists a JSON record plus one CSV per numeric series when
-    config.output_path is set; exit-status policy is left to the CLI.  With
-    more than one worker the run's batches share one process pool, whose
-    workers have exited when this returns.
+    Persisting it (write_record) and exit-status policy are left to the
+    caller.  With more than one worker the run's batches share one process
+    pool, whose workers have exited when this returns.
     """
     started = time.perf_counter()
     # One process pool serves every sampling pass of the run.
     with _worker_pool(config.workers):
-        verdicts, results, series = _BUILDERS[config.experiment](config)
-    record = ResultRecord(
+        [(verdicts, results, series)] = _BUILDERS[config.experiment]([config])
+    return ResultRecord(
         experiment=config.experiment,
         config=json.loads(render_config(config)),
         verdicts=verdicts,
@@ -86,9 +84,6 @@ def run(config: ExperimentConfig) -> ResultRecord:
         master_seed=config.master_seed,
         wall_clock_seconds=time.perf_counter() - started,
     )
-    if config.output_path:
-        write_record(record, Path(config.output_path))
-    return record
 
 
 # --------------------------------------------------------------------------
@@ -134,12 +129,12 @@ def comparable_record_json(record_json: str) -> str:
 
 
 def write_record(record: ResultRecord, stem: Path) -> list[Path]:
-    """Write <stem>.json plus companion CSVs; returns all paths written."""
+    """Write <stem>.json (a stem ending in .json names it) plus companion CSVs; returns all paths written."""
     stem = Path(stem)
     if stem.suffix == ".json":
         stem = stem.with_suffix("")
     stem.parent.mkdir(parents=True, exist_ok=True)
-    json_path = stem.with_suffix(".json")
+    json_path = stem.with_name(stem.name + ".json")  # a dot in the stem stays
     json_path.write_text(record_to_json(record), encoding="utf-8")
     return [json_path] + emit_plot_data(record, stem)
 
@@ -214,49 +209,50 @@ def _build_scaling(config: ExperimentConfig):
     )
 
 
-def _build_bound(config: ExperimentConfig):
-    params = StableParams(config.alpha)
-    grid = config.grid.build(config.T)
-    report = run_moment_checks([(params, config.kernel(), config.p, grid)], **_sampling(config))[0]
-    results = {
-        "bound_value": report.bound_value,
-        "margin": report.margin,
-        "upper_mean": report.estimate.mean,
-        "upper_std_error": report.estimate.std_error,
-        "lower_mean": report.lower_estimate.mean,
-        "lower_std_error": report.lower_estimate.std_error,
-    }
-    return _verdicts(moment_bound=report.passed), results, {}
+def _plan(configs: list, key, build) -> list:
+    """One triple per config, in order: the configs that share `key(config)`
+    go to `build` together, which runs them in one driver call."""
+    groups: dict = {}
+    for index, config in enumerate(configs):
+        groups.setdefault(key(config), []).append(index)
+    triples = {}
+    for indices in groups.values():
+        triples.update(zip(indices, build([configs[i] for i in indices]), strict=True))
+    return [triples[index] for index in range(len(configs))]
 
 
-def _build_blowup(config: ExperimentConfig):
-    report = run_blowup_diagnostics(
-        StableParams(config.alpha), (config.theta,), T=config.T,
-        max_level=config.grid.levels, **_sampling(config),
-    )[0]
-    results = {
-        "fitted_slope": report.fitted_slope,
-        "expected_slope": report.expected_slope,
-        "residual": report.residual,
-        "lower_sum_slope": report.lower_sum_slope,
-        "boundary_inconclusive": report.boundary_inconclusive,
-    }
-    series = {
-        "scaled_endpoint": _series(
-            ["epsilon", "median_scaled", "lower_ci", "upper_ci"],
-            report.epsilons, report.medians, report.median_ci_lower, report.median_ci_upper,
-        ),
-        "truncated_lower_sum": _series(
-            ["epsilon", "median", "lower_ci", "upper_ci"],
-            report.epsilons, report.lower_sum_medians,
-            report.lower_sum_ci_lower, report.lower_sum_ci_upper,
-        ),
-    }
-    if report.boundary_inconclusive:
+def _build_bounds(configs: list):
+    """Moment-bound configs of one count and seed, in one run_moment_checks
+    call: the cells of one grid length share one sampling pass."""
+    cells = [(StableParams(c.alpha), c.kernel(), c.p, c.grid.build(c.T)) for c in configs]
+    triples = []
+    for report in run_moment_checks(cells, **_sampling(configs[0])):
+        upper, lower = report.estimate, report.lower_estimate
+        results = {"bound_value": report.bound_value, "margin": report.margin,
+                   "upper_mean": upper.mean, "upper_std_error": upper.std_error,
+                   "lower_mean": lower.mean, "lower_std_error": lower.std_error}
+        triples.append((_verdicts(moment_bound=report.passed), results, {}))
+    return triples
+
+
+def _build_blowups(configs: list):
+    """Blowup configs that share every argument of the driver but theta, in one
+    run_blowup_diagnostics call: every exponent is reduced on the same paths."""
+    config, triples = configs[0], []
+    names = ("fitted_slope", "expected_slope", "residual", "lower_sum_slope", "boundary_inconclusive")
+    for r in run_blowup_diagnostics(StableParams(config.alpha), tuple(c.theta for c in configs), T=config.T,
+                                    max_level=config.grid.levels, **_sampling(config)):
+        series = {
+            "scaled_endpoint": _series(["epsilon", "median_scaled", "lower_ci", "upper_ci"],
+                                       r.epsilons, r.medians, r.median_ci_lower, r.median_ci_upper),
+            "truncated_lower_sum": _series(["epsilon", "median", "lower_ci", "upper_ci"], r.epsilons,
+                                           r.lower_sum_medians, r.lower_sum_ci_lower, r.lower_sum_ci_upper),
+        }
         # At the threshold the slope statistic carries no information: the
         # record reports the case and checks nothing.
-        return {}, results, series
-    return _verdicts(blowup_slope=report.slope_matches), results, series
+        verdicts = {} if r.boundary_inconclusive else _verdicts(blowup_slope=r.slope_matches)
+        triples.append((verdicts, {name: getattr(r, name) for name in names}, series))
+    return triples
 
 
 def _build_ibp(config: ExperimentConfig):
@@ -290,17 +286,58 @@ def _build_classify(config: ExperimentConfig):
 # verify-all: the full acceptance grid in one run, as a table of sections.
 # A section maps (replicate cap, seed) to one triple per name; it is a
 # module-level function or a partial of one, so it pickles as a pool task.
-# Each section runs its experiment at the smaller of the cap and that
-# experiment's own default count, with two exceptions: the blowup sections
-# draw at least 100 paths, and the oracle chain draws min(1 000 000, 10 x cap).
+# Every section but the oracle chain, which no experiment owns, runs ordinary
+# configs of the experiments that own its cells through their planner and
+# only tabulates the cells' own records.
+_MIN_REPLICATES = {"blowup": 100}  # the fewest paths whose medians blowup takes
 
 
-def _experiment_section(experiment: str, keys: dict, cap, seed):
-    """Section that runs an ordinary experiment config through its builder."""
-    config = config_from_mapping({"experiment": experiment, **keys,
-                                  "n_replicates": min(cap, default_replicates(experiment)),
-                                  "master_seed": seed})
-    return [_BUILDERS[experiment](config)]
+def _config_section(cells, tabulate, cap, seed):
+    """`tabulate(configs, triples)`, or the triples, of one validated config per
+    (experiment, keys) cell, run in one call of the cells' shared planner.  A cell
+    runs at the cap, raised to _MIN_REPLICATES, up to its experiment's default count."""
+    configs = [config_from_mapping({
+        "experiment": experiment, **keys, "master_seed": seed,
+        "n_replicates": min(max(cap, _MIN_REPLICATES.get(experiment, 0)), default_replicates(experiment)),
+    }) for experiment, keys in cells]
+    triples = _BUILDERS[configs[0].experiment](configs)
+    return tabulate(configs, triples) if tabulate else triples  # else each cell's own record
+
+
+def _bound_tables(configs, triples):
+    """The power- and exponential-kernel tables: one row per cell, its config
+    keys, then its record's bound, upper-bracket mean and standard error, and margin."""
+    fields = ("bound_value", "upper_mean", "upper_std_error", "margin")
+    tables = []
+    for name, keys in (("moment_bound_theta", ["alpha", "theta", "p"]), ("moment_bound_exp", ["lambda", "T"])):
+        cells = [(config, triple) for config, triple in zip(configs, triples) if config.experiment == name]
+        rows = [[getattr(config, _KEYS[key].name) for key in keys] + [results[field] for field in fields]
+                for config, (_, results, _) in cells]
+        series = {"cells": {"columns": keys + ["bound", "upper_mean", "std_error", "margin"], "rows": rows}}
+        verdicts = _verdicts(all_cells_pass=all(v["moment_bound"] == "pass" for _, (v, _, _) in cells))
+        tables.append((verdicts, {"n_cells": len(rows)}, series))
+    return tables
+
+
+def _slopes_table(configs, triples):
+    """The blow-up slope law: one row per exponent."""
+    fields = ["fitted_slope", "expected_slope", "residual"]
+    rows = [[c.theta] + [results[name] for name in fields] for c, (_, results, _) in zip(configs, triples)]
+    series = {"slopes": {"columns": ["theta"] + fields, "rows": rows}}
+    verdicts = _verdicts(slopes_match=all(v["blowup_slope"] == "pass" for v, _, _ in triples))
+    return [(verdicts, {"n_cases": len(rows)}, series)]
+
+
+def _stabilization_table(configs, triples):
+    """Finiteness stabilization of the truncated lower sums (theta < 1/alpha):
+    the cell's medians change by under 1 % from 2^-35 to 2^-40."""
+    [(_, _, series)] = triples
+    rows = [row[:2] for row in series["truncated_lower_sum"]["rows"]]  # epsilon, median
+    at35, at40 = dict(rows)[2.0**-35], dict(rows)[2.0**-40]
+    change = abs(at40 - at35) / abs(at35)
+    results = {"median_at_2^-35": at35, "median_at_2^-40": at40, "relative_change": change}
+    series = {"lower_sum_medians": {"columns": ["epsilon", "median"], "rows": rows}}
+    return [(_verdicts(median_change_below_1pct=change < 0.01), results, series)]
 
 
 def _oracle_chain_section(cap, seed):
@@ -327,91 +364,43 @@ def _oracle_chain_section(cap, seed):
     return [(verdicts, results, {})]
 
 
-_THETA_GRID = [
-    (alpha, frac / alpha, p)
+# The power-kernel bound over (alpha, theta, p) and the exponential-kernel
+# bound over lambda x T share one planner call: cells sharing paths draw them once.
+_MOMENT_GRID = functools.partial(_config_section, [
+    ("moment_bound_theta", {"alpha": alpha, "theta": frac / alpha, "p": p})
     for alpha in (0.3, 0.5, 0.7) for frac in (0.5, 0.8) for p in (alpha / 4.0, alpha / 2.0)
-]
-_EXP_GRID = [(lam, T) for lam in (0.5, 1.0, 2.0) for T in (1.0, 5.0)]
-
-
-def _bound_grid_sections(cap, seed):
-    """Power-kernel bound over the (alpha, theta, p) grid and exponential-kernel
-    bound over lambda x T, in one driver call so that cells sharing sample
-    paths draw them once."""
-    cells = [
-        (StableParams(alpha), SingularKernel(theta=theta, T=1.0), p, None)
-        for alpha, theta, p in _THETA_GRID
-    ] + [(StableParams(0.5), ExpKernel(lam=lam, T=T), 0.25, None) for lam, T in _EXP_GRID]
-    count = min(cap, default_replicates("moment_bound_theta"), default_replicates("moment_bound_exp"))
-    checks = run_moment_checks(cells, count, seed)
-    triples = []
-    for keys, key_columns, section in (
-        (_THETA_GRID, ["alpha", "theta", "p"], checks[: len(_THETA_GRID)]),
-        (_EXP_GRID, ["lambda", "T"], checks[len(_THETA_GRID) :]),
-    ):
-        rows = [
-            [*key, c.bound_value, c.estimate.mean, c.estimate.std_error, c.margin]
-            for key, c in zip(keys, section)
-        ]
-        columns = key_columns + ["bound", "upper_mean", "std_error", "margin"]
-        verdicts = _verdicts(all_cells_pass=all(c.passed for c in section))
-        series = {"cells": {"columns": columns, "rows": rows}}
-        triples.append((verdicts, {"n_cells": len(rows)}, series))
-    return triples
-
-
-def _blowup_slopes_section(cap, seed):
-    """Blow-up slope law at three supercritical exponents (alpha = 1/2, threshold 2)."""
-    thetas = (2.5, 3.0, 4.0)
-    reports = run_blowup_diagnostics(
-        StableParams(0.5), thetas, n_replicates=max(100, min(cap, default_replicates("blowup"))),
-        master_seed=seed,
-    )
-    rows = [[theta, r.fitted_slope, r.expected_slope, r.residual] for theta, r in zip(thetas, reports)]
-    matches = [r.slope_matches for r in reports]
-    columns = ["theta", "fitted_slope", "expected_slope", "residual"]
-    verdicts = _verdicts(slopes_match=all(matches))
-    return [(verdicts, {"n_cases": len(rows)}, {"slopes": {"columns": columns, "rows": rows}})]
-
-
-def _stabilization_section(cap, seed):
-    """Finiteness stabilization of the truncated lower sums (theta < 1/alpha)."""
-    report = run_blowup_diagnostics(
-        StableParams(0.5), (1.0,), max_level=40,
-        n_replicates=max(100, min(cap, default_replicates("blowup"))), master_seed=seed,
-    )[0]
-    medians = report.lower_sum_medians
-    at35 = medians[report.epsilons.index(2.0**-35)]
-    at40 = medians[report.epsilons.index(2.0**-40)]
-    change = abs(at40 - at35) / abs(at35)
-    results = {"median_at_2^-35": at35, "median_at_2^-40": at40, "relative_change": change}
-    series = {"lower_sum_medians": _series(["epsilon", "median"], report.epsilons, medians)}
-    return [(_verdicts(median_change_below_1pct=change < 0.01), results, series)]
-
-
+] + [("moment_bound_exp", {"alpha": 0.5, "p": 0.25, "lambda": lam, "T": T})
+     for lam in (0.5, 1.0, 2.0) for T in (1.0, 5.0)], _bound_tables)
 _VERIFY_ALL_SECTIONS = (
-    (("laplace",), functools.partial(_experiment_section, "laplace_check", {})),
-    (("cdf",), functools.partial(_experiment_section, "cdf_check", {})),
+    (("laplace",), functools.partial(_config_section, [("laplace_check", {})], None)),
+    (("cdf",), functools.partial(_config_section, [("cdf_check", {})], None)),
     (("frac_moment_chain",), _oracle_chain_section),
-    (("scaling",), functools.partial(_experiment_section, "scaling", {"alpha": 0.5, "p": 0.25})),
-    (("bound_theta_grid", "bound_exp_grid"), _bound_grid_sections),
-    (("blowup_slopes",), _blowup_slopes_section),
-    (("finiteness_stabilization",), _stabilization_section),
-    (("ibp",), functools.partial(_experiment_section, "ibp_consistency", {"alpha": 0.5, "theta": 1.0})),
+    (("scaling",), functools.partial(_config_section, [("scaling", {"alpha": 0.5, "p": 0.25})], None)),
+    (("bound_theta_grid", "bound_exp_grid"), _MOMENT_GRID),
+    # Three supercritical exponents at alpha = 1/2 (threshold 2), on one set of paths.
+    (("blowup_slopes",), functools.partial(
+        _config_section, [("blowup", {"alpha": 0.5, "theta": theta}) for theta in (2.5, 3.0, 4.0)], _slopes_table)),
+    (("finiteness_stabilization",), functools.partial(
+        _config_section, [("blowup", {"alpha": 0.5, "theta": 1.0, "grid": {"levels": 40}})],
+        _stabilization_table)),
+    (("ibp",), functools.partial(_config_section, [("ibp_consistency", {"alpha": 0.5, "theta": 1.0})], None)),
 )
 
 
 def _build_verify_all(config: ExperimentConfig):
     """Each section but the moment grid is one pool task, sampling serially in
     its worker, while the grid's pass here spreads its batches over the same
-    pool.  With no pool the lazy map runs the sections in table order."""
+    pool.  With no pool the lazy map runs the sections in table order.  The
+    run's config is valid, so a section that refuses a cell is an internal error."""
     cap, seed = config.n_replicates, config.master_seed
-    others = [(section, cap, seed) for _, section in _VERIFY_ALL_SECTIONS
-              if section is not _bound_grid_sections]
+    others = [(section, cap, seed) for _, section in _VERIFY_ALL_SECTIONS if section is not _MOMENT_GRID]
     tasks = _pool_map(_batch_task, others)
     verdicts, results, series = {}, {}, {}
     for names, section in _VERIFY_ALL_SECTIONS:
-        triples = section(cap, seed) if section is _bound_grid_sections else next(tasks)
+        try:
+            triples = section(cap, seed) if section is _MOMENT_GRID else next(tasks)
+        except ConfigError as exc:
+            raise RuntimeError(f"{exc} (a cell of verify-all section {'/'.join(names)})") from exc
         for prefix, (sub_verdicts, sub_results, sub_series) in zip(names, triples, strict=True):
             verdicts.update((f"{prefix}.{key}", value) for key, value in sub_verdicts.items())
             results[prefix] = sub_results
@@ -419,14 +408,22 @@ def _build_verify_all(config: ExperimentConfig):
     return verdicts, results, series
 
 
+def _each(build):
+    return lambda configs: [build(config) for config in configs]
+
+
+# Experiment -> planner: its configs to one triple each, in order.  The two
+# moment-bound experiments share one planner, so a mix of them takes one call.
+_plan_bound = functools.partial(_plan, key=lambda c: (c.n_replicates, c.master_seed), build=_build_bounds)
 _BUILDERS = {
-    "laplace_check": _build_laplace,
-    "cdf_check": _build_cdf,
-    "scaling": _build_scaling,
-    "moment_bound_theta": _build_bound,
-    "moment_bound_exp": _build_bound,
-    "blowup": _build_blowup,
-    "ibp_consistency": _build_ibp,
-    "kernel_classify": _build_classify,
-    "verify_all": _build_verify_all,
+    "laplace_check": _each(_build_laplace),
+    "cdf_check": _each(_build_cdf),
+    "scaling": _each(_build_scaling),
+    "moment_bound_theta": _plan_bound,
+    "moment_bound_exp": _plan_bound,
+    "blowup": functools.partial(_plan, key=lambda c: (c.alpha, c.T, c.grid.levels, c.n_replicates, c.master_seed),
+                                build=_build_blowups),
+    "ibp_consistency": _each(_build_ibp),
+    "kernel_classify": _each(_build_classify),
+    "verify_all": _each(_build_verify_all),
 }

@@ -339,6 +339,18 @@ def test_cli_imports_without_scipy():
     assert run.stdout.split() == ["blocked", "[]"]
 
 
+def test_verify_all_loads_no_masked_arrays():
+    # np.median would import numpy.ma (about 9 ms) on its first call; the
+    # medians are read off the sorted columns instead.
+    code = ("import contextlib, io, sys\nfrom stablesub.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+            "    main(['verify-all', '--replicates', '100'])\n"
+            "print(sorted(name for name in sys.modules if name.partition('.')[::2] == ('numpy', 'ma')))\n")
+    run = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["[]"]
+
+
 def test_verify_all_without_scipy_gives_the_same_record():
     # Byte identity holds within one build, so the child is compared byte for
     # byte with this process, and with the fixture as across builds.

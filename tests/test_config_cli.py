@@ -680,6 +680,27 @@ class TestCli:
         assert lines[0] == "t,normalized_moment,std_error"
         assert len(lines) == 4  # header + three horizons
 
+    @pytest.mark.parametrize("stem, name", [("theta2.5", "theta2.5"), ("a0.3", "a0.3"), ("x.json", "x"),
+                                            ("rec", "rec")])
+    def test_out_stem_keeps_its_dots(self, tmp_path, stem, name):
+        # The record is <stem>.json next to its <stem>_<series>.csv files, a
+        # stem already ending in .json names the record itself, and the CLI
+        # prints the record's path as written.
+        result = CliRunner().invoke(main, ["scaling", "--alpha", "0.5", "--replicates", "200",
+                                           "--out", str(tmp_path / stem)])
+        assert result.exit_code == 0, result.output
+        assert sorted(path.name for path in tmp_path.iterdir()) == [f"{name}.json", f"{name}_scaling.csv"]
+        assert result.output.splitlines()[-1] == f"record written to {tmp_path / name}.json"
+
+    def test_out_stems_that_differ_after_a_dot_do_not_collide(self, tmp_path):
+        for alpha in ("0.3", "0.7"):
+            result = CliRunner().invoke(main, ["scaling", "--alpha", alpha, "--replicates", "200",
+                                               "--out", str(tmp_path / f"a{alpha}")])
+            assert result.exit_code == 0, result.output
+        for alpha in ("0.3", "0.7"):
+            record = json.loads((tmp_path / f"a{alpha}.json").read_text())
+            assert record["config"]["alpha"] == float(alpha)
+
     def test_blowup_csv_columns(self, tmp_path):
         out = tmp_path / "blow"
         runner = CliRunner()

@@ -637,6 +637,55 @@ def test_the_benchmark_tracer_finds_what_it_names():
     assert hasattr(importlib.import_module(f"stablesub.{module_name}"), attr)
 
 
+# verify-all at a small count: each table row must be the record of its own
+# subcommand at the same keys, count and seed, bit for bit.
+SMALL_RUN = ["--replicates", "1000", "--seed", "5"]
+
+
+def _record(*args) -> dict:
+    result = CliRunner().invoke(main, [str(arg) for arg in args])
+    assert result.exit_code in (0, 1), result.output  # a failed verdict changes no number
+    return json.loads(result.output)
+
+
+@pytest.fixture(scope="module")
+def small_verify_all():
+    return _record("verify-all", *SMALL_RUN)
+
+
+@pytest.mark.parametrize("table, command, keys", [
+    ("bound_theta_grid", ["bound-theta"], ["--alpha", "--theta", "--p"]),
+    ("bound_exp_grid", ["bound-exp", "--alpha", 0.5, "--p", 0.25], ["--lambda", "--T"]),
+])
+def test_verify_all_bound_rows_are_their_subcommands(small_verify_all, table, command, keys):
+    rows = small_verify_all["series"][f"{table}_cells"]["rows"]
+    assert len(rows) == small_verify_all["results"][table]["n_cells"]
+    verdicts = []
+    for row in rows:
+        record = _record(*command, *[item for pair in zip(keys, row) for item in pair], *SMALL_RUN)
+        results = record["results"]
+        assert row[len(keys):] == [results[name] for name in ("bound_value", "upper_mean", "upper_std_error",
+                                                              "margin")], row
+        verdicts.append(record["verdicts"]["moment_bound"])
+    assert small_verify_all["verdicts"][f"{table}.all_cells_pass"] == ("pass" if set(verdicts) == {"pass"}
+                                                                       else "fail")
+
+
+def test_verify_all_blowup_rows_are_their_subcommands(small_verify_all):
+    series, verdicts = small_verify_all["series"], []
+    for theta, *numbers in series["blowup_slopes_slopes"]["rows"]:
+        record = _record("blowup", "--alpha", 0.5, "--theta", theta, *SMALL_RUN)
+        results = record["results"]
+        assert numbers == [results["fitted_slope"], results["expected_slope"], results["residual"]], theta
+        verdicts.append(record["verdicts"]["blowup_slope"])
+    assert small_verify_all["verdicts"]["blowup_slopes.slopes_match"] == ("pass" if set(verdicts) == {"pass"}
+                                                                          else "fail")
+    record = _record("blowup", "--alpha", 0.5, "--theta", 1.0, "--grid-levels", 40, *SMALL_RUN)
+    medians = [row[:2] for row in record["series"]["truncated_lower_sum"]["rows"]]
+    assert series["finiteness_stabilization_lower_sum_medians"]["rows"] == medians
+    assert small_verify_all["results"]["finiteness_stabilization"]["median_at_2^-40"] == dict(medians)[2.0**-40]
+
+
 class TestBlowupDiagnostic:
     def test_supercritical_slope(self):
         [report] = run_blowup_diagnostics(StableParams(0.5), (3.0,), n_replicates=2000, master_seed=601)
@@ -669,6 +718,24 @@ class TestBlowupDiagnostic:
     def test_median_replicate_floor(self):
         with pytest.raises(ValueError):
             run_blowup_diagnostics(StableParams(0.5), (3.0,), n_replicates=50)
+
+    @pytest.mark.parametrize("n", [101, 100])
+    def test_medians_equal_numpy_median(self, n):
+        # The middle of the sorted column (the mean of the two middles for even
+        # n), NaN where the column holds one, as np.median gives them.
+        rng = np.random.default_rng(n)
+        matrix = rng.standard_normal((n, 7))
+        matrix[:, 1] = rng.uniform(0.6, 1.0, n) * 1.7e308  # two middles' sum overflows, as in np.median
+        matrix[3, 2] = np.nan
+        matrix[:2, 3] = np.inf
+        matrix[-5:, 4] = -np.inf
+        matrix[: n // 2, 5], matrix[n // 2 :, 5] = np.inf, -np.inf  # even n: -inf and inf in the middle
+        matrix[:, 6] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            medians, lower, upper = experiments._median_with_ci(matrix)
+            expected = np.median(matrix, axis=0)
+        np.testing.assert_array_equal(medians, expected)
+        assert all(isinstance(value, float) for value in medians + lower + upper)
 
 
 class TestGroupedBlowupDiagnostics:

@@ -96,6 +96,8 @@ DEFECTS = [
     # A third is not caught here, and a tenth trips the grid check (exit 3).
     ("power bound a fifth", "integrals.SingularKernel.moment_bound", _bound_over(5.0),
      "verify-all --replicates 3000", {"bound_theta_grid.all_cells_pass"}),
+    ("power bound a tenth", "integrals.SingularKernel.moment_bound", _bound_over(10.0),
+     "verify-all --replicates 3000", "grid.levels = 40 is too coarse"),
     ("bracket sides swapped", "integrals.power_bracket_sums", _swapped, "ibp --alpha 0.5 --theta 1",
      "invalid bracket"),
     ("bracket sides swapped", "integrals.power_bracket_sums", _swapped,
@@ -162,3 +164,38 @@ def test_every_verify_all_verdict_is_caught_but_the_pinned_few():
     caught = set().union(*(row[4] for row in DEFECTS if isinstance(row[4], set)))
     assert caught <= verdicts
     assert verdicts - caught == UNCAUGHT
+
+
+def _refusal(only_levels=None):
+    """A check that refuses every cell, or only a blowup cell `only_levels` deep."""
+    def refuse(real):
+        def check(*args):
+            if only_levels is None or args[3] == only_levels:
+                raise ValueError("planted refusal")
+            return real(*args)
+        return check
+    return refuse
+
+
+# (check that refuses, its arguments' filter, the verify-all section whose cell it refuses)
+SECTION_CHECKS = [
+    ("experiments._check_laplace_args", None, "laplace"),
+    ("experiments._check_scaling_args", None, "scaling"),
+    ("experiments._moment_cell", None, "bound_theta_grid/bound_exp_grid"),
+    ("experiments._check_blowup_args", None, "blowup_slopes"),
+    ("experiments._check_blowup_args", 40, "finiteness_stabilization"),
+    ("experiments._check_ibp_grid", None, "ibp"),
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("target, only_levels, section", SECTION_CHECKS, ids=[row[2] for row in SECTION_CHECKS])
+def test_a_refused_verify_all_cell_is_an_internal_error(monkeypatch, target, only_levels, section, workers):
+    # verify-all's own config was valid, so a section that refuses one of its
+    # fixed cells is the library's fault: exit 3, naming the section, not the
+    # ConfigError exit 2 that blames the caller's config.  The cdf section is
+    # not here: its check is verify-all's own, so it refuses the caller's count.
+    result = _planted(monkeypatch, target, _refusal(only_levels),
+                      f"verify-all --replicates 3000 --workers {workers}")
+    assert result.exit_code == 3, result.output
+    assert result.stderr.splitlines() == [f"error: planted refusal (a cell of verify-all section {section})"]
