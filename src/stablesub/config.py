@@ -155,6 +155,14 @@ def _check_moment(config: ExperimentConfig, grid: TimeGrid) -> None:
     experiments._moment_cell(StableParams(config.alpha), config.kernel(), config.p, grid)
 
 
+def _check_verify_all(config: ExperimentConfig, grid: GridConfig) -> None:
+    """The floor of the KS test that verify-all runs, checked on the caller's
+    count here rather than by _check_cdf_args: a refusal of that check inside
+    the run is then the library's fault, not the caller's."""
+    if config.n_replicates < 3:
+        raise ValueError(f"n_replicates must be >= 3 for the KS test, got {config.n_replicates}")
+
+
 class _Experiment(NamedTuple):
     """One experiment: its subcommand and that command's help; every key its
     run reads besides output_path (a grid key as "grid.<name>"), with the
@@ -218,10 +226,9 @@ _EXPERIMENTS = {row.name: row for row in (
                 "Analytic short-time classification of S_t against the power t^c, c = --theta.",
                 {"alpha": _REQUIRED, "theta": _REQUIRED},
                 lambda config, grid: experiments.classify_power_kernel(config.alpha, config.theta)),
-    # verify-all runs cdf_check, so it takes that check.
     _Experiment("verify_all", "verify-all",
                 "Run the full acceptance grid; nonzero exit if any verdict fails.",
-                _SAMPLING, lambda config, grid: experiments._check_cdf_args(config.n_replicates)),
+                _SAMPLING, _check_verify_all),
 )}
 EXPERIMENTS = tuple(_EXPERIMENTS)
 

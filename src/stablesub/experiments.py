@@ -36,6 +36,7 @@ from .integrals import (
 )
 from .special import FracMomentQuery, frac_moment_closed_form, levy_half_cdf
 from .subordinator import (
+    CHUNK_ROWS,
     DEFAULT_MASTER_SEED,
     SeedSpec,
     StableParams,
@@ -77,11 +78,6 @@ __all__ = [
 # Fixed replicate batching unit; batch boundaries must not depend on the
 # worker count or reproducibility across worker counts would break.
 BATCH_SIZE = 4096
-# Rows of a moment batch transformed and bracketed at a time, so the working
-# set stays small.  A multiple of 4: a BLAS matrix-vector product rounds a row
-# by its place in a block of 4 rows, so chunks that start on such a block give
-# the same bracket sums, bit for bit, as one product over the whole batch.
-CHUNK_ROWS = 512
 # Batch streams are keyed by replicate_index = (cell << 32) | batch.
 _CELL_SHIFT = 32
 # The Laplace check's (alpha, lambda) grid.
@@ -383,17 +379,25 @@ def _blowup_sums(alpha: float, grid: TimeGrid, thetas: tuple, level_columns, see
 
 def _ibp_sums(alpha: float, grid: TimeGrid, kernel: SingularKernel, seed: SeedSpec, count: int):
     """One batch: do both bracket routes meet on every row, and the rows' Abel
-    discrepancies.  Both routes are linear-scale: the run has fenced off log space."""
+    discrepancies, checked CHUNK_ROWS rows at a time.  Both routes are
+    linear-scale: the run has fenced off log space."""
     values = sample_path_values(StableParams(alpha), grid, seed, count)
-    SubordinatorPath.check_rows(values)
-    direct = kernel.bracket_sums(grid.points, np.diff(values, axis=1))
-    via_parts = ibp_bracket_sums(grid.points, values, kernel.theta)
-    IntegralBracket.check_rows(*direct)
-    IntegralBracket.check_rows(*via_parts)
-    meet = bool(np.all(_brackets_meet(*direct, *via_parts, ABEL_TOLERANCE)))
     probes = _stream(seed.master_seed, 1, seed.replicate_index).generator().random(count)
     low, high = ABEL_PROBE_THETAS
-    return meet, _abel_discrepancies(grid.points, values, low + probes * (high - low))
+    thetas = low + probes * (high - low)
+    meet = True
+    abel = np.empty(count)
+    for start in range(0, count, CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        block = values[rows]
+        SubordinatorPath.check_rows(block)
+        direct = kernel.bracket_sums(grid.points, np.diff(block, axis=1))
+        via_parts = ibp_bracket_sums(grid.points, block, kernel.theta)
+        IntegralBracket.check_rows(*direct)
+        IntegralBracket.check_rows(*via_parts)
+        meet &= bool(np.all(_brackets_meet(*direct, *via_parts, ABEL_TOLERANCE)))
+        abel[rows] = _abel_discrepancies(grid.points, block, thetas[rows])
+    return meet, abel
 
 
 # --------------------------------------------------------------------------

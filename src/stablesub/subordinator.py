@@ -37,6 +37,11 @@ _TWO64 = 1 << 64
 # Angle clamp for the sine-ratio construction: the ratios overflow at the
 # endpoints of (0, pi).  The induced bias is far below statistical resolution.
 _ANGLE_CLAMP = 1e-12
+# Rows of a path batch transformed, assembled and bracketed at a time (here,
+# in the moment pass and in ibp), so the working set stays small.  A multiple
+# of 4: a BLAS matrix-vector product rounds a row by its place in a block of 4
+# rows, so such chunks give the whole batch's bracket sums bit for bit.
+CHUNK_ROWS = 512
 
 
 class NonFiniteDrawError(ValueError):
@@ -257,15 +262,10 @@ def kanter_draws(alphas, u: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     return draws
 
 
-def _standard_stable_draws(alpha: float, seed: SeedSpec, shape) -> np.ndarray:
-    """Standard draws of `shape` for one alpha: kanter_inputs, then kanter_draws."""
-    u, w = kanter_inputs(seed, shape)
-    return kanter_draws((alpha,), u, w)[0]
-
-
 def sample_standard_stable_batch(params: StableParams, seed: SeedSpec, size: int) -> np.ndarray:
     """`size` i.i.d. draws of S_1 from the single stream keyed by `seed`."""
-    return _standard_stable_draws(params.alpha, seed, int(size))
+    u, w = kanter_inputs(seed, int(size))
+    return kanter_draws((params.alpha,), u, w)[0]
 
 
 def _assemble_paths(draws: np.ndarray, grid: TimeGrid, alpha: float) -> np.ndarray:
@@ -280,12 +280,20 @@ def sample_path_values(
     """Value matrix of shape (n_paths, len(grid)): independent paths, one stream.
 
     Cell increments are (t_{i+1} - t_i)^(1/alpha) times independent standard
-    draws; the first column carries the increment over (0, epsilon].  Raises
-    NonFiniteDrawError, naming T and alpha, when a path overflows.
+    draws; the first column carries the increment over (0, epsilon].  The
+    batch draws (U, W) once, then makes CHUNK_ROWS rows of paths at a time and
+    writes them over the angles they came from: U and W are its only
+    batch-sized arrays.  Raises NonFiniteDrawError, naming alpha and the
+    block's count, when a block's standard draws are not all finite, and
+    naming T and alpha when a path overflows.
     """
-    draws = _standard_stable_draws(params.alpha, seed, (int(n_paths), len(grid)))
+    u, w = kanter_inputs(seed, (int(n_paths), len(grid)))
+    values = u  # each block of paths overwrites its own angles
     with np.errstate(over="ignore"):
-        values = _assemble_paths(draws, grid, params.alpha)
+        for start in range(0, len(u), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            draws = kanter_draws((params.alpha,), u[rows], w[rows])[0]
+            values[rows] = _assemble_paths(draws, grid, params.alpha)
     # A row is nondecreasing, so it is finite where its last value is.
     where = f"T = {grid.T:g} at alpha = {params.alpha:g}"
     _check_finite(np.isfinite(values[:, -1]), where, "paths leave double range")

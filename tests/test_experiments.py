@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -497,6 +498,84 @@ class TestMomentBatch:
         power_jobs = sum(isinstance(kernel, SingularKernel) for _, _, kernel in self.JOBS)
         assert calls == {"power_bracket_sums": chunks * power_jobs,
                          "exp_bracket_sums": chunks * (len(self.JOBS) - power_jobs)}
+
+
+class TestPathBlocks:
+    # sample_path_values and _ibp_sums work CHUNK_ROWS rows at a time.  Each
+    # block must give the rows of the whole-batch evaluation, bit for bit.
+    # Count 1 is one short block; 904 ends in a ragged block at 12 and 512 rows.
+    KERNEL = SingularKernel(theta=1.0)
+    GRID = KERNEL.default_grid()
+    SEED = SeedSpec(505, 3)
+
+    @staticmethod
+    def chunk_rows(monkeypatch, rows):
+        monkeypatch.setattr(subordinator, "CHUNK_ROWS", rows)
+        monkeypatch.setattr(experiments, "CHUNK_ROWS", rows)
+
+    def whole_values(self, alpha, count):
+        """The batch's paths, transformed and assembled in one piece."""
+        u, w = subordinator.kanter_inputs(self.SEED, (count, len(self.GRID)))
+        [draws] = subordinator.kanter_draws((alpha,), u, w)
+        return np.cumsum(draws * np.diff(self.GRID.points, prepend=0.0) ** (1.0 / alpha), axis=1)
+
+    @pytest.mark.parametrize("count", [1, 904, 4096])
+    def test_path_blocks_do_not_change_a_bit(self, monkeypatch, count):
+        whole = self.whole_values(0.3, count)
+        for rows in (4, 12, 512, count):
+            self.chunk_rows(monkeypatch, rows)
+            assert np.array_equal(sample_path_values(StableParams(0.3), self.GRID, self.SEED, count), whole), rows
+
+    @pytest.mark.parametrize("count", [1, 904, 4096])
+    def test_ibp_blocks_do_not_change_a_bit(self, monkeypatch, count):
+        points = self.GRID.points
+        values = self.whole_values(0.5, count)
+        direct = self.KERNEL.bracket_sums(points, np.diff(values, axis=1))
+        via_parts = ibp_bracket_sums(points, values, self.KERNEL.theta)
+        probes = experiments._stream(self.SEED.master_seed, 1, self.SEED.replicate_index).generator().random(count)
+        low, high = experiments.ABEL_PROBE_THETAS
+        abel = integrals._abel_discrepancies(points, values, low + probes * (high - low))
+        # Both routes' sums reach the meet test: record them there, block by block.
+        sides = []
+
+        def meet(*args):
+            sides.append(args[:4])
+            return _brackets_meet(*args)
+
+        monkeypatch.setattr(experiments, "_brackets_meet", meet)
+        for rows in (4, 12, 512, count):
+            self.chunk_rows(monkeypatch, rows)
+            sides.clear()
+            met, discrepancies = experiments._ibp_sums(0.5, self.GRID, self.KERNEL, self.SEED, count)
+            assert met and np.array_equal(discrepancies, abel), rows
+            assert len(sides) == math.ceil(count / rows)
+            for got, expected in zip(np.concatenate(sides, axis=1), (*direct, *via_parts), strict=True):
+                assert np.array_equal(got, expected), rows
+
+    @pytest.mark.parametrize("run", [
+        lambda seed: sample_path_values(StableParams(0.3), TestPathBlocks.GRID, seed, BATCH_SIZE),
+        lambda seed: experiments._ibp_sums(0.5, TestPathBlocks.GRID, TestPathBlocks.KERNEL, seed, BATCH_SIZE),
+    ], ids=["sample_path_values", "_ibp_sums"])
+    def test_a_path_batch_peaks_below_4_mib(self, run):
+        # U and W of 4096 x 41 take 2.6 MiB; the blocks' temporaries add about
+        # 0.8 MiB.  A batch transformed and assembled whole peaks at 6.4 MiB.
+        run(self.SEED)
+        tracemalloc.start()
+        try:
+            run(self.SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak / 2**20
+
+    def test_a_non_finite_draw_counts_its_block(self):
+        # At alpha = 0.01 a few Kanter draws in a thousand are not finite: the
+        # first block of paths holding one names its own draws.
+        grid = TimeGrid.geometric(1.0, levels=20)
+        draws = subordinator.CHUNK_ROWS * len(grid)
+        pattern = rf"^alpha = 0\.01 leaves the sampler's double range: \d+ of {draws} stable draws"
+        with pytest.raises(subordinator.NonFiniteDrawError, match=pattern):
+            sample_path_values(StableParams(0.01), grid, self.SEED, 2000)
 
 
 @pytest.mark.parametrize("kernel, grid", [

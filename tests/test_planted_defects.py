@@ -180,6 +180,7 @@ def _refusal(only_levels=None):
 # (check that refuses, its arguments' filter, the verify-all section whose cell it refuses)
 SECTION_CHECKS = [
     ("experiments._check_laplace_args", None, "laplace"),
+    ("experiments._check_cdf_args", None, "cdf"),
     ("experiments._check_scaling_args", None, "scaling"),
     ("experiments._moment_cell", None, "bound_theta_grid/bound_exp_grid"),
     ("experiments._check_blowup_args", None, "blowup_slopes"),
@@ -193,8 +194,7 @@ SECTION_CHECKS = [
 def test_a_refused_verify_all_cell_is_an_internal_error(monkeypatch, target, only_levels, section, workers):
     # verify-all's own config was valid, so a section that refuses one of its
     # fixed cells is the library's fault: exit 3, naming the section, not the
-    # ConfigError exit 2 that blames the caller's config.  The cdf section is
-    # not here: its check is verify-all's own, so it refuses the caller's count.
+    # ConfigError exit 2 that blames the caller's config.
     result = _planted(monkeypatch, target, _refusal(only_levels),
                       f"verify-all --replicates 3000 --workers {workers}")
     assert result.exit_code == 3, result.output
