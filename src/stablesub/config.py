@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import experiments
+from .experiments import DEFAULT_REPLICATES, KS_MIN_REPLICATES
 from .integrals import ExpKernel, SingularKernel
 from .subordinator import DEFAULT_GRID_LEVELS, DEFAULT_GRID_Q, DEFAULT_MASTER_SEED
 from .subordinator import SeedSpec, StableParams, TimeGrid
@@ -32,7 +33,6 @@ __all__ = [
     "render_config",
 ]
 
-DEFAULT_REPLICATES = 100_000
 _GRID_KINDS = ("geometric", "uniform")
 
 
@@ -159,8 +159,8 @@ def _check_verify_all(config: ExperimentConfig, grid: GridConfig) -> None:
     """The floor of the KS test that verify-all runs, checked on the caller's
     count here rather than by _check_cdf_args: a refusal of that check inside
     the run is then the library's fault, not the caller's."""
-    if config.n_replicates < 3:
-        raise ValueError(f"n_replicates must be >= 3 for the KS test, got {config.n_replicates}")
+    if config.n_replicates < KS_MIN_REPLICATES:
+        raise ValueError(f"n_replicates must be >= {KS_MIN_REPLICATES} for the KS test, got {config.n_replicates}")
 
 
 class _Experiment(NamedTuple):
@@ -196,7 +196,7 @@ _EXPERIMENTS = {row.name: row for row in (
                 _SAMPLING, lambda config, grid: experiments._check_cdf_args(config.n_replicates)),
     _Experiment("scaling", "scaling",
                 "Self-similarity collapse of normalized fractional moments across horizons.",
-                {"alpha": _REQUIRED, "p": _half_alpha, "times": (0.25, 1.0, 4.0), **_SAMPLING},
+                {"alpha": _REQUIRED, "p": _half_alpha, "times": experiments.SCALING_TIMES, **_SAMPLING},
                 lambda config, grid: experiments._check_scaling_args(config.alpha, config.p, config.times)),
     _Experiment("moment_bound_theta", "bound-theta",
                 "Power-kernel moment bound check: MC mean of the bracketed integral^p vs bound.",
@@ -210,16 +210,16 @@ _EXPERIMENTS = {row.name: row for row in (
                 _check_moment),
     # The diagnostic halves its grid down to T * 2^-levels: it reads only the depth.
     _Experiment("blowup", "blowup", "Blow-up diagnostic: log-log slope of scaled near-origin medians.",
-                {"alpha": _REQUIRED, "theta": _REQUIRED, "T": _FIELD, "grid.levels": 30,
-                 **_SAMPLING, "n_replicates": 10_000},
+                {"alpha": _REQUIRED, "theta": _REQUIRED, "T": _FIELD, "grid.levels": experiments.BLOWUP_LEVELS,
+                 **_SAMPLING, "n_replicates": experiments.BLOWUP_REPLICATES},
                 lambda config, grid: experiments._check_blowup_args(
                     StableParams(config.alpha).alpha, (config.theta,), config.n_replicates,
                     config.grid.levels, config.T)),
     # Runs serially: no workers.
     _Experiment("ibp_consistency", "ibp",
                 "Dual-route bracket consistency and exact summation-by-parts identity.",
-                {"alpha": _REQUIRED, "theta": 0.5, "T": _FIELD, **_GRID,
-                 "n_replicates": 1000, "master_seed": _FIELD},
+                {"alpha": _REQUIRED, "theta": experiments.IBP_THETA, "T": _FIELD, **_GRID,
+                 "n_replicates": experiments.IBP_PATHS, "master_seed": _FIELD},
                 lambda config, grid: experiments._check_ibp_grid(StableParams(config.alpha).alpha,
                                                                  config.kernel(), grid)),
     _Experiment("kernel_classify", "classify",

@@ -36,7 +36,6 @@ from .integrals import (
 )
 from .special import FracMomentQuery, frac_moment_closed_form, levy_half_cdf
 from .subordinator import (
-    CHUNK_ROWS,
     DEFAULT_MASTER_SEED,
     SeedSpec,
     StableParams,
@@ -44,6 +43,7 @@ from .subordinator import (
     TimeGrid,
     _assemble_paths,
     _check_finite,
+    _row_blocks,
     deterministic_path,
     kanter_draws,
     kanter_inputs,
@@ -80,13 +80,28 @@ __all__ = [
 BATCH_SIZE = 4096
 # Batch streams are keyed by replicate_index = (cell << 32) | batch.
 _CELL_SHIFT = 32
-# The Laplace check's (alpha, lambda) grid.
+# Replicates of a run whose experiment declares no count of its own.
+DEFAULT_REPLICATES = 100_000
+# A mean agrees with its target within SE_MULTIPLE standard errors (the 3-SE rule).
+SE_MULTIPLE = 3.0
+# The Laplace check's (alpha, lambda) grid, and the scaling check's horizons t of S_t.
 LAPLACE_ALPHAS = (0.3, 0.5, 0.7)
 LAPLACE_LAMBDAS = (0.5, 1.0, 2.0)
-# Blowup's epsilon levels run from T * 2^-BLOWUP_MIN_LEVEL down to T * 2^-max_level.
+SCALING_TIMES = (0.25, 1.0, 4.0)
+# Below three draws 1.63/sqrt(n) >= 1 exceeds every KS distance: a pass on nothing.
+KS_MIN_REPLICATES = 3
+# Blowup's epsilon levels run from T * 2^-BLOWUP_MIN_LEVEL down to T * 2^-max_level
+# (by default BLOWUP_LEVELS), on BLOWUP_REPLICATES paths: at least BLOWUP_MIN_REPLICATES
+# give stable medians.
 BLOWUP_MIN_LEVEL = 10
-# Relative slack of the ibp check: rounding, where theta = 0 shrinks both
-# brackets to a point, and the Abel identity's largest discrepancy.
+BLOWUP_LEVELS = 30
+BLOWUP_REPLICATES = 10_000
+BLOWUP_MIN_REPLICATES = 100
+# The ibp check's default exponent and path count, and its relative slack:
+# rounding, where theta = 0 shrinks both brackets to a point, and the Abel
+# identity's largest discrepancy.
+IBP_THETA = 0.5
+IBP_PATHS = 1000
 ABEL_TOLERANCE = 1e-10
 # The range of the exponents that probe the Abel identity, one drawn per path.
 ABEL_PROBE_THETAS = (0.05, 4.05)
@@ -333,7 +348,7 @@ def draw_standard_samples(
 def _moment_sums(jobs: tuple, seed: SeedSpec, count: int) -> np.ndarray:
     """One batch of paths on grids of one length, bracketed for every (alpha, grid, kernel) job.
 
-    The batch draws (U, W) once; then, CHUNK_ROWS rows at a time, kanter_draws
+    The batch draws (U, W) once; then, one row block at a time, kanter_draws
     makes every alpha's standard draws from one set of sines, and each job
     brackets its alpha's paths on its grid, assembled once per (alpha, grid).
     Returns sums[k, side, row]: k counts the jobs, side 0 is the lower sum
@@ -344,8 +359,7 @@ def _moment_sums(jobs: tuple, seed: SeedSpec, count: int) -> np.ndarray:
     sums = np.empty((len(jobs), 2, count))
     # A path or sum that overflows is caught below, once per batch.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, count, CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
+        for rows in _row_blocks(count):
             draws = dict(zip(alphas, kanter_draws(alphas, u[rows], w[rows])))
             increments = {}  # (alpha, grid) -> the chunk's path increments
             for k, (alpha, grid, kernel) in enumerate(jobs):
@@ -379,7 +393,7 @@ def _blowup_sums(alpha: float, grid: TimeGrid, thetas: tuple, level_columns, see
 
 def _ibp_sums(alpha: float, grid: TimeGrid, kernel: SingularKernel, seed: SeedSpec, count: int):
     """One batch: do both bracket routes meet on every row, and the rows' Abel
-    discrepancies, checked CHUNK_ROWS rows at a time.  Both routes are
+    discrepancies, checked one row block (_row_blocks) at a time.  Both routes are
     linear-scale: the run has fenced off log space."""
     values = sample_path_values(StableParams(alpha), grid, seed, count)
     probes = _stream(seed.master_seed, 1, seed.replicate_index).generator().random(count)
@@ -387,8 +401,7 @@ def _ibp_sums(alpha: float, grid: TimeGrid, kernel: SingularKernel, seed: SeedSp
     thetas = low + probes * (high - low)
     meet = True
     abel = np.empty(count)
-    for start in range(0, count, CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
+    for rows in _row_blocks(count):
         block = values[rows]
         SubordinatorPath.check_rows(block)
         direct = kernel.bracket_sums(grid.points, np.diff(block, axis=1))
@@ -406,32 +419,21 @@ def _ibp_sums(alpha: float, grid: TimeGrid, kernel: SingularKernel, seed: SeedSp
 
 def run_laplace_check(
     alphas=LAPLACE_ALPHAS,
-    n_replicates: int = 100_000,
+    n_replicates: int = DEFAULT_REPLICATES,
     master_seed: int = DEFAULT_MASTER_SEED,
 ) -> LaplaceCheckReport:
     """Check E e^(-lam S_1) = e^(-lam^alpha) cell by cell over alphas x
     LAPLACE_LAMBDAS, 3-sigma acceptance."""
     _check_laplace_args(alphas, n_replicates)
     cells = []
-    cell_index = 0
-    for alpha in alphas:
-        for lam in LAPLACE_LAMBDAS:
-            draws = draw_standard_samples(alpha, n_replicates, master_seed, cell_index)
-            with np.errstate(under="ignore"):  # e^(-lam S) rounding to 0 is exact
-                transformed = np.exp(-lam * draws)
-            est = MomentEstimate.from_samples(transformed)
-            target = math.exp(-(lam**alpha))
-            cells.append(
-                LaplaceCell(
-                    alpha=alpha,
-                    lam=lam,
-                    mc_mean=est.mean,
-                    std_error=est.std_error,
-                    target=target,
-                    within_3se=abs(est.mean - target) <= 3.0 * est.std_error,
-                )
-            )
-            cell_index += 1
+    for cell_index, (alpha, lam) in enumerate([(alpha, lam) for alpha in alphas for lam in LAPLACE_LAMBDAS]):
+        draws = draw_standard_samples(alpha, n_replicates, master_seed, cell_index)
+        with np.errstate(under="ignore"):  # e^(-lam S) rounding to 0 is exact
+            transformed = np.exp(-lam * draws)
+        est = MomentEstimate.from_samples(transformed)
+        target = math.exp(-(lam**alpha))
+        cells.append(LaplaceCell(alpha=alpha, lam=lam, mc_mean=est.mean, std_error=est.std_error, target=target,
+                                 within_3se=abs(est.mean - target) <= SE_MULTIPLE * est.std_error))
     n_within = sum(c.within_3se for c in cells)
     return LaplaceCheckReport(
         cells=tuple(cells), n_within=n_within, passed=n_within >= len(cells) - 1
@@ -458,7 +460,7 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
 
 
 def run_cdf_check(
-    n_replicates: int = 100_000,
+    n_replicates: int = DEFAULT_REPLICATES,
     master_seed: int = DEFAULT_MASTER_SEED,
 ) -> CdfCheckReport:
     """KS test of alpha = 1/2 draws against the closed-form CDF erfc(1/(2 sqrt(x))),
@@ -476,16 +478,15 @@ def run_cdf_check(
 
 
 def _check_cdf_args(n_replicates: int) -> None:
-    # Below three draws 1.63/sqrt(n) >= 1 exceeds every KS distance: a pass on nothing.
-    if n_replicates < 3:
-        raise ValueError(f"n_replicates must be >= 3 for the KS test, got {n_replicates}")
+    if n_replicates < KS_MIN_REPLICATES:
+        raise ValueError(f"n_replicates must be >= {KS_MIN_REPLICATES} for the KS test, got {n_replicates}")
 
 
 def run_scaling_check(
     params: StableParams,
     p: float,
-    times=(0.25, 1.0, 4.0),
-    n_replicates: int = 100_000,
+    times=SCALING_TIMES,
+    n_replicates: int = DEFAULT_REPLICATES,
     master_seed: int = DEFAULT_MASTER_SEED,
 ) -> ScalingCheckReport:
     """Self-similarity collapse: E S_t^p / t^(p/alpha) constant across horizons."""
@@ -512,7 +513,7 @@ def run_scaling_check(
         std_errors=tuple(errors),
         reference=reference,
         max_deviation_sigmas=max_sigmas,
-        passed=max_sigmas <= 3.0,
+        passed=max_sigmas <= SE_MULTIPLE,
     )
 
 
@@ -530,7 +531,7 @@ def _check_scaling_args(alpha: float, p: float, times) -> FracMomentQuery:
 
 def run_moment_checks(
     cells,
-    n_replicates: int = 100_000,
+    n_replicates: int = DEFAULT_REPLICATES,
     master_seed: int = DEFAULT_MASTER_SEED,
 ) -> list[BoundCheckReport]:
     """Moment-bound checks for (params, kernel, p, grid or None) cells, in order.
@@ -611,7 +612,7 @@ def _check_ibp_grid(alpha: float, kernel: SingularKernel, grid: TimeGrid) -> Non
 def _bound_report(lower: np.ndarray, upper: np.ndarray, p: float, bound: float) -> BoundCheckReport:
     est_upper = MomentEstimate.from_samples(upper**p)
     est_lower = MomentEstimate.from_samples(lower**p)
-    margin = bound - (est_upper.mean + 3.0 * est_upper.std_error)
+    margin = bound - (est_upper.mean + SE_MULTIPLE * est_upper.std_error)
     return BoundCheckReport(
         estimate=est_upper,
         lower_estimate=est_lower,
@@ -625,8 +626,8 @@ def run_blowup_diagnostics(
     params: StableParams,
     thetas,
     T: float = 1.0,
-    max_level: int = 30,
-    n_replicates: int = 10_000,
+    max_level: int = BLOWUP_LEVELS,
+    n_replicates: int = BLOWUP_REPLICATES,
     master_seed: int = DEFAULT_MASTER_SEED,
 ) -> list[SlopeReport]:
     """Blow-up diagnostics for several exponents, in order, on one set of paths.
@@ -683,8 +684,8 @@ def _check_blowup_args(alpha: float, thetas: tuple, n_replicates: int, max_level
     """Validate a blowup run before sampling; returns the grid it samples on."""
     if not thetas:
         raise ValueError("thetas must be nonempty")
-    if n_replicates < 100:
-        raise ValueError("n_replicates must be at least 100 for stable medians")
+    if n_replicates < BLOWUP_MIN_REPLICATES:
+        raise ValueError(f"n_replicates must be at least {BLOWUP_MIN_REPLICATES} for stable medians")
     if max_level < BLOWUP_MIN_LEVEL + 5:  # the slope fit takes at least six levels
         raise ValueError(f"grid.levels (max_level) must be >= {BLOWUP_MIN_LEVEL + 5} "
                          f"for blowup, got {max_level}")
@@ -756,9 +757,9 @@ class IbpConsistencyReport:
 
 def run_ibp_consistency(
     params: StableParams,
-    theta: float = 0.5,
+    theta: float = IBP_THETA,
     T: float = 1.0,
-    n_paths: int = 1000,
+    n_paths: int = IBP_PATHS,
     master_seed: int = DEFAULT_MASTER_SEED,
     grid: TimeGrid | None = None,
 ) -> IbpConsistencyReport:

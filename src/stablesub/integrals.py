@@ -311,20 +311,10 @@ def _log_power_sums(points: np.ndarray, values: np.ndarray, theta: float):
     return lower, upper
 
 
-# scipy.special.logsumexp (scipy 1.17) for real input, transcribed.
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) over the last axis of a real array.
-
-    The ties at the maximum leave the sum and enter as their count m, giving
-    log1p(s / m) + log(m) + max, with log(sum(exp(a))) where that is not finite
-    (a row of -inf, or an infinite maximum).
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = np.log(np.sum(np.exp(a), axis=-1))
-        a_max = np.max(a, axis=-1, keepdims=True)
-        at_max = a == a_max
-        m = np.sum(at_max, axis=-1, keepdims=True, dtype=a.dtype)
-        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=-1, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + a_max)[..., 0]
-    return np.where(np.isfinite(out), out, direct)
+    """log(sum(exp(a))) over the last axis of a real array, shifted by the row
+    maximum where that is finite (a row of -inf gives -inf, an infinite maximum inf)."""
+    a_max = np.max(a, axis=-1, keepdims=True)
+    shift = np.where(np.isfinite(a_max), a_max, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(a - shift), axis=-1)) + shift[..., 0]

@@ -20,6 +20,8 @@ import numpy as np
 from . import __version__
 from .config import _KEYS, ConfigError, ExperimentConfig, config_from_mapping, default_replicates, render_config
 from .experiments import (
+    BLOWUP_MIN_REPLICATES,
+    SE_MULTIPLE,
     MomentEstimate,
     _batch_task,
     _pool_map,
@@ -289,7 +291,7 @@ def _build_classify(config: ExperimentConfig):
 # Every section but the oracle chain, which no experiment owns, runs ordinary
 # configs of the experiments that own its cells through their planner and
 # only tabulates the cells' own records.
-_MIN_REPLICATES = {"blowup": 100}  # the fewest paths whose medians blowup takes
+_MIN_REPLICATES = {"blowup": BLOWUP_MIN_REPLICATES}  # the fewest paths whose medians blowup takes
 
 
 def _config_section(cells, tabulate, cap, seed):
@@ -352,7 +354,7 @@ def _oracle_chain_section(cap, seed):
     oracle = frac_moment_closed_form(FracMomentQuery(0.5, 0.25, 1.0))
     verdicts = _verdicts(
         quadrature_agrees_closed_form=max_rel <= 1e-6,
-        mc_matches_oracle=abs(estimate.mean - oracle) <= 3.0 * estimate.std_error,
+        mc_matches_oracle=abs(estimate.mean - oracle) <= SE_MULTIPLE * estimate.std_error,
     )
     results = {
         "max_relative_difference": max_rel,

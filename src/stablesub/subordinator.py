@@ -37,16 +37,21 @@ _TWO64 = 1 << 64
 # Angle clamp for the sine-ratio construction: the ratios overflow at the
 # endpoints of (0, pi).  The induced bias is far below statistical resolution.
 _ANGLE_CLAMP = 1e-12
-# Rows of a path batch transformed, assembled and bracketed at a time (here,
-# in the moment pass and in ibp), so the working set stays small.  A multiple
-# of 4: a BLAS matrix-vector product rounds a row by its place in a block of 4
-# rows, so such chunks give the whole batch's bracket sums bit for bit.
+# Rows of a path batch transformed, assembled and bracketed at a time (by
+# _row_blocks), so the working set stays small.  A multiple of 4: a BLAS
+# matrix-vector product rounds a row by its place in a block of 4 rows, so
+# such blocks give the whole batch's bracket sums bit for bit.
 CHUNK_ROWS = 512
 
 
 class NonFiniteDrawError(ValueError):
     """Draws or paths left double range: at small alpha sin(U)^(1/alpha)
     underflows, and at a large horizon the scaled draws overflow."""
+
+
+def _row_blocks(n: int):
+    """The CHUNK_ROWS row slices, the last one ragged, of an n-row path batch."""
+    return (slice(start, start + CHUNK_ROWS) for start in range(0, n, CHUNK_ROWS))
 
 
 def _check_finite(finite: np.ndarray, where: str, what: str) -> None:
@@ -281,7 +286,7 @@ def sample_path_values(
 
     Cell increments are (t_{i+1} - t_i)^(1/alpha) times independent standard
     draws; the first column carries the increment over (0, epsilon].  The
-    batch draws (U, W) once, then makes CHUNK_ROWS rows of paths at a time and
+    batch draws (U, W) once, then makes one row block of paths at a time and
     writes them over the angles they came from: U and W are its only
     batch-sized arrays.  Raises NonFiniteDrawError, naming alpha and the
     block's count, when a block's standard draws are not all finite, and
@@ -290,8 +295,7 @@ def sample_path_values(
     u, w = kanter_inputs(seed, (int(n_paths), len(grid)))
     values = u  # each block of paths overwrites its own angles
     with np.errstate(over="ignore"):
-        for start in range(0, len(u), CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
+        for rows in _row_blocks(len(u)):
             draws = kanter_draws((params.alpha,), u[rows], w[rows])[0]
             values[rows] = _assemble_paths(draws, grid, params.alpha)
     # A row is nondecreasing, so it is finite where its last value is.

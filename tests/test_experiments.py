@@ -44,7 +44,7 @@ from stablesub import (
     stieltjes_bracket,
 )
 from stablesub.cli import main
-from stablesub.experiments import BATCH_SIZE
+from stablesub.experiments import BATCH_SIZE, BLOWUP_MIN_REPLICATES, KS_MIN_REPLICATES
 from stablesub.integrals import _brackets_meet, ibp_bracket_sums, power_bracket_sums
 from stablesub.reporting import comparable_record_json
 
@@ -467,10 +467,10 @@ class TestMomentBatch:
         # 1- or 7-row chunks move the sums by rounding.  Both counts leave a
         # ragged last chunk at 12 rows.
         seed = SeedSpec(505, 3)
-        monkeypatch.setattr(experiments, "CHUNK_ROWS", count)
+        monkeypatch.setattr(subordinator, "CHUNK_ROWS", count)
         whole = experiments._moment_sums(self.JOBS, seed, count)
         for rows in (4, 12, 512):
-            monkeypatch.setattr(experiments, "CHUNK_ROWS", rows)
+            monkeypatch.setattr(subordinator, "CHUNK_ROWS", rows)
             assert np.array_equal(experiments._moment_sums(self.JOBS, seed, count), whole)
         # Every job equals its own cell's paths, bracketed on their own.
         assert whole.shape == (len(self.JOBS), 2, count)
@@ -492,7 +492,7 @@ class TestMomentBatch:
 
             monkeypatch.setattr(integrals, name, counted)
         count, rows = 1000, 512
-        monkeypatch.setattr(experiments, "CHUNK_ROWS", rows)
+        monkeypatch.setattr(subordinator, "CHUNK_ROWS", rows)
         experiments._moment_sums(self.JOBS, SeedSpec(505, 4), count)
         chunks = math.ceil(count / rows)
         power_jobs = sum(isinstance(kernel, SingularKernel) for _, _, kernel in self.JOBS)
@@ -511,7 +511,6 @@ class TestPathBlocks:
     @staticmethod
     def chunk_rows(monkeypatch, rows):
         monkeypatch.setattr(subordinator, "CHUNK_ROWS", rows)
-        monkeypatch.setattr(experiments, "CHUNK_ROWS", rows)
 
     def whole_values(self, alpha, count):
         """The batch's paths, transformed and assembled in one piece."""
@@ -763,6 +762,24 @@ def test_verify_all_blowup_rows_are_their_subcommands(small_verify_all):
     medians = [row[:2] for row in record["series"]["truncated_lower_sum"]["rows"]]
     assert series["finiteness_stabilization_lower_sum_medians"]["rows"] == medians
     assert small_verify_all["results"]["finiteness_stabilization"]["median_at_2^-40"] == dict(medians)[2.0**-40]
+
+
+def test_verify_all_raises_a_cap_below_a_floor_to_the_floor(monkeypatch):
+    # At 3 replicates, KS_MIN_REPLICATES, the cdf cell and the ibp cell run the
+    # cap itself, every blowup cell runs blowup's floor of paths, and the oracle
+    # chain draws ten per replicate.
+    real, counts = reporting.run_blowup_diagnostics, []
+
+    def blowup(params, thetas, **kwargs):
+        counts.append((thetas, kwargs["n_replicates"]))
+        return real(params, thetas, **kwargs)
+
+    monkeypatch.setattr(reporting, "run_blowup_diagnostics", blowup)
+    results = _record("verify-all", "--replicates", KS_MIN_REPLICATES, "--seed", 1)["results"]
+    assert counts == [((2.5, 3.0, 4.0), BLOWUP_MIN_REPLICATES), ((1.0,), BLOWUP_MIN_REPLICATES)]
+    assert results["cdf"]["n_replicates"] == 3
+    assert results["ibp"]["n_paths"] == 3
+    assert results["frac_moment_chain"]["n_replicates"] == 30
 
 
 class TestBlowupDiagnostic:
