@@ -43,7 +43,7 @@ from .subordinator import (
     TimeGrid,
     _assemble_paths,
     _check_finite,
-    _row_blocks,
+    _path_blocks,
     deterministic_path,
     kanter_draws,
     kanter_inputs,
@@ -348,19 +348,18 @@ def draw_standard_samples(
 def _moment_sums(jobs: tuple, seed: SeedSpec, count: int) -> np.ndarray:
     """One batch of paths on grids of one length, bracketed for every (alpha, grid, kernel) job.
 
-    The batch draws (U, W) once; then, one row block at a time, kanter_draws
-    makes every alpha's standard draws from one set of sines, and each job
-    brackets its alpha's paths on its grid, assembled once per (alpha, grid).
-    Returns sums[k, side, row]: k counts the jobs, side 0 is the lower sum
-    and side 1 the upper.
+    One row block at a time, the batch draws (U, W) once, kanter_draws makes
+    every alpha's standard draws from one set of sines, and each job brackets
+    its alpha's paths on its grid, assembled once per (alpha, grid).  Returns
+    sums[k, side, row]: k counts the jobs, side 0 is the lower sum and side 1
+    the upper.
     """
-    u, w = kanter_inputs(seed, (count, len(jobs[0][1])))
     alphas = list(dict.fromkeys(alpha for alpha, _, _ in jobs))
     sums = np.empty((len(jobs), 2, count))
-    # A path or sum that overflows is caught below, once per batch.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _row_blocks(count):
-            draws = dict(zip(alphas, kanter_draws(alphas, u[rows], w[rows])))
+    for rows, u, w in kanter_inputs(seed, (count, len(jobs[0][1]))):
+        draws = dict(zip(alphas, kanter_draws(alphas, u, w)))
+        # A path or sum that overflows is caught below, once per batch.
+        with np.errstate(over="ignore", invalid="ignore"):
             increments = {}  # (alpha, grid) -> the chunk's path increments
             for k, (alpha, grid, kernel) in enumerate(jobs):
                 if (alpha, grid) not in increments:
@@ -393,16 +392,14 @@ def _blowup_sums(alpha: float, grid: TimeGrid, thetas: tuple, level_columns, see
 
 def _ibp_sums(alpha: float, grid: TimeGrid, kernel: SingularKernel, seed: SeedSpec, count: int):
     """One batch: do both bracket routes meet on every row, and the rows' Abel
-    discrepancies, checked one row block (_row_blocks) at a time.  Both routes are
-    linear-scale: the run has fenced off log space."""
-    values = sample_path_values(StableParams(alpha), grid, seed, count)
+    discrepancies, each row block of paths (_path_blocks) checked as it is
+    made.  Both routes are linear-scale: the run has fenced off log space."""
     probes = _stream(seed.master_seed, 1, seed.replicate_index).generator().random(count)
     low, high = ABEL_PROBE_THETAS
     thetas = low + probes * (high - low)
     meet = True
     abel = np.empty(count)
-    for rows in _row_blocks(count):
-        block = values[rows]
+    for rows, block in _path_blocks(StableParams(alpha), grid, seed, count):
         SubordinatorPath.check_rows(block)
         direct = kernel.bracket_sums(grid.points, np.diff(block, axis=1))
         via_parts = ibp_bracket_sums(grid.points, block, kernel.theta)
@@ -554,8 +551,7 @@ def run_moment_checks(
     for members in passes.values():
         parts = _sample_batches(functools.partial(_moment_sums, tuple(members)), n_replicates, master_seed, 0)
         for k, indices in enumerate(members.values()):
-            lower = np.concatenate([part[k, 0] for part in parts])
-            upper = np.concatenate([part[k, 1] for part in parts])
+            lower, upper = ([part[k, side] for part in parts] for side in (0, 1))
             for index in indices:
                 _, _, _, p, bound = prepared[index]
                 reports[index] = _bound_report(lower, upper, p, bound)
@@ -609,9 +605,11 @@ def _check_ibp_grid(alpha: float, kernel: SingularKernel, grid: TimeGrid) -> Non
                          f"{ABEL_PROBE_THETAS[1]:g} at grid epsilon = {grid.epsilon:g}")
 
 
-def _bound_report(lower: np.ndarray, upper: np.ndarray, p: float, bound: float) -> BoundCheckReport:
-    est_upper = MomentEstimate.from_samples(upper**p)
-    est_lower = MomentEstimate.from_samples(lower**p)
+def _bound_report(lower: list, upper: list, p: float, bound: float) -> BoundCheckReport:
+    """The report of one cell from its job's per-batch lower and upper sums:
+    each piece is raised to the p-th power before the pieces are joined."""
+    est_upper = MomentEstimate.from_samples(np.concatenate([piece**p for piece in upper]))
+    est_lower = MomentEstimate.from_samples(np.concatenate([piece**p for piece in lower]))
     margin = bound - (est_upper.mean + SE_MULTIPLE * est_upper.std_error)
     return BoundCheckReport(
         estimate=est_upper,

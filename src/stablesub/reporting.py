@@ -350,7 +350,7 @@ def _oracle_chain_section(cap, seed):
     closed = np.array([frac_moment_closed_form(q) for q in queries])
     max_rel = float(np.max(np.abs([frac_moment_quadrature(q) for q in queries] - closed) / closed))
     draws = draw_standard_samples(0.5, min(1_000_000, cap * 10), seed, cell=90)
-    estimate = MomentEstimate.from_samples(draws**0.25)
+    estimate = MomentEstimate.from_samples(np.power(draws, 0.25, out=draws))
     oracle = frac_moment_closed_form(FracMomentQuery(0.5, 0.25, 1.0))
     verdicts = _verdicts(
         quadrature_agrees_closed_form=max_rel <= 1e-6,

@@ -51,7 +51,7 @@ class NonFiniteDrawError(ValueError):
 
 def _row_blocks(n: int):
     """The CHUNK_ROWS row slices, the last one ragged, of an n-row path batch."""
-    return (slice(start, start + CHUNK_ROWS) for start in range(0, n, CHUNK_ROWS))
+    return (slice(start, min(start + CHUNK_ROWS, n)) for start in range(0, n, CHUNK_ROWS))
 
 
 def _check_finite(finite: np.ndarray, where: str, what: str) -> None:
@@ -201,27 +201,50 @@ class SubordinatorPath:
             raise ValueError("process values must be nondecreasing")
 
 
-def kanter_inputs(seed: SeedSpec, shape) -> tuple[np.ndarray, np.ndarray]:
-    """The angles U, uniform on (0, pi), and unit exponentials W of `shape`
-    Kanter draws, from the single stream keyed by `seed`.
+def kanter_inputs(seed: SeedSpec, shape: tuple):
+    """Yield (rows, U, W) for each _row_blocks block of `shape` Kanter inputs,
+    rows along its first axis: angles U, uniform on (0, pi), and unit
+    exponentials W, from the single stream keyed by `seed`.
 
     The only function that draws from a stream for the stable sampler: every
-    standard draw is Kanter's transform of these (see kanter_draws).  U comes
-    first, then W, each over the whole shape.  Degenerate endpoint draws
-    (probability ~2^-53 each) are re-drawn rather than clamped away; U is then
-    kept _ANGLE_CLAMP away from 0 and pi.
+    standard draw is Kanter's transform of these (see kanter_draws).  The
+    stream holds U first, then W, each over the whole shape.  Philox is
+    counter-based, so a second generator on the key skips U's n draws (4 per
+    counter step) and each block draws its U and W where the whole shape's
+    draws hold them, bit for bit.  Degenerate endpoint draws (probability
+    ~2^-53 each) are re-drawn rather than clamped away: the first block
+    holding one draws the rest of the batch whole and re-draws from the stream
+    after W, as the whole shape would.  U is then kept _ANGLE_CLAMP away from
+    0 and pi.
     """
-    rng = seed.generator()
-    u = rng.random(shape) * math.pi
-    w = rng.standard_exponential(shape)
-    bad = (u <= 0.0) | (w <= 0.0)
-    while np.any(bad):
-        n_bad = int(np.count_nonzero(bad))
-        u[bad] = rng.random(n_bad) * math.pi
-        w[bad] = rng.standard_exponential(n_bad)
-        bad = (u <= 0.0) | (w <= 0.0)
-    np.clip(u, _ANGLE_CLAMP, math.pi - _ANGLE_CLAMP, out=u)
-    return u, w
+    n_rows, *row = shape
+    n = math.prod(shape)
+    u_rng, w_rng = seed.generator(), seed.generator()
+    w_rng.bit_generator.advance(n // 4)
+    w_rng.bit_generator.random_raw(n % 4)
+
+    def draw(count: int):
+        u = u_rng.random((count, *row))
+        u *= math.pi
+        return u, w_rng.standard_exponential((count, *row))
+
+    for rows in _row_blocks(n_rows):
+        u, w = draw(rows.stop - rows.start)
+        if not (u.all() and w.all()):  # an exact 0: draw the rest and re-draw it
+            rest = draw(n_rows - rows.stop)
+            u, w = np.concatenate([u, rest[0]]), np.concatenate([w, rest[1]])
+            bad = (u <= 0.0) | (w <= 0.0)
+            while np.any(bad):
+                n_bad = int(np.count_nonzero(bad))
+                u[bad] = w_rng.random(n_bad) * math.pi
+                w[bad] = w_rng.standard_exponential(n_bad)
+                bad = (u <= 0.0) | (w <= 0.0)
+            np.clip(u, _ANGLE_CLAMP, math.pi - _ANGLE_CLAMP, out=u)
+            for block in _row_blocks(len(u)):
+                yield slice(rows.start + block.start, rows.start + block.stop), u[block], w[block]
+            return
+        np.clip(u, _ANGLE_CLAMP, math.pi - _ANGLE_CLAMP, out=u)
+        yield rows, u, w
 
 
 def kanter_draws(alphas, u: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
@@ -256,11 +279,13 @@ def kanter_draws(alphas, u: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     for alpha in alphas:
         inv = 1.0 / alpha
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            draw = (
-                sin_of(alpha)
-                * sin_of(1.0 - alpha) ** (inv - 1.0)
-                / (sin_of(1.0) ** inv * w ** (inv - 1.0))
-            )
+            # In place on fresh powers only: a sine may be handed out again.
+            draw = sin_of(1.0 - alpha) ** (inv - 1.0)
+            draw *= sin_of(alpha)
+            den = w ** (inv - 1.0)
+            den *= sin_of(1.0) ** inv
+            draw /= den
+            del den
         where = f"alpha = {alpha:g} leaves the sampler's double range"
         _check_finite(np.isfinite(draw), where, "stable draws are not finite")
         draws.append(draw)
@@ -268,15 +293,34 @@ def kanter_draws(alphas, u: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
 
 
 def sample_standard_stable_batch(params: StableParams, seed: SeedSpec, size: int) -> np.ndarray:
-    """`size` i.i.d. draws of S_1 from the single stream keyed by `seed`."""
-    u, w = kanter_inputs(seed, int(size))
-    return kanter_draws((params.alpha,), u, w)[0]
+    """`size` i.i.d. draws of S_1 from the single stream keyed by `seed`.
+
+    The draws are one row, so one block: a batch of them is smaller than one
+    block of paths, and smaller blocks would cost more in per-call overhead
+    than they compute."""
+    [(_, u, w)] = kanter_inputs(seed, (1, int(size)))
+    return kanter_draws((params.alpha,), u[0], w[0])[0]
 
 
 def _assemble_paths(draws: np.ndarray, grid: TimeGrid, alpha: float) -> np.ndarray:
     """The paths of sample_path_values from rows of its standard draws: scaled
     and summed only, so the caller checks the values."""
     return np.cumsum(draws * np.diff(grid.points, prepend=0.0) ** (1.0 / alpha), axis=1)
+
+
+def _path_blocks(params: StableParams, grid: TimeGrid, seed: SeedSpec, n_paths: int):
+    """Yield (rows, values) for each row block of sample_path_values' paths,
+    drawn, transformed and assembled one block at a time.  Raises
+    NonFiniteDrawError, naming alpha and the block's count, when a block's
+    standard draws are not all finite, and naming T and alpha when a path
+    overflows."""
+    where = f"T = {grid.T:g} at alpha = {params.alpha:g}"
+    for rows, u, w in kanter_inputs(seed, (int(n_paths), len(grid))):
+        with np.errstate(over="ignore"):
+            values = _assemble_paths(kanter_draws((params.alpha,), u, w)[0], grid, params.alpha)
+        # A row is nondecreasing, so it is finite where its last value is.
+        _check_finite(np.isfinite(values[:, -1]), where, "paths leave double range")
+        yield rows, values
 
 
 def sample_path_values(
@@ -286,21 +330,12 @@ def sample_path_values(
 
     Cell increments are (t_{i+1} - t_i)^(1/alpha) times independent standard
     draws; the first column carries the increment over (0, epsilon].  The
-    batch draws (U, W) once, then makes one row block of paths at a time and
-    writes them over the angles they came from: U and W are its only
-    batch-sized arrays.  Raises NonFiniteDrawError, naming alpha and the
-    block's count, when a block's standard draws are not all finite, and
-    naming T and alpha when a path overflows.
+    paths are made, and checked, one row block at a time (_path_blocks), so
+    the value matrix is the batch's only batch-sized array.
     """
-    u, w = kanter_inputs(seed, (int(n_paths), len(grid)))
-    values = u  # each block of paths overwrites its own angles
-    with np.errstate(over="ignore"):
-        for rows in _row_blocks(len(u)):
-            draws = kanter_draws((params.alpha,), u[rows], w[rows])[0]
-            values[rows] = _assemble_paths(draws, grid, params.alpha)
-    # A row is nondecreasing, so it is finite where its last value is.
-    where = f"T = {grid.T:g} at alpha = {params.alpha:g}"
-    _check_finite(np.isfinite(values[:, -1]), where, "paths leave double range")
+    values = np.empty((int(n_paths), len(grid)))
+    for rows, block in _path_blocks(params, grid, seed, n_paths):
+        values[rows] = block
     return values
 
 

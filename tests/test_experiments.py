@@ -47,6 +47,7 @@ from stablesub.cli import main
 from stablesub.experiments import BATCH_SIZE, BLOWUP_MIN_REPLICATES, KS_MIN_REPLICATES
 from stablesub.integrals import _brackets_meet, ibp_bracket_sums, power_bracket_sums
 from stablesub.reporting import comparable_record_json
+from test_subordinator import whole_kanter_inputs
 
 # Frozen with mpmath from E S_1^0.25 = Gamma(0.5)/Gamma(0.75) at alpha = 1/2.
 BOUND_THETA_REF = 11.811069891303610336  # (alpha, theta, p, T) = (0.5, 1, 0.25, 1)
@@ -349,10 +350,11 @@ class TestGroupedMomentChecks:
 
     def test_verify_all_samples_each_group_once_per_batch(self, monkeypatch):
         # 18 moment-bound cells on 41 points: 1 pass of 12 jobs, whose batches
-        # each draw (U, W) once and make the standard draws of alpha = 0.3, 0.5
-        # and 0.7 from it, and assemble the paths of each of the 5 (alpha,
-        # grid) groups once per chunk, for all of the group's jobs.
-        passes, inputs, draws, paths = [], [], [], []
+        # each draw (U, W) once, a block at a time, and make the standard draws
+        # of alpha = 0.3, 0.5 and 0.7 from each block, and assemble the paths
+        # of each of the 5 (alpha, grid) groups once per chunk, for all of the
+        # group's jobs.
+        passes, inputs, blocks, draws, paths = [], [], [], [], []
         inside = []
         real_batches = experiments._sample_batches
         real_inputs = experiments.kanter_inputs
@@ -366,14 +368,16 @@ class TestGroupedMomentChecks:
             return real_batches(task, *args)
 
         def counting_inputs(seed, shape):
-            u, w = real_inputs(seed, shape)
             if inside:
-                inputs.append((seed.replicate_index, shape, u))
-            return u, w
+                inputs.append((seed.replicate_index, shape))
+            for rows, u, w in real_inputs(seed, shape):
+                if inside:
+                    blocks.append((seed.replicate_index, u))
+                yield rows, u, w
 
         def counting_draws(alphas, u, w):
             if inside:
-                draws.append((tuple(alphas), inputs[-1][0], len(u), np.shares_memory(u, inputs[-1][2])))
+                draws.append((tuple(alphas), blocks[-1][0], len(u), np.shares_memory(u, blocks[-1][1])))
             return real_draws(alphas, u, w)
 
         def counting_paths(chunk, grid, alpha):
@@ -411,7 +415,9 @@ class TestGroupedMomentChecks:
         ]
         # The jobs keep the cells' order, so the groups come in first-appearance order.
         assert list(dict.fromkeys(groups)) == expected
-        assert [(index, shape) for index, shape, _ in inputs] == [(0, (4096, 41)), (1, (904, 41))]
+        assert inputs == [(0, (4096, 41)), (1, (904, 41))]
+        # One kanter_draws call per block, on the block just drawn.
+        assert len(draws) == len(blocks)
         assert {alphas for alphas, *_ in draws} == {(0.3, 0.5, 0.7)}
         assert all(shared for *_, shared in draws)
         for index, count in ((0, 4096), (1, 904)):
@@ -501,9 +507,11 @@ class TestMomentBatch:
 
 
 class TestPathBlocks:
-    # sample_path_values and _ibp_sums work CHUNK_ROWS rows at a time.  Each
-    # block must give the rows of the whole-batch evaluation, bit for bit.
-    # Count 1 is one short block; 904 ends in a ragged block at 12 and 512 rows.
+    # sample_path_values and _ibp_sums draw and work CHUNK_ROWS rows at a
+    # time.  Each block must give the rows of the whole-batch evaluation, bit
+    # for bit.  Count 1 is one short block; 904 ends in a ragged block at 12
+    # and 512 rows; counts 2 and 3 make 82 and 123 draws, which start W's
+    # draws within a Philox counter step.
     KERNEL = SingularKernel(theta=1.0)
     GRID = KERNEL.default_grid()
     SEED = SeedSpec(505, 3)
@@ -513,19 +521,28 @@ class TestPathBlocks:
         monkeypatch.setattr(subordinator, "CHUNK_ROWS", rows)
 
     def whole_values(self, alpha, count):
-        """The batch's paths, transformed and assembled in one piece."""
-        u, w = subordinator.kanter_inputs(self.SEED, (count, len(self.GRID)))
+        """The batch's paths, drawn, transformed and assembled in one piece."""
+        u, w = whole_kanter_inputs(self.SEED, (count, len(self.GRID)))
         [draws] = subordinator.kanter_draws((alpha,), u, w)
         return np.cumsum(draws * np.diff(self.GRID.points, prepend=0.0) ** (1.0 / alpha), axis=1)
 
-    @pytest.mark.parametrize("count", [1, 904, 4096])
+    @pytest.mark.parametrize("count", [1, 2, 3, 904, 4096])
     def test_path_blocks_do_not_change_a_bit(self, monkeypatch, count):
         whole = self.whole_values(0.3, count)
         for rows in (4, 12, 512, count):
             self.chunk_rows(monkeypatch, rows)
             assert np.array_equal(sample_path_values(StableParams(0.3), self.GRID, self.SEED, count), whole), rows
 
-    @pytest.mark.parametrize("count", [1, 904, 4096])
+    def test_standard_draws_are_the_whole_draws(self, monkeypatch):
+        # 1695 draws in one dimension, 1695 mod 4 = 3, made as one row: one
+        # block at any chunk size.
+        count = 1695
+        [whole] = subordinator.kanter_draws((0.3,), *whole_kanter_inputs(self.SEED, count))
+        for rows in (4, 512):
+            self.chunk_rows(monkeypatch, rows)
+            assert np.array_equal(sample_standard_stable_batch(StableParams(0.3), self.SEED, count), whole), rows
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 904, 4096])
     def test_ibp_blocks_do_not_change_a_bit(self, monkeypatch, count):
         points = self.GRID.points
         values = self.whole_values(0.5, count)
@@ -556,16 +573,45 @@ class TestPathBlocks:
         lambda seed: experiments._ibp_sums(0.5, TestPathBlocks.GRID, TestPathBlocks.KERNEL, seed, BATCH_SIZE),
     ], ids=["sample_path_values", "_ibp_sums"])
     def test_a_path_batch_peaks_below_4_mib(self, run):
-        # U and W of 4096 x 41 take 2.6 MiB; the blocks' temporaries add about
-        # 0.8 MiB.  A batch transformed and assembled whole peaks at 6.4 MiB.
-        run(self.SEED)
+        # A batch drawing U and W of 4096 x 41 whole holds 2.6 MiB of them and
+        # peaks at 3.4 MiB; transformed and assembled whole too, at 6.4 MiB.
+        peak = self.peak(run)
+        assert peak < 4 * 2**20, peak / 2**20
+
+    @staticmethod
+    def peak(run) -> int:
+        """The tracemalloc peak of a second run on TestPathBlocks.SEED."""
+        run(TestPathBlocks.SEED)
         tracemalloc.start()
         try:
-            run(self.SEED)
-            peak = tracemalloc.get_traced_memory()[1]
+            run(TestPathBlocks.SEED)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20, peak / 2**20
+
+    @staticmethod
+    def moment_grid_jobs() -> tuple:
+        """verify-all's 12 moment jobs, on the 5 (alpha, grid) groups of its cells."""
+        kernels = [(alpha, SingularKernel(theta=frac / alpha)) for alpha in (0.3, 0.5, 0.7) for frac in (0.5, 0.8)]
+        kernels += [(0.5, ExpKernel(lam=lam, T=T)) for lam in (0.5, 1.0, 2.0) for T in (1.0, 5.0)]
+        grids, jobs = {}, []
+        for alpha, kernel in kernels:
+            grid = kernel.default_grid()
+            jobs.append((alpha, grids.setdefault(grid.points.tobytes(), grid), kernel))
+        return tuple(jobs)
+
+    # Each batch draws one block of U and W at a time, so only an output it
+    # returns is batch-sized: the 1.25 MiB value matrix of sample_path_values
+    # and the 0.75 MiB sums of 12 moment jobs.  Drawing U and W whole, these
+    # peaked at 3.4, 3.4 and 5.7 MiB.
+    @pytest.mark.parametrize("run, mib", [
+        (lambda seed: sample_path_values(StableParams(0.3), TestPathBlocks.GRID, seed, BATCH_SIZE), 3.0),
+        (lambda seed: experiments._ibp_sums(0.5, TestPathBlocks.GRID, TestPathBlocks.KERNEL, seed, BATCH_SIZE), 1.5),
+        (lambda seed: experiments._moment_sums(TestPathBlocks.moment_grid_jobs(), seed, BATCH_SIZE), 5.0),
+    ], ids=["sample_path_values", "_ibp_sums", "_moment_sums"])
+    def test_a_batch_holds_one_block_of_draws(self, run, mib):
+        peak = self.peak(run)
+        assert peak < mib * 2**20, peak / 2**20
 
     def test_a_non_finite_draw_counts_its_block(self):
         # At alpha = 0.01 a few Kanter draws in a thousand are not finite: the
@@ -1040,15 +1086,17 @@ class TestIbpConsistency:
         ],
     )
     def test_invalid_path_values_raise(self, monkeypatch, row, column, value, message):
+        real_blocks = experiments._path_blocks
+
         def corrupted(params, grid, seed, count):
             # Global row `row` sits in the batch whose stream index is row // BATCH_SIZE.
-            values = sample_path_values(params, grid, seed, count)
             local = row - seed.replicate_index * BATCH_SIZE
-            if 0 <= local < count:
-                values[local, column] = value
-            return values
+            for rows, values in real_blocks(params, grid, seed, count):
+                if rows.start <= local < rows.stop:
+                    values[local - rows.start, column] = value
+                yield rows, values
 
-        monkeypatch.setattr(experiments, "sample_path_values", corrupted)
+        monkeypatch.setattr(experiments, "_path_blocks", corrupted)
         with pytest.raises(ValueError, match=f"process values must be {message}"):
             run_ibp_consistency(StableParams(0.5), theta=1.0, n_paths=6000, master_seed=1)
 
@@ -1141,8 +1189,9 @@ def test_every_draw_happens_inside_the_batch_loop(monkeypatch, args):
             depth[0] -= 1
 
     def inputs(*a):
-        draws.append(depth[0])
-        return real_inputs(*a)
+        for block in real_inputs(*a):  # a block's draws are made when it is taken
+            draws.append(depth[0])
+            yield block
 
     monkeypatch.setattr(experiments, "_sample_batches", batches)
     # kanter_inputs is the one function that draws from a stream for the sampler.

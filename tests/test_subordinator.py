@@ -3,6 +3,7 @@
 import inspect
 import math
 import re
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,6 +25,22 @@ from stablesub import (
     sample_standard_stable_batch,
 )
 from stablesub.subordinator import kanter_draws, kanter_inputs
+
+
+def whole_kanter_inputs(seed, shape):
+    """The reference for kanter_inputs: U and W of the whole shape drawn from
+    one stream, U first, then re-drawn and clamped over the whole shape."""
+    rng = seed.generator()
+    u = rng.random(shape) * math.pi
+    w = rng.standard_exponential(shape)
+    bad = (u <= 0.0) | (w <= 0.0)
+    while np.any(bad):
+        n_bad = int(np.count_nonzero(bad))
+        u[bad] = rng.random(n_bad) * math.pi
+        w[bad] = rng.standard_exponential(n_bad)
+        bad = (u <= 0.0) | (w <= 0.0)
+    np.clip(u, subordinator._ANGLE_CLAMP, math.pi - subordinator._ANGLE_CLAMP, out=u)
+    return u, w
 
 
 class TestTypes:
@@ -193,7 +210,7 @@ class TestSharedDraws:
 
     def test_each_alpha_matches_its_own_sampling(self):
         grid = TimeGrid.geometric(1.0, levels=20)
-        u, w = kanter_inputs(SeedSpec(11, 4), (300, len(grid)))
+        u, w = whole_kanter_inputs(SeedSpec(11, 4), (300, len(grid)))
         shared = kanter_draws(self.ALPHAS, u, w)
         assert len(shared) == len(self.ALPHAS)
         for alpha, draws in zip(self.ALPHAS, shared):
@@ -209,7 +226,7 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("rows", [1, 7, 300])
     def test_row_blocks_give_identical_draws(self, rows):
-        u, w = kanter_inputs(SeedSpec(11, 4), (300, 21))
+        u, w = whole_kanter_inputs(SeedSpec(11, 4), (300, 21))
         whole = kanter_draws(self.ALPHAS, u, w)
         blocks = [kanter_draws(self.ALPHAS, u[i : i + rows], w[i : i + rows]) for i in range(0, 300, rows)]
         for a, draws in enumerate(whole):
@@ -218,7 +235,7 @@ class TestSharedDraws:
     def test_non_finite_draws_are_a_named_error(self):
         # At alpha = 0.01, sin(U)^(1/alpha) underflows on a few draws in a
         # thousand; the error names alpha and counts that alpha's draws.
-        u, w = kanter_inputs(SeedSpec(11, 4), (300, 21))
+        u, w = whole_kanter_inputs(SeedSpec(11, 4), (300, 21))
         with np.errstate(all="ignore"):
             kanter = np.sin(0.01 * u) * np.sin(0.99 * u) ** 99.0 / (np.sin(u) ** 100.0 * w**99.0)
         bad = int(np.count_nonzero(~np.isfinite(kanter)))
@@ -232,7 +249,7 @@ class TestSharedDraws:
         # T^(1/alpha) = 1e308 fits, but the paths of the larger draws overflow.
         params, seed = StableParams(0.5), SeedSpec(11, 4)
         grid = TimeGrid.geometric(1e154, levels=20)
-        draws = kanter_draws((0.5,), *kanter_inputs(seed, (300, len(grid))))[0]
+        draws = kanter_draws((0.5,), *whole_kanter_inputs(seed, (300, len(grid))))[0]
         with np.errstate(over="ignore"):
             paths = np.cumsum(draws * np.diff(grid.points, prepend=0.0) ** 2.0, axis=1)
         bad = int(np.count_nonzero(~np.isfinite(paths).all(axis=1)))
@@ -240,6 +257,83 @@ class TestSharedDraws:
         message = f"T = 1e+154 at alpha = 0.5: {bad} of 300 paths leave double range"
         with pytest.raises(NonFiniteDrawError, match=f"^{re.escape(message)}$"):
             sample_path_values(params, grid, seed, 300)
+
+
+class PlantedZeros:
+    """The Generator of `seed`'s stream, but the uniform at stream position
+    `u_at` is exactly 0, and so is the first exponential that starts at or
+    after position `w_at` (positions count the stream's 64-bit words)."""
+
+    def __init__(self, seed, u_at, w_at):
+        self.rng = seed.generator()
+        self.bit_generator = self.rng.bit_generator
+        self.u_at, self.w_at = u_at, w_at
+
+    def position(self):
+        state = self.bit_generator.state  # one Philox counter step gives 4 words
+        return 4 * int(state["state"]["counter"][0]) - (4 - state["buffer_pos"])
+
+    def random(self, size):
+        start = self.position()
+        u = self.rng.random(size)
+        if self.u_at is not None and start <= self.u_at < start + u.size:
+            u.flat[self.u_at - start] = 0.0
+        return u
+
+    def standard_exponential(self, size):
+        w = np.empty(size)
+        for i in range(w.size):
+            planted = self.w_at is not None and self.position() >= self.w_at
+            w.flat[i] = 0.0 if planted else self.rng.standard_exponential()
+            if planted:
+                self.rng.standard_exponential()  # the draw the 0 stands for
+                self.w_at = None
+        return w
+
+
+class TestKanterInputs:
+    SEED = SeedSpec(11, 4)
+
+    @staticmethod
+    def joined(seed, shape):
+        blocks = list(kanter_inputs(seed, shape))
+        rows = [block[0] for block in blocks]
+        return rows, *(np.concatenate([block[i] for block in blocks]) for i in (1, 2))
+
+    # n = 1, 45, 82, 123, 6300 and 1695 draws: every n mod 4, which sets where
+    # W's draws start within a Philox counter step.  (1, 1695) is how
+    # sample_standard_stable_batch draws 1695 draws: one row.
+    @pytest.mark.parametrize("shape", [(1, 1), (9, 5), (2, 41), (3, 41), (300, 21), (1, 1695)])
+    @pytest.mark.parametrize("chunk", [4, 12, 512])
+    def test_blocks_are_the_whole_draws(self, monkeypatch, shape, chunk):
+        monkeypatch.setattr(subordinator, "CHUNK_ROWS", chunk)
+        u, w = whole_kanter_inputs(self.SEED, shape)
+        rows, u_blocks, w_blocks = self.joined(self.SEED, shape)
+        assert rows == list(subordinator._row_blocks(shape[0]))
+        assert np.array_equal(u_blocks, u) and np.array_equal(w_blocks, w)
+
+    # 30 rows of 3 in blocks of 4 rows: rows 21 and 26 lie in late blocks.
+    # The first exponential at or after a row's position in W's half of the
+    # stream is that row's or a later one's.
+    @pytest.mark.parametrize("u_row, w_row", [(21, None), (None, 26), (21, 26), (26, 9)])
+    def test_an_exact_zero_is_redrawn_as_the_whole_batch_redraws_it(self, monkeypatch, u_row, w_row):
+        shape = (30, 3)
+        n = math.prod(shape)
+        u_at = None if u_row is None else u_row * 3 + 1
+        w_at = None if w_row is None else n + w_row * 3 + 2
+        planted = types.SimpleNamespace(generator=lambda: PlantedZeros(self.SEED, u_at, w_at))
+        monkeypatch.setattr(subordinator, "CHUNK_ROWS", 4)
+        u, w = whole_kanter_inputs(planted, shape)
+        # The reference redrew each planted entry, U and W together, and kept every other draw.
+        plain_u, plain_w = whole_kanter_inputs(self.SEED, shape)
+        moved = (u != plain_u) | (w != plain_w)
+        assert np.count_nonzero(moved) == (u_row is not None) + (w_row is not None)
+        assert np.array_equal(moved, (u != plain_u) & (w != plain_w))
+        if u_row is not None:
+            assert moved[u_row, 1]
+        rows, u_blocks, w_blocks = self.joined(planted, shape)
+        assert rows == list(subordinator._row_blocks(shape[0]))
+        assert np.array_equal(u_blocks, u) and np.array_equal(w_blocks, w)
 
 
 # The benchmark tracer (perfbench/tracing.py) counts a sampler call's draws by
